@@ -24,7 +24,12 @@ from .cyclonum import ONE, ZERO, CyclotomicNumber
 from .errors import ConsistencyError, ValidationError
 from .exactlinalg import exact_rank
 from .groupoidstack import FiniteGSet, InertiaSet, inertia, orbits
-from .grouptheory import FiniteGroup, Subgroup, conjugacy_classes
+from .grouptheory import (
+    FiniteGroup,
+    Subgroup,
+    conjugacy_classes,
+    extend_along_generators,
+)
 
 
 def _as_cyclo(v) -> CyclotomicNumber:
@@ -238,23 +243,14 @@ def one_dim_rep(group: FiniteGroup, values) -> MatrixRep:
 
 def rep_from_generator_images(group: FiniteGroup, images: dict) -> MatrixRep:
     """Extend matrices given on a generating set to the whole group."""
-    mats: dict[int, tuple] = {
-        0: _identity(len(next(iter(images.values()))))
-    }
     images = {g: tuple(tuple(_as_cyclo(v) for v in row) for row in m)
               for g, m in images.items()}
-    while len(mats) < group.order:
-        progress = False
-        for a in list(mats):
-            for g, mg in images.items():
-                b = group.mul[a][g]
-                if b not in mats:
-                    mats[b] = _mat_mul(mats[a], mg)
-                    progress = True
-        if not progress:
-            raise ValidationError("images do not cover a generating set")
-    dim = len(mats[0])
-    return MatrixRep(group, dim, tuple(mats[g] for g in range(group.order)))
+    dim = len(next(iter(images.values())))
+    mats = extend_along_generators(
+        group, images, _identity(dim), _mat_mul,
+        "images do not cover a generating set",
+    )
+    return MatrixRep(group, dim, tuple(mats))
 
 
 def character_of(rep: MatrixRep) -> ClassFunction:

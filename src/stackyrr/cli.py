@@ -426,14 +426,21 @@ def load_report(text: str) -> dict:
 
 
 def _apply_env_caps() -> None:
-    conductor = os.environ.get("STACKYRR_CONDUCTOR_CAP")
-    limits.CONDUCTOR_CAP = (
-        int(conductor) if conductor is not None else limits.DEFAULT_CONDUCTOR_CAP
-    )
-    tuples = os.environ.get("STACKYRR_TUPLE_CAP")
-    limits.TUPLE_CAP = (
-        int(tuples) if tuples is not None else limits.DEFAULT_TUPLE_CAP
-    )
+    limits.CONDUCTOR_CAP = _env_cap("STACKYRR_CONDUCTOR_CAP", limits.DEFAULT_CONDUCTOR_CAP)
+    limits.TUPLE_CAP = _env_cap("STACKYRR_TUPLE_CAP", limits.DEFAULT_TUPLE_CAP)
+
+
+def _env_cap(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +510,6 @@ def jobspec_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    _apply_env_caps()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -519,7 +525,12 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    status, text = run(spec)
+    try:
+        _apply_env_caps()
+    except ValidationError as exc:
+        status, text = EXIT_VALIDATION, _render_error(spec, "validation", str(exc))
+    else:
+        status, text = run(spec)
     if spec.output_path:
         with open(spec.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)

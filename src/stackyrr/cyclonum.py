@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError
+from .exactlinalg import forward_eliminate
 
 Rational = Fraction
 
@@ -63,8 +64,8 @@ def _divisors(n: int) -> tuple[int, ...]:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first.
 
-    Computed by exact polynomial division of x^n - 1 by the Phi_d for the
-    proper divisors d of n.
+    Computed by exact integer polynomial division of x^n - 1 by the
+    (monic) Phi_d for the proper divisors d of n.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -77,23 +78,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValidationError(f"invalid conductor {n}; conductors are >= 1")
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n)[:-1]:
-        poly = _int_poly_div(poly, list(cyclotomic_polynomial(d)))
+        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+        assert not rem, "non-exact cyclotomic division"
     return tuple(poly)
-
-
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials with monic-up-to-sign divisor.
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], lead)
-        assert r == 0, "non-exact cyclotomic division"
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    assert all(c == 0 for c in num[: len(den) - 1])
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -121,18 +108,23 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_int(n: int, coeffs: list[int]) -> list[int]:
-    """Reduce an integer coefficient vector of any length modulo Phi_n."""
-    phi = euler_phi(n)
+def _substitute(n: int, coeffs, k: int) -> list:
+    """sum_i coeffs[i] * x^(i*k), reduced modulo Phi_n.
+
+    ``coeffs`` may have any length and ``k`` need not be coprime to n, so
+    this one routine reduces products (k = 1), lifts into a larger field
+    (k = the conductor ratio) and applies Galois automorphisms.  Integer
+    input gives integer output; Fraction input gives Fraction entries
+    wherever a term landed.
+    """
     table = _power_table(n)
-    out = [0] * phi
-    for j, c in enumerate(coeffs):
-        if c == 0:
+    out = [0] * euler_phi(n)
+    for i, c in enumerate(coeffs):
+        if not c:
             continue
-        row = table[j]
-        for i in range(phi):
-            if row[i]:
-                out[i] += c * row[i]
+        for j, t in enumerate(table[(i * k) % n]):
+            if t:
+                out[j] += c * t
     return out
 
 
@@ -242,7 +234,7 @@ class CyclotomicNumber:
             for j, y in enumerate(ib):
                 if y:
                     conv[i + j] += x * y
-        red = _reduce_int(n, conv)
+        red = _substitute(n, conv, 1)
         den = da * db
         return canonicalize(n, tuple(Fraction(c, den) for c in red))
 
@@ -282,9 +274,6 @@ class CyclotomicNumber:
         return result
 
     # -- structure -----------------------------------------------------
-
-    def galois(self, k: int) -> "CyclotomicNumber":
-        return galois_conjugate(self, k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -378,7 +367,7 @@ def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
     phi = euler_phi(conductor)
     if len(coeffs) > phi:
         ints, den = _scale_to_int(coeffs)
-        coeffs = [Fraction(c, den) for c in _reduce_int(conductor, ints)]
+        coeffs = [Fraction(c, den) for c in _substitute(conductor, ints, 1)]
     elif len(coeffs) < phi:
         coeffs = coeffs + [_ZERO] * (phi - len(coeffs))
 
@@ -405,19 +394,9 @@ def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
 def _fold_even(n: int, coeffs: list[Fraction]):
     # zeta_n = -zeta_m^((m+1)/2) with m = n/2 odd.
     m = n // 2
-    e = (m + 1) // 2
-    out = [0] * euler_phi(m)
-    table = _power_table(m)
     ints, den = _scale_to_int(coeffs)
-    for i, c in enumerate(ints):
-        if c == 0:
-            continue
-        sign = -1 if i % 2 else 1
-        row = table[(i * e) % m]
-        for j in range(len(out)):
-            if row[j]:
-                out[j] += sign * c * row[j]
-    return m, [Fraction(c, den) for c in out]
+    signed = [-c if i % 2 else c for i, c in enumerate(ints)]
+    return m, [Fraction(c, den) for c in _substitute(m, signed, (m + 1) // 2)]
 
 
 def _fixed_by_kernel(n: int, coeffs: list[Fraction], d: int) -> bool:
@@ -431,64 +410,23 @@ def _fixed_by_kernel(n: int, coeffs: list[Fraction], d: int) -> bool:
     return True
 
 
-def _substitute(n: int, coeffs, k: int) -> list[Fraction]:
-    # z -> z^k, reduced.  k need not be coprime to n here.
-    table = _power_table(n)
-    phi = euler_phi(n)
-    out = [_ZERO] * phi
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        row = table[(i * k) % n]
-        for j in range(phi):
-            if row[j]:
-                out[j] += c * row[j]
-    return out
-
-
 def _express_in_subfield(n: int, coeffs, d: int):
-    # Solve coeffs = sum_j c_j * (x^(j*n/d) mod Phi_n) for c in Q^phi(d).
-    phi_n = euler_phi(n)
+    # Solve coeffs = sum_j c_j * (x^(j*n/d) mod Phi_n) for c in Q^phi(d);
+    # None when the system is inconsistent.
     phi_d = euler_phi(d)
     table = _power_table(n)
     cols = [table[(j * (n // d)) % n] for j in range(phi_d)]
-    # Gaussian elimination on the phi_n x phi_d system.
-    rows = [[Fraction(cols[j][i]) for j in range(phi_d)] + [coeffs[i]] for i in range(phi_n)]
-    sol = _solve_overdetermined(rows, phi_d)
-    return sol
-
-
-def _solve_overdetermined(rows: list[list[Fraction]], ncols: int):
-    """Solve an overdetermined rational system given as [A | b] rows.
-
-    Returns the unique solution vector or None if inconsistent.
-    """
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-    sol = [_ZERO] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    for i in range(r, m):
-        if rows[i][ncols]:
-            return None
-    # Columns without pivots would mean a non-unique solution; the power
-    # basis of a subfield is independent, so this cannot happen.
-    assert len(pivots) == ncols
+    rows = [[col[i] for col in cols] + [c] for i, c in enumerate(coeffs)]
+    pivots = forward_eliminate(rows, phi_d)
+    if any(row[phi_d] for row in rows[len(pivots):]):
+        return None
+    # The power basis of a subfield is independent, so every column has a
+    # pivot and back substitution through the unit diagonal finishes.
+    assert len(pivots) == phi_d
+    sol = [_ZERO] * phi_d
+    for r in range(phi_d - 1, -1, -1):
+        row = rows[r]
+        sol[r] = row[phi_d] - sum(row[j] * sol[j] for j in range(r + 1, phi_d))
     return sol
 
 
@@ -509,14 +447,7 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
         raise ValidationError(f"invalid conductor {n}; conductors are >= 1")
     if n > limits.CONDUCTOR_CAP:
         raise ResourceLimitError(f"conductor {n} exceeds cap {limits.CONDUCTOR_CAP}")
-    k %= n
-    coeffs = [_ZERO] * euler_phi(n)
-    if k < len(coeffs):
-        coeffs[k] = _ONE
-        return canonicalize(n, coeffs)
-    ints = [0] * (k + 1)
-    ints[k] = 1
-    return canonicalize(n, [Fraction(c) for c in _reduce_int(n, ints)])
+    return canonicalize(n, _power_table(n)[k % n])
 
 
 def arith(a: CyclotomicNumber, b: CyclotomicNumber, op: str) -> CyclotomicNumber:
@@ -532,12 +463,13 @@ def arith(a: CyclotomicNumber, b: CyclotomicNumber, op: str) -> CyclotomicNumber
     raise ValidationError(f"unknown operation {op!r}")
 
 
-def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
+def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple:
     """Coefficients of a rewritten in the power basis of Q(zeta_n).
 
     ``n`` must be a multiple of the conductor of ``a``.  Used to put two
     operands over a common field, and by tests to build non-canonical
-    representations on purpose.
+    representations on purpose.  Coefficients are Fractions, or the int 0
+    where no term of ``a`` lands.
     """
     if n % a.conductor:
         raise ValidationError(
@@ -545,18 +477,7 @@ def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
         )
     if n == a.conductor:
         return a.coeffs
-    step = n // a.conductor
-    phi = euler_phi(n)
-    table = _power_table(n)
-    out = [_ZERO] * phi
-    for i, c in enumerate(a.coeffs):
-        if not c:
-            continue
-        row = table[(i * step) % n]
-        for j in range(phi):
-            if row[j]:
-                out[j] += c * row[j]
-    return tuple(out)
+    return tuple(_substitute(n, a.coeffs, n // a.conductor))
 
 
 def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
@@ -572,19 +493,19 @@ def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
 
 
 def _field_inverse(n: int, coeffs) -> tuple[Fraction, ...]:
-    # Extended Euclid in Q[x] against Phi_n: s*a + t*Phi = gcd (a constant).
-    a = list(coeffs)
-    while a and not a[-1]:
-        a.pop()
-    phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    r0, r1 = phi_poly, a
-    s0, s1 = [_ZERO], [_ONE]
+    # Extended Euclid in Q[x] against Phi_n, keeping s*a = r mod Phi_n.
+    # Each divisor is scaled monic first, so the division needs no inverse
+    # and the last remainder is 1, making s the inverse itself.
+    r0, s0 = list(cyclotomic_polynomial(n)), [_ZERO]
+    r1, s1 = list(coeffs), [_ONE]
+    while not r1[-1]:
+        r1.pop()
     while True:
+        inv = _ONE / r1[-1]
+        r1 = [c * inv for c in r1]
+        s1 = [c * inv for c in s1]
         if len(r1) == 1:
-            inv = 1 / r1[0]
-            return tuple(c * inv for c in s1) + (_ZERO,) * (
-                euler_phi(n) - len(s1)
-            )
+            return tuple(s1) + (_ZERO,) * (euler_phi(n) - len(s1))
         q, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
@@ -592,12 +513,16 @@ def _field_inverse(n: int, coeffs) -> tuple[Fraction, ...]:
 
 
 def _poly_divmod(num, den):
-    num = num[:]
+    """Quotient and remainder of num by a monic den, constant terms first.
+
+    A monic divisor needs no division, so integer polynomials stay integer.
+    The remainder has its trailing zeros stripped (empty when exact).
+    """
+    num = list(num)
     dd = len(den) - 1
-    out = [_ZERO] * max(len(num) - dd, 0)
-    lead = den[-1]
+    out = [0] * max(len(num) - dd, 0)
     for i in range(len(out) - 1, -1, -1):
-        q = num[i + dd] / lead
+        q = num[i + dd]
         if q:
             out[i] = q
             for j, c in enumerate(den):

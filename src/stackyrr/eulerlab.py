@@ -13,9 +13,10 @@ Writing I^m for the m-th iterated inertia, these satisfy the exact ladder
 
 and chi_orb(I^m) = (number of commuting m-tuples with a common fixed
 point)/|H| gives a generating series worth tabulating.  Every quantity here
-is computed by at least two genuinely different routes (tuple enumeration
-vs. centralizer recursion, direct construction vs. repeated inertia) and
-the routes are required to agree exactly.
+is computed by at least two genuinely different routes (the commuting-tuple
+walk of `grouptheory.commuting_prefixes` vs. the centralizer recursion,
+direct construction vs. repeated inertia) and the routes are required to
+agree exactly.
 
 Weighted variants: a constructible integer (or nonzero rational) weight on
 a stratified base produces weighted Euler characteristics (sums) and Euler
@@ -31,7 +32,7 @@ from fractions import Fraction
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .groupoidstack import FiniteGSet, inertia, iterated_inertia, orbit_count, orbits
-from .grouptheory import count_commuting_tuples
+from .grouptheory import commuting_prefixes, count_commuting_tuples
 from .orbicurve import OrbifoldCurve
 
 
@@ -59,33 +60,14 @@ def chi_phy_gset(gset: FiniteGSet) -> int:
     return chi_top_gset(inertia(gset))
 
 
-def _commuting_tuple_count_at(gset: FiniteGSet, x: int, m: int, cap: int) -> int:
-    """Enumerate the commuting m-tuples inside Stab(x), one by one."""
-    group = gset.group
-    mul = group.mul
-    stab = gset.stabilizer_elements(x)
-    commutes = [frozenset(h for h in stab if mul[g][h] == mul[h][g]) for g in range(group.order)]
-    count = 0
-    stack = [((), stab)]
-    while stack:
-        prefix, candidates = stack.pop()
-        if len(prefix) == m - 1:
-            count += len(candidates)
-            if count > cap:
-                raise ResourceLimitError(f"tuple enumeration exceeds cap {cap}")
-            continue
-        for h in candidates:
-            stack.append((prefix + (h,), [t for t in candidates if t in commutes[h]]))
-    return count
-
-
 def chi_m(gset: FiniteGSet, m: int, *, tuple_cap: int | None = None) -> Fraction:
     """chi_orb of the m-th iterated inertia, computed two ways.
 
-    Direct route: enumerate the tuples (x, h_1..h_m) with the h_i pairwise
-    commuting in Stab(x), count, divide by |G|.  Recursive route: sum over
-    orbits of the centralizer recursion on the stabilizer.  Exact agreement
-    is mandatory; the enumeration is subject to the tuple cap.
+    Direct route: walk the tuples (x, h_1..h_m) with the h_i pairwise
+    commuting in Stab(x) with :func:`commuting_prefixes`, count, divide by
+    |G|.  Recursive route: sum over orbits of the centralizer recursion on
+    the stabilizer.  Exact agreement is mandatory; the enumeration is
+    subject to the tuple cap.
     """
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
@@ -96,9 +78,10 @@ def chi_m(gset: FiniteGSet, m: int, *, tuple_cap: int | None = None) -> Fraction
 
     direct_count = 0
     for x in range(gset.size):
-        direct_count += _commuting_tuple_count_at(gset, x, m, cap)
-        if direct_count > cap:
-            raise ResourceLimitError(f"tuple enumeration exceeds cap {cap}")
+        for _, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
+            direct_count += len(last)
+            if direct_count > cap:
+                raise ResourceLimitError(f"tuple enumeration exceeds cap {cap}")
 
     dec = orbits(gset)
     recursive_count = 0

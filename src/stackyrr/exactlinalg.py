@@ -1,13 +1,48 @@
 """Exact linear algebra over any field with Python arithmetic operators.
 
-Entries may be `Fraction` or `CyclotomicNumber` (anything supporting
-+, -, *, /, == and truthiness).  Rank uses Bareiss's fraction-free
-elimination: the only divisions are by previous pivots and are exact, which
-keeps intermediate entries from ballooning the way naive cross-multiplication
-does.
+Entries may be `int`, `Fraction` or `CyclotomicNumber` (anything supporting
++, -, *, /, == and truthiness).  Everything rests on one forward
+elimination: each pivot row is scaled so its pivot is 1, which costs a
+single field inverse per pivot; every other update is a multiply and a
+subtract, skipped wherever the entry it would clear is already zero.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+_ONE = Fraction(1)
+
+
+def forward_eliminate(rows: list[list], ncols: int) -> list[int]:
+    """Bring ``rows`` to row echelon form in place; return the pivot columns.
+
+    Pivots are sought in the first ``ncols`` columns only; any further
+    columns (the right-hand side of an augmented system [A | b]) are carried
+    along.  Pivot rows are scaled to a leading 1, and every entry below a
+    pivot becomes zero.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = _ONE / rows[r][col]
+        prow = rows[r] = [x * inv if x else x for x in rows[r]]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            head = row[col]
+            if head:
+                for j in range(col, len(row)):
+                    if prow[j]:
+                        row[j] = row[j] - head * prow[j]
+        pivots.append(col)
+    return pivots
 
 
 def exact_rank(rows) -> int:
@@ -15,26 +50,7 @@ def exact_rank(rows) -> int:
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot_row = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            row_i, row_p = m[i], m[rank]
-            head = row_i[col]
-            for j in range(col, ncols):
-                row_i[j] = (pivot * row_i[j] - head * row_p[j]) / prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+    return len(forward_eliminate(m, len(m[0])))
 
 
 def is_invertible(rows) -> bool:

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError
-from .grouptheory import FiniteGroup, Subgroup, subgroup
+from .grouptheory import (
+    FiniteGroup,
+    Subgroup,
+    commuting_prefixes,
+    extend_along_generators,
+    subgroup,
+)
 
 
 class FiniteGSet:
@@ -209,28 +215,13 @@ def iterated_inertia(gset: FiniteGSet, m: int, *, point_cap: int | None = None) 
     cap = point_cap if point_cap is not None else limits.POINT_CAP
     group = gset.group
     n = group.order
-    mul = group.mul
-    commutes = [
-        frozenset(h for h in range(n) if mul[g][h] == mul[h][g]) for g in range(n)
-    ]
     points: list[tuple[int, ...]] = []
     for x in range(gset.size):
-        stab = gset.stabilizer_elements(x)
-        stack = [((x,), stab)]
-        while stack:
-            prefix, candidates = stack.pop()
-            if len(prefix) == m:
-                for h in candidates:
-                    points.append(prefix + (h,))
-                if len(points) > cap:
-                    raise ResourceLimitError(
-                        f"iterated fixed-point set exceeds cap {cap}"
-                    )
-                continue
-            for h in reversed(candidates):
-                stack.append(
-                    (prefix + (h,), [t for t in candidates if t in commutes[h]])
-                )
+        for prefix, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
+            head = (x,) + prefix
+            points.extend(head + (h,) for h in last)
+            if len(points) > cap:
+                raise ResourceLimitError(f"iterated fixed-point set exceeds cap {cap}")
     points.sort()
     # integer-encode tuples for the action lookup: much cheaper than hashing
     # label tuples in the inner loop
@@ -407,21 +398,11 @@ def gset_from_generator_action(group: FiniteGroup, gen_columns) -> FiniteGSet:
     for g, col in gen_act.items():
         if sorted(col) != list(range(size)):
             raise ValidationError(f"generator column for element {g} is not a bijection")
-    # act[.][e] = identity; extend along a breadth-first spanning tree:
-    # every element is parent*gen, and x -> (parent*gen).x = parent.(gen.x).
-    known: dict[int, tuple[int, ...]] = {0: tuple(range(size))}
-    mul = group.mul
-    while len(known) < group.order:
-        progress = False
-        for a in list(known):
-            for g, col in gen_act.items():
-                b = mul[a][g]
-                if b not in known:
-                    known[b] = tuple(known[a][col[x]] for x in range(size))
-                    progress = True
-        if not progress:
-            raise ValidationError("generators do not generate the group")
-    act = tuple(
-        tuple(known[g][x] for g in range(group.order)) for x in range(size)
+    # x -> (a*g).x = a.(g.x): compose the known image of a with the column of g
+    images = extend_along_generators(
+        group, gen_act, tuple(range(size)),
+        lambda image, col: tuple(image[c] for c in col),
+        "generators do not generate the group",
     )
+    act = tuple(tuple(images[g][x] for g in range(group.order)) for x in range(size))
     return FiniteGSet(group, act, validate=True)

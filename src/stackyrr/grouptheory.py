@@ -20,7 +20,7 @@ class FiniteGroup:
     """Immutable finite group on indices 0..order-1, identity at 0."""
 
     __slots__ = ("order", "mul", "inv", "generators", "perms", "_classes",
-                 "_conj", "_sub_groups")
+                 "_conj", "_commutes", "_sub_groups")
 
     def __init__(self, mul: tuple[tuple[int, ...], ...], *, generators=None,
                  perms=None, _validated=False):
@@ -33,6 +33,7 @@ class FiniteGroup:
         self.perms = tuple(perms) if perms else None
         self._classes = None
         self._conj = None
+        self._commutes = None
         self._sub_groups = {}
 
     def conj(self, g: int, h: int) -> int:
@@ -47,6 +48,16 @@ class FiniteGroup:
                 for g in range(self.order)
             )
         return self._conj
+
+    def commute_sets(self) -> tuple[frozenset[int], ...]:
+        """Per element g, the set of elements commuting with g."""
+        if self._commutes is None:
+            mul, n = self.mul, self.order
+            self._commutes = tuple(
+                frozenset(h for h in range(n) if mul[g][h] == mul[h][g])
+                for g in range(n)
+            )
+        return self._commutes
 
     def element_order(self, g: int) -> int:
         order = 1
@@ -151,6 +162,31 @@ def group_from_permutations(generators, *, order_cap: int | None = None) -> Fini
     gen_idx = [index[g] for g in gens]
     # Associativity is inherited from composition of functions.
     return FiniteGroup(mul, generators=gen_idx, perms=elements, _validated=True)
+
+
+def extend_along_generators(group: FiniteGroup, images: dict, identity, compose,
+                            failure: str) -> list:
+    """Extend a homomorphism given on generators to every element.
+
+    ``images`` maps generator indices to their images; every other element
+    is reached breadth-first as a*g from an element a already known, with
+    image(a*g) = compose(image(a), image(g)).  Returns the images in element
+    order, or raises ``ValidationError(failure)`` when the generators do not
+    reach the whole group.  Callers validate the result, since the rule is
+    only checked along the spanning tree.
+    """
+    known = {0: identity}
+    mul = group.mul
+    queue = [0]
+    for a in queue:
+        for g, image in images.items():
+            b = mul[a][g]
+            if b not in known:
+                known[b] = compose(known[a], image)
+                queue.append(b)
+    if len(known) < group.order:
+        raise ValidationError(failure)
+    return [known[g] for g in range(group.order)]
 
 
 def group_from_table(table) -> FiniteGroup:
@@ -353,6 +389,29 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
             )
         return _commuting_brute(group, m)
     raise ValidationError(f"unknown algorithm {algorithm!r}")
+
+
+def commuting_prefixes(group: FiniteGroup, elems, m: int):
+    """Walk the m-tuples of pairwise commuting elements drawn from ``elems``.
+
+    Yields ``(prefix, last)`` once per pairwise commuting (m-1)-tuple
+    ``prefix``, where ``last`` lists the members of ``elems`` commuting with
+    every entry of ``prefix``; the m-tuples are exactly ``prefix + (h,)``
+    for ``h`` in ``last``.  Prefixes come in lexicographic order when
+    ``elems`` is sorted.  Reads the group's cached commute sets.
+    """
+    if m < 1:
+        raise ValidationError(f"tuple length must be >= 1, got {m}")
+    commutes = group.commute_sets()
+    stack = [((), list(elems))]
+    while stack:
+        prefix, candidates = stack.pop()
+        if len(prefix) == m - 1:
+            yield prefix, candidates
+            continue
+        for h in reversed(candidates):
+            with_h = commutes[h]
+            stack.append((prefix + (h,), [t for t in candidates if t in with_h]))
 
 
 def _commuting_brute(group: FiniteGroup, m: int) -> int:

@@ -35,12 +35,14 @@ class OrbifoldCurve:
         if self.genus < 0:
             raise ValidationError(f"genus must be >= 0, got {self.genus}")
         object.__setattr__(
-            self, "stacky_points", tuple((str(l), int(r)) for l, r in self.stacky_points)
+            self, "stacky_points", tuple((str(l), r) for l, r in self.stacky_points)
         )
         labels = [l for l, _ in self.stacky_points]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate stacky labels in {labels}")
         for l, r in self.stacky_points:
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise ValidationError(f"stacky order at {l!r} must be an integer, got {r!r}")
             if r < 2:
                 raise ValidationError(f"stacky order at {l!r} must be >= 2, got {r}")
 

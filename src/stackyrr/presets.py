@@ -8,6 +8,7 @@ file path would otherwise be given; a trailing ".json" is ignored.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import ValidationError
 from .eulerlab import CurveStrata
@@ -107,41 +108,33 @@ WEIGHTS_BUILDERS = {
 }
 
 
-def _strip(name: str) -> str:
-    return name[:-5] if name.endswith(".json") else name
+PRESETS = {
+    "group": GROUP_BUILDERS,
+    "action": GSET_BUILDERS,
+    "curve": CURVE_BUILDERS,
+    "divisor": DIVISOR_BUILDERS,
+    "weights": WEIGHTS_BUILDERS,
+}
 
 
-def gset_preset(name: str) -> FiniteGSet:
-    key = _strip(name)
-    if key not in GSET_BUILDERS:
+def preset(kind: str, name, *args):
+    """Build the preset ``name`` of one kind, passing ``args`` to its builder.
+
+    ``kind`` is a key of :data:`PRESETS`; a trailing ".json" on the name is
+    ignored.  Divisor and weights builders take the curve as their argument.
+    """
+    builders = PRESETS[kind]
+    if not isinstance(name, str):
+        raise ValidationError(f"{kind} preset name must be a string, got {name!r}")
+    key = name[:-5] if name.endswith(".json") else name
+    if key not in builders:
         raise ValidationError(
-            f"unknown action preset {name!r}; available: {sorted(GSET_BUILDERS)}"
+            f"unknown {kind} preset {name!r}; available: {sorted(builders)}"
         )
-    return GSET_BUILDERS[key]()
+    return builders[key](*args)
 
 
-def curve_preset(name: str) -> OrbifoldCurve:
-    key = _strip(name)
-    if key not in CURVE_BUILDERS:
-        raise ValidationError(
-            f"unknown curve preset {name!r}; available: {sorted(CURVE_BUILDERS)}"
-        )
-    return CURVE_BUILDERS[key]()
-
-
-def divisor_preset(name: str, curve: OrbifoldCurve) -> FracDivisor:
-    key = _strip(name)
-    if key not in DIVISOR_BUILDERS:
-        raise ValidationError(
-            f"unknown divisor preset {name!r}; available: {sorted(DIVISOR_BUILDERS)}"
-        )
-    return DIVISOR_BUILDERS[key](curve)
-
-
-def weights_preset(name: str, curve: OrbifoldCurve) -> CurveStrata:
-    key = _strip(name)
-    if key not in WEIGHTS_BUILDERS:
-        raise ValidationError(
-            f"unknown weights preset {name!r}; available: {sorted(WEIGHTS_BUILDERS)}"
-        )
-    return WEIGHTS_BUILDERS[key](curve)
+gset_preset = partial(preset, "action")
+curve_preset = partial(preset, "curve")
+divisor_preset = partial(preset, "divisor")
+weights_preset = partial(preset, "weights")

@@ -22,6 +22,7 @@ from .groupoidstack import (
 )
 from .grouptheory import FiniteGroup, group_from_permutations, group_from_table
 from .orbicurve import FracDivisor, OrbifoldCurve
+from .presets import preset
 
 
 def _require_keys(data: dict, allowed: set[str], where: str) -> None:
@@ -30,6 +31,16 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _int_rows(value, where: str) -> list:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+        for row in value
+    ):
+        raise ValidationError(f"{where} must be a list of integer lists")
+    return value
 
 
 def fraction_to_json(q: Fraction):
@@ -76,10 +87,10 @@ def cyclo_from_json(value, where: str) -> CyclotomicNumber:
 # -- domain object parsing ---------------------------------------------------
 
 
-def group_from_json(data, presets=None) -> FiniteGroup:
+def group_from_json(data) -> FiniteGroup:
     """{"permutations": [...]} | {"table": [...]} | {"preset": name} | name."""
     if isinstance(data, str):
-        return _preset_group(data, presets)
+        return preset("group", data)
     if not isinstance(data, dict):
         raise ValidationError(f"group spec must be an object or name, got {data!r}")
     _require_keys(data, {"permutations", "table", "preset"}, "group spec")
@@ -89,21 +100,10 @@ def group_from_json(data, presets=None) -> FiniteGroup:
             f"group spec needs exactly one of permutations/table/preset, got {given}"
         )
     if "preset" in data:
-        return _preset_group(data["preset"], presets)
+        return preset("group", data["preset"])
     if "permutations" in data:
-        return group_from_permutations(data["permutations"])
-    return group_from_table(data["table"])
-
-
-def _preset_group(name: str, presets) -> FiniteGroup:
-    from . import presets as preset_mod
-
-    table = presets if presets is not None else preset_mod.GROUP_BUILDERS
-    if name not in table:
-        raise ValidationError(
-            f"unknown group preset {name!r}; available: {sorted(table)}"
-        )
-    return table[name]()
+        return group_from_permutations(_int_rows(data["permutations"], "group permutations"))
+    return group_from_table(_int_rows(data["table"], "group table"))
 
 
 def gset_from_json(data) -> FiniteGSet:
@@ -113,9 +113,7 @@ def gset_from_json(data) -> FiniteGSet:
     permutations; "natural": true uses the defining permutation action.
     """
     if isinstance(data, str):
-        from . import presets as preset_mod
-
-        return preset_mod.gset_preset(data)
+        return preset("action", data)
     if not isinstance(data, dict):
         raise ValidationError(f"gset spec must be an object or name, got {data!r}")
     _require_keys(
@@ -135,13 +133,13 @@ def gset_from_json(data) -> FiniteGSet:
     if ("action" in data) == ("action_generators" in data):
         raise ValidationError("gset spec needs exactly one of action/action_generators")
     if "action" in data:
-        rows = data["action"]
+        rows = _int_rows(data["action"], "'action'")
         if len(rows) != points:
             raise ValidationError(
                 f"action has {len(rows)} rows for {points} points"
             )
         return gset_from_table(group, rows)
-    cols = data["action_generators"]
+    cols = _int_rows(data["action_generators"], "'action_generators'")
     for col in cols:
         if len(col) != points:
             raise ValidationError("generator column length differs from 'points'")
@@ -151,9 +149,7 @@ def gset_from_json(data) -> FiniteGSet:
 def curve_from_json(data) -> OrbifoldCurve:
     """{"genus": g, "stacky": [{"label": ..., "order": ...}, ...]}"""
     if isinstance(data, str):
-        from . import presets as preset_mod
-
-        return preset_mod.curve_preset(data)
+        return preset("curve", data)
     if not isinstance(data, dict):
         raise ValidationError(f"curve spec must be an object or name, got {data!r}")
     _require_keys(data, {"genus", "stacky"}, "curve spec")
@@ -173,9 +169,7 @@ def curve_from_json(data) -> OrbifoldCurve:
 def divisor_from_json(data, curve: OrbifoldCurve) -> FracDivisor:
     """[{"label": ..., "num": ..., "den": ...}, ...]"""
     if isinstance(data, str):
-        from . import presets as preset_mod
-
-        return preset_mod.divisor_preset(data, curve)
+        return preset("divisor", data, curve)
     if not isinstance(data, list):
         raise ValidationError(f"divisor spec must be a list, got {data!r}")
     pairs = []
@@ -196,9 +190,7 @@ def divisor_from_json(data, curve: OrbifoldCurve) -> FracDivisor:
 def curve_strata_from_json(data, curve: OrbifoldCurve) -> CurveStrata:
     """{"open": w, "points": {label: w, ...}}"""
     if isinstance(data, str):
-        from . import presets as preset_mod
-
-        return preset_mod.weights_preset(data, curve)
+        return preset("weights", data, curve)
     if not isinstance(data, dict):
         raise ValidationError(f"weights spec must be an object, got {data!r}")
     _require_keys(data, {"open", "points"}, "weights spec")

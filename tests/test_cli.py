@@ -175,3 +175,45 @@ def test_run_jobspec_directly():
     assert status == EXIT_OK
     doc = json.loads(text)
     assert doc["result"]["class_count"] == 4
+
+
+def test_every_preset_kind_accepts_json_suffix(capsys):
+    for argv in (
+        ("classes", "--group", "S3.json"),
+        ("inertia", "--gset", "s3-natural.json"),
+        ("rr", "--curve", "p23.json", "--divisor", "weight12.json"),
+        ("weighted", "--curve", "p23.json", "--weights", "p23-weights.json"),
+    ):
+        status, out, _ = run_cli(capsys, *argv)
+        plain = [a[:-5] if a.endswith(".json") else a for a in argv]
+        assert status == EXIT_OK, argv
+        assert out == run_cli(capsys, *plain)[1], argv
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("gset", {"group": "S3", "points": 1, "action": [5]}),
+    ("gset", {"group": "S3", "points": 1, "action_generators": [5]}),
+    ("curve", {"genus": 0, "stacky": [{"label": "p", "order": "3"}]}),
+    ("group", {"permutations": [5]}),
+    ("group", {"preset": ["S3"]}),
+])
+def test_malformed_input_is_json_validation_error(tmp_path, capsys, name, spec):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    argv = {
+        "gset": ("inertia", "--gset", str(path)),
+        "curve": ("rr", "--curve", str(path), "--divisor", "zero"),
+        "group": ("classes", "--group", str(path)),
+    }[name]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_VALIDATION
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_cap_environment_is_json_validation_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("STACKYRR_TUPLE_CAP", value)
+    status, out, _ = run_cli(capsys, "series", "--gset", "pt-s3")
+    assert status == EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation" and "STACKYRR_TUPLE_CAP" in error["message"]

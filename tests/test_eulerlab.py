@@ -26,7 +26,11 @@ from stackyrr.groupoidstack import (
     natural_gset,
     trivial_gset,
 )
-from stackyrr.grouptheory import conjugacy_classes, count_commuting_tuples
+from stackyrr.grouptheory import (
+    conjugacy_classes,
+    count_commuting_tuples,
+    subgroup_conjugacy_reps,
+)
 from stackyrr.orbicurve import OrbifoldCurve
 from stackyrr.smallgroups import cyclic, group_catalog, symmetric
 
@@ -68,6 +72,18 @@ def test_chi_m_matches_hom_counts_on_point():
         for m in range(4):
             expected = Fraction(count_commuting_tuples(g, m, "brute"), g.order)
             assert chi_m(pt, m) == expected
+
+
+def test_chi_m_walk_matches_brute_counts_on_cosets():
+    # chi_m * |G| counts the commuting m-tuples of every stabilizer, so the
+    # walker behind chi_m must match the brute-force scan point by point
+    for _, g in group_catalog(16):
+        for sub in subgroup_conjugacy_reps(g):
+            x = coset_gset(g, sub)
+            stabs = [x.stabilizer(p).as_group()[0] for p in range(x.size)]
+            for m in range(1, 4):
+                brute = sum(count_commuting_tuples(s, m, "brute") for s in stabs)
+                assert chi_m(x, m) * g.order == brute
 
 
 def test_chi_m_tuple_cap():

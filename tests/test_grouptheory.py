@@ -7,6 +7,7 @@ from stackyrr.grouptheory import (
     Subgroup,
     all_subgroups,
     centralizer,
+    commuting_prefixes,
     conjugacy_classes,
     count_commuting_tuples,
     direct_product,
@@ -158,6 +159,27 @@ def test_commuting_tuples_abelian_power():
     for g in (cyclic(5), abelian(2, 4), abelian(3, 3)):
         for m in range(4):
             assert count_commuting_tuples(g, m) == g.order**m
+
+
+def test_commuting_prefixes_walk_every_tuple_in_order():
+    from itertools import product
+
+    for g in (symmetric(4), dihedral(4), dicyclic(2)):
+        for sub in subgroup_conjugacy_reps(g):
+            elems = sub.elements
+            for m in range(1, 4):
+                walked = [
+                    prefix + (h,)
+                    for prefix, last in commuting_prefixes(g, elems, m)
+                    for h in last
+                ]
+                brute = [
+                    t for t in product(elems, repeat=m)
+                    if all(g.mul[a][b] == g.mul[b][a] for a in t for b in t)
+                ]
+                assert walked == brute
+    with pytest.raises(ValidationError):
+        next(commuting_prefixes(cyclic(2), (0, 1), 0))
 
 
 def test_commuting_tuple_brute_cap():
