@@ -143,7 +143,11 @@ def coset_character(group: FiniteGroup, sub: Subgroup) -> ClassFunction:
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Explicit matrices over the cyclotomics, validated to be a homomorphism."""
+    """Explicit matrices over the cyclotomics, validated to be a homomorphism.
+
+    The check is M(1) = I and M(a s) = M(a) M(s) for every element a and
+    every generator s of the group's spanning tree: O(|G| * #gens) products.
+    """
 
     group: FiniteGroup
     dim: int
@@ -164,11 +168,13 @@ class MatrixRep:
         ident = _identity(self.dim)
         if mats[0] != ident:
             raise ValidationError("identity element must map to the identity matrix")
-        for a in range(n):
-            for b in range(n):
-                if _mat_mul(mats[a], mats[b]) != mats[self.group.mul[a][b]]:
+        # on generators only: see FiniteGroup.spanning_tree
+        mul = self.group.mul
+        for s in self.group.spanning_tree()[0]:
+            for a in range(n):
+                if _mat_mul(mats[a], mats[s]) != mats[mul[a][s]]:
                     raise ValidationError(
-                        f"matrices do not respect multiplication at pair ({a}, {b})"
+                        f"matrices do not respect multiplication at pair ({a}, {s})"
                     )
 
     def matrix(self, g: int):
@@ -349,7 +355,7 @@ class InertiaFunction:
 
     def value_at_pair(self, pair) -> CyclotomicNumber:
         dec = orbits(self.inertia_set)
-        return self.values[dec.orbit_of[self.inertia_set.pair_index[pair]]]
+        return self.values[dec.orbit_of[self.inertia_set.label_index[pair]]]
 
     def __mul__(self, other: "InertiaFunction") -> "InertiaFunction":
         if other.inertia_set is not self.inertia_set:

@@ -1,11 +1,14 @@
 """Finite group actions as zero-dimensional quotient stacks.
 
 A `FiniteGSet` is a left action of a `FiniteGroup` on points 0..s-1, stored
-as a table ``act[x][g] = g.x``.  The composition convention is fixed once,
-globally:  act[x][g*h] == act[act[x][h]][g]  (h acts first).  Everything
-that follows -- fixed-point pairs, conjugation-translation actions,
-commuting-tuple fibers -- leans on that one identity, so it is validated on
-every user-facing construction.
+as one column per generator of the group's spanning tree:
+``cols[i][x] = s_i.x``.  The full table ``act[x][g] = g.x`` is built from
+the columns on first use and cached.  The composition convention is fixed
+once, globally:  act[x][g*h] == act[act[x][h]][g]  (h acts first).
+Everything that follows -- fixed-point pairs, conjugation-translation
+actions, commuting-tuple fibers -- leans on that one identity.  It is
+validated on every user-facing construction, for every g and every
+generator h only, which implies it for all pairs: O(|X|·|G|·#gens).
 
 The central construction is `inertia`: the set of pairs (x, h) with h.x = x,
 carrying the action g.(x, h) = (g.x, g h g^-1).  Iterating it m times is,
@@ -24,48 +27,68 @@ from .grouptheory import (
     FiniteGroup,
     Subgroup,
     commuting_prefixes,
-    extend_along_generators,
     subgroup,
 )
 
 
 class FiniteGSet:
-    """A finite left G-set with a fixed point order."""
+    """A finite left G-set with a fixed point order, stored on generators.
 
-    __slots__ = ("group", "size", "act", "labels", "label_index", "_orbits")
+    ``cols[i][x]`` is the image of point x under the i-th generator of
+    ``group.spanning_tree()``.  ``act[x][g]`` (g.x for every element g) is
+    filled along that tree on first use, row_x[s*a] = cols[s][row_x[a]],
+    and cached.  Validation checks act[x][g*s] == act[act[x][s]][g] for
+    every point x, every element g and every generator s, which by
+    induction on word length is the whole composition rule.
+    """
 
-    def __init__(self, group: FiniteGroup, act, *, labels=None, validate=True):
+    __slots__ = ("group", "size", "cols", "labels", "label_index", "_act", "_orbits")
+
+    def __init__(self, group: FiniteGroup, size: int, cols, *, labels=None, validate=True):
         self.group = group
-        self.act = tuple(tuple(row) for row in act)
-        self.size = len(self.act)
+        self.size = size
+        self.cols = tuple(tuple(col) for col in cols)
         self.labels = tuple(labels) if labels is not None else None
         self.label_index = (
             {lab: i for i, lab in enumerate(self.labels)} if self.labels else None
         )
+        self._act = None
         self._orbits = None
         if validate:
             self._validate()
 
+    @property
+    def act(self) -> tuple[tuple[int, ...], ...]:
+        """Rows ``act[x][g] = g.x``, filled along the spanning tree and cached."""
+        if self._act is None:
+            images = [None] * self.group.order  # images[g][x] = g.x
+            images[0] = tuple(range(self.size))
+            for b, i, a in self.group.spanning_tree()[1]:
+                images[b] = tuple(map(self.cols[i].__getitem__, images[a]))
+            self._act = tuple(zip(*images)) if self.size else ()
+        return self._act
+
     def _validate(self):
-        n = self.group.order
-        for x, row in enumerate(self.act):
-            if len(row) != n:
-                raise ValidationError(f"action row {x} has length {len(row)} != {n}")
-            for y in row:
-                if not 0 <= y < self.size:
-                    raise ValidationError(f"action value {y} out of range in row {x}")
-            if row[0] != x:
-                raise ValidationError(f"identity moves point {x}")
+        # callers have checked that every column maps 0..size-1 into itself
+        gens = self.group.spanning_tree()[0]
+        act = self.act
         mul = self.group.mul
-        for x in range(self.size):
-            row = self.act[x]
-            for g in range(n):
-                for h in range(n):
-                    if row[mul[g][h]] != self.act[row[h]][g]:
-                        raise ValidationError(
-                            f"action is not compatible with multiplication at "
-                            f"(x={x}, g={g}, h={h})"
-                        )
+        elements = range(self.group.order)
+        for i, s in enumerate(gens):
+            times_s = [mul[g][s] for g in elements]
+            col = self.cols[i]
+            for x, row in enumerate(act):
+                y = row[s]
+                if y != col[x]:
+                    raise ValidationError(
+                        f"generator column {i} disagrees with element {s} at point {x}"
+                    )
+                if tuple(map(row.__getitem__, times_s)) != act[y]:
+                    g = next(g for g in elements if row[times_s[g]] != act[y][g])
+                    raise ValidationError(
+                        f"action is not compatible with multiplication at "
+                        f"(x={x}, g={g}, h={s})"
+                    )
 
     def apply(self, g: int, x: int) -> int:
         return self.act[x][g]
@@ -139,17 +162,14 @@ def orbits(gset: FiniteGSet) -> OrbitDecomposition:
 
 
 def orbit_count(gset: FiniteGSet) -> int:
-    """Number of orbits, by sweeping generator columns only.
+    """Number of orbits, by sweeping the generator columns only.
 
     Gives the same partition as :func:`orbits` (generators generate) but
-    skips the stabilizer bookkeeping; the cheap path for Euler numbers of
-    large iterated fixed-point sets.
+    never builds the full table nor keeps stabilizer bookkeeping; the cheap
+    path for Euler numbers of large iterated fixed-point sets.
     """
-    cols = gset.group.generators
-    if cols is None:
-        cols = tuple(range(gset.group.order))
     seen = bytearray(gset.size)
-    act = gset.act
+    cols = gset.cols
     count = 0
     for x in range(gset.size):
         if seen[x]:
@@ -159,9 +179,8 @@ def orbit_count(gset: FiniteGSet) -> int:
         stack = [x]
         while stack:
             y = stack.pop()
-            row = act[y]
-            for g in cols:
-                z = row[g]
+            for col in cols:
+                z = col[y]
                 if not seen[z]:
                     seen[z] = 1
                     stack.append(z)
@@ -171,42 +190,42 @@ def orbit_count(gset: FiniteGSet) -> int:
 class InertiaSet(FiniteGSet):
     """The G-set of pairs (x, h) with h.x = x, ordered lexicographically."""
 
-    __slots__ = ("base", "pairs", "pair_index")
+    __slots__ = ("base",)
 
-    def __init__(self, base: FiniteGSet, act, pairs):
+    def __init__(self, base: FiniteGSet, cols, pairs):
         self.base = base
-        self.pairs = tuple(pairs)
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        super().__init__(base.group, act, labels=self.pairs, validate=False)
+        super().__init__(base.group, len(pairs), cols, labels=pairs, validate=False)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.labels
 
 
 def inertia(gset: FiniteGSet) -> InertiaSet:
-    """Fixed-point pairs (x, h) under g.(x, h) = (g.x, g h g^-1)."""
+    """Fixed-point pairs (x, h) under g.(x, h) = (g.x, g h g^-1).
+
+    Writes one column per generator: |pairs| * #gens index lookups.
+    """
     group = gset.group
     n = group.order
-    pairs = []
-    for x in range(gset.size):
-        row = gset.act[x]
-        for h in range(n):
-            if row[h] == x:
-                pairs.append((x, h))
+    pairs = [(x, h) for x in range(gset.size) for h in gset.stabilizer_elements(x)]
     index = {x * n + h: i for i, (x, h) in enumerate(pairs)}
     conj = group.conj_table()
-    act = [
-        tuple(index[gset.act[x][g] * n + conj[g][h]] for g in range(n))
-        for (x, h) in pairs
+    cols = [
+        [index[col[x] * n + conj[s][h]] for (x, h) in pairs]
+        for s, col in zip(group.spanning_tree()[0], gset.cols)
     ]
-    return InertiaSet(gset, act, pairs)
+    return InertiaSet(gset, cols, pairs)
 
 
 def iterated_inertia(gset: FiniteGSet, m: int, *, point_cap: int | None = None) -> FiniteGSet:
     """Tuples (x, h_1..h_m), h_i pairwise commuting and fixing x.
 
     ``m = 0`` returns the input unchanged.  The action conjugates every
-    group coordinate and translates the point.  Built directly from
-    commuting tuples; repeatedly applying :func:`inertia` gives the same
-    G-set up to flattening of the nested pair labels (see
-    :func:`flattening_bijection`).
+    group coordinate and translates the point; only its generator columns
+    are written.  Built directly from commuting tuples; repeatedly applying
+    :func:`inertia` gives the same G-set up to flattening of the nested
+    pair labels (see :func:`flattening_bijection`).
     """
     if m < 0:
         raise ValidationError(f"iteration depth must be >= 0, got {m}")
@@ -233,17 +252,17 @@ def iterated_inertia(gset: FiniteGSet, m: int, *, point_cap: int | None = None) 
 
     index = {encode(p): i for i, p in enumerate(points)}
     conj = group.conj_table()
-    act_cols: list[list[int]] = [[0] * len(points) for _ in range(n)]
-    for g in range(n):
-        conj_g = conj[g]
-        col = act_cols[g]
+    cols: list[list[int]] = []
+    for s, base_col in zip(group.spanning_tree()[0], gset.cols):
+        conj_s = conj[s]
+        col = [0] * len(points)
         for i, p in enumerate(points):
-            code = gset.act[p[0]][g]
+            code = base_col[p[0]]
             for h in p[1:]:
-                code = code * n + conj_g[h]
+                code = code * n + conj_s[h]
             col[i] = index[code]
-    act_rows = [tuple(act_cols[g][i] for g in range(n)) for i in range(len(points))]
-    return FiniteGSet(group, act_rows, labels=points, validate=False)
+        cols.append(col)
+    return FiniteGSet(group, len(points), cols, labels=points, validate=False)
 
 
 def flattening_bijection(nested: InertiaSet, flat: FiniteGSet) -> "EquivariantMap":
@@ -288,9 +307,13 @@ class EquivariantMap:
 
 
 def equivariant_map(source: FiniteGSet, target: FiniteGSet, point_map, elem_map) -> EquivariantMap:
-    """Validate f(g.x) = rho(g).f(x) and that rho is a homomorphism.
+    """Validate that rho is a homomorphism and f(g.x) = rho(g).f(x).
 
-    Raises with an explicit witness on the first failure.
+    Both rules are checked for generators s of the source group only:
+    rho(a s) = rho(a) rho(s) for every a, then f(s.x) = rho(s).f(x) for
+    every x.  By induction on word length they then hold for every element,
+    at O(|G| + |X|) work per generator.  Raises with an explicit witness on
+    the first failure.
     """
     point_map = tuple(point_map)
     elem_map = tuple(elem_map)
@@ -301,18 +324,25 @@ def equivariant_map(source: FiniteGSet, target: FiniteGSet, point_map, elem_map)
         raise ValidationError("point map must cover all source points")
     if elem_map[0] != 0:
         raise ValidationError("element map must send identity to identity")
-    for a in range(gs.order):
-        for b in range(gs.order):
-            if elem_map[gs.mul[a][b]] != gt.mul[elem_map[a]][elem_map[b]]:
+    gens = gs.spanning_tree()[0]
+    for s in gens:
+        rho_s = elem_map[s]
+        for a in range(gs.order):
+            if elem_map[gs.mul[a][s]] != gt.mul[elem_map[a]][rho_s]:
                 raise ValidationError(
-                    f"not a homomorphism: witness pair ({a}, {b})"
+                    f"not a homomorphism: witness pair ({a}, {s})"
                 )
-    for x in range(source.size):
-        fx = point_map[x]
-        for g in range(gs.order):
-            if point_map[source.act[x][g]] != target.act[fx][elem_map[g]]:
+    target_gens = gt.spanning_tree()[0]
+    for s, col in zip(gens, source.cols):
+        rho_s = elem_map[s]
+        if rho_s in target_gens:
+            image = target.cols[target_gens.index(rho_s)]
+        else:
+            image = [row[rho_s] for row in target.act]
+        for x in range(source.size):
+            if point_map[col[x]] != image[point_map[x]]:
                 raise ValidationError(
-                    f"not equivariant: witness (g={g}, x={x})"
+                    f"not equivariant: witness (g={s}, x={x})"
                 )
     return EquivariantMap(source, target, point_map, elem_map)
 
@@ -324,16 +354,13 @@ def natural_gset(group: FiniteGroup) -> FiniteGSet:
     """The defining action of a permutation-built group on its ground set."""
     if group.perms is None:
         raise ValidationError("group was not built from permutations")
-    degree = len(group.perms[0])
-    act = tuple(
-        tuple(group.perms[g][x] for g in range(group.order)) for x in range(degree)
-    )
-    return FiniteGSet(group, act, validate=False)
+    cols = [group.perms[s] for s in group.spanning_tree()[0]]
+    return FiniteGSet(group, len(group.perms[0]), cols, validate=False)
 
 
 def trivial_gset(group: FiniteGroup, npoints: int = 1) -> FiniteGSet:
-    act = tuple(tuple(x for _ in range(group.order)) for x in range(npoints))
-    return FiniteGSet(group, act, validate=False)
+    cols = [range(npoints)] * len(group.spanning_tree()[0])
+    return FiniteGSet(group, npoints, cols, validate=False)
 
 
 def coset_gset(group: FiniteGroup, sub: Subgroup) -> FiniteGSet:
@@ -353,10 +380,10 @@ def coset_gset(group: FiniteGroup, sub: Subgroup) -> FiniteGSet:
         for x in members:
             coset_of[x] = idx
         cosets.append(members[0])
-    act = tuple(
-        tuple(coset_of[mul[g][rep]] for g in range(n)) for rep in cosets
-    )
-    return FiniteGSet(group, act, validate=False)
+    cols = [
+        [coset_of[mul[s][rep]] for rep in cosets] for s in group.spanning_tree()[0]
+    ]
+    return FiniteGSet(group, len(cosets), cols, validate=False)
 
 
 def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
@@ -364,26 +391,48 @@ def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
     for x in gsets[1:]:
         if x.group is not group:
             raise ValidationError("disjoint union needs a common group")
-    act = []
+    cols = [[] for _ in group.spanning_tree()[0]]
     offset = 0
     for x in gsets:
-        for row in x.act:
-            act.append(tuple(y + offset for y in row))
+        for col, part in zip(cols, x.cols):
+            col.extend(y + offset for y in part)
         offset += x.size
-    return FiniteGSet(group, act, validate=False)
+    return FiniteGSet(group, offset, cols, validate=False)
 
 
 def gset_from_table(group: FiniteGroup, act, *, labels=None) -> FiniteGSet:
-    """A user-supplied action table, fully validated."""
-    return FiniteGSet(group, act, labels=labels, validate=True)
+    """A user-supplied action table, fully validated.
+
+    The generator columns are read off the table and validated as an
+    action; the table must then equal the action they generate.
+    """
+    rows = tuple(tuple(row) for row in act)
+    n = group.order
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            raise ValidationError(f"action row {x} has length {len(row)} != {n}")
+        for y in row:
+            if not 0 <= y < len(rows):
+                raise ValidationError(f"action value {y} out of range in row {x}")
+        if row[0] != x:
+            raise ValidationError(f"identity moves point {x}")
+    cols = [[row[s] for row in rows] for s in group.spanning_tree()[0]]
+    gset = FiniteGSet(group, len(rows), cols, labels=labels)
+    if gset.act != rows:
+        x = next(x for x in range(len(rows)) if rows[x] != gset.act[x])
+        g = next(g for g in range(n) if rows[x][g] != gset.act[x][g])
+        raise ValidationError(
+            f"action is not compatible with multiplication at (x={x}, g={g})"
+        )
+    return gset
 
 
 def gset_from_generator_action(group: FiniteGroup, gen_columns) -> FiniteGSet:
-    """Close an action given only on the group's generators.
+    """An action given only on the group's recorded generators, validated.
 
     ``gen_columns[i][x]`` is the image of point x under generator i (in the
-    group's generator order).  Requires a permutation-built group so the
-    generator word of every element is known.
+    group's generator order); the recorded generators must generate the
+    group.
     """
     if group.generators is None:
         raise ValidationError("group has no recorded generators")
@@ -391,18 +440,12 @@ def gset_from_generator_action(group: FiniteGroup, gen_columns) -> FiniteGSet:
         raise ValidationError(
             f"expected {len(group.generators)} generator columns, got {len(gen_columns)}"
         )
-    size = len(gen_columns[0]) if gen_columns else 0
     if not gen_columns:
         raise ValidationError("a generator-free action needs an explicit table")
-    gen_act = {g: tuple(col) for g, col in zip(group.generators, gen_columns)}
-    for g, col in gen_act.items():
+    size = len(gen_columns[0])
+    for g, col in zip(group.generators, gen_columns):
         if sorted(col) != list(range(size)):
             raise ValidationError(f"generator column for element {g} is not a bijection")
-    # x -> (a*g).x = a.(g.x): compose the known image of a with the column of g
-    images = extend_along_generators(
-        group, gen_act, tuple(range(size)),
-        lambda image, col: tuple(image[c] for c in col),
-        "generators do not generate the group",
-    )
-    act = tuple(tuple(images[g][x] for g in range(group.order)) for x in range(size))
-    return FiniteGSet(group, act, validate=True)
+    if group.spanning_tree()[0] != group.generators:
+        raise ValidationError("generators do not generate the group")
+    return FiniteGSet(group, size, gen_columns, validate=True)

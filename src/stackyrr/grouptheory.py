@@ -20,7 +20,7 @@ class FiniteGroup:
     """Immutable finite group on indices 0..order-1, identity at 0."""
 
     __slots__ = ("order", "mul", "inv", "generators", "perms", "_classes",
-                 "_conj", "_commutes", "_sub_groups")
+                 "_conj", "_commutes", "_tree", "_sub_groups")
 
     def __init__(self, mul: tuple[tuple[int, ...], ...], *, generators=None,
                  perms=None, _validated=False):
@@ -34,6 +34,7 @@ class FiniteGroup:
         self._classes = None
         self._conj = None
         self._commutes = None
+        self._tree = None
         self._sub_groups = {}
 
     def conj(self, g: int, h: int) -> int:
@@ -58,6 +59,25 @@ class FiniteGroup:
                 for g in range(n)
             )
         return self._commutes
+
+    def spanning_tree(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """Generators and a breadth-first tree of left multiplication by them.
+
+        Returns ``(gens, edges)``.  ``gens`` are the recorded generators when
+        they generate the group, otherwise every non-identity element.
+        ``edges`` holds one ``(b, i, a)`` with ``b = gens[i] * a`` per
+        non-identity element ``b``, each ``a`` reached before ``b``.  Since
+        every element is a word in ``gens``, a rule of the form
+        ``f(g * s) = f(g) * f(s)`` checked for every g and every generator s
+        holds for all pairs (induction on word length).
+        """
+        if self._tree is None:
+            gens = self.generators
+            if gens is not None and all(0 <= s < self.order for s in gens):
+                self._tree = _left_tree(self, gens)
+            if self._tree is None:
+                self._tree = _left_tree(self, tuple(range(1, self.order)))
+        return self._tree
 
     def element_order(self, g: int) -> int:
         order = 1
@@ -164,29 +184,47 @@ def group_from_permutations(generators, *, order_cap: int | None = None) -> Fini
     return FiniteGroup(mul, generators=gen_idx, perms=elements, _validated=True)
 
 
+def _left_tree(group: FiniteGroup, gens: tuple[int, ...]):
+    """(gens, edges) as in `FiniteGroup.spanning_tree`, or None if gens fall short."""
+    mul = group.mul
+    reached = [False] * group.order
+    reached[0] = True
+    edges = []
+    queue = [0]
+    for a in queue:
+        for i, s in enumerate(gens):
+            b = mul[s][a]
+            if not reached[b]:
+                reached[b] = True
+                edges.append((b, i, a))
+                queue.append(b)
+    if len(queue) < group.order:
+        return None
+    return gens, tuple(edges)
+
+
 def extend_along_generators(group: FiniteGroup, images: dict, identity, compose,
                             failure: str) -> list:
     """Extend a homomorphism given on generators to every element.
 
     ``images`` maps generator indices to their images; every other element
-    is reached breadth-first as a*g from an element a already known, with
-    image(a*g) = compose(image(a), image(g)).  Returns the images in element
+    is reached along a spanning tree (the group's own when ``images`` names
+    its generators) as s*a from an element a already known, with
+    image(s*a) = compose(image(s), image(a)).  Returns the images in element
     order, or raises ``ValidationError(failure)`` when the generators do not
     reach the whole group.  Callers validate the result, since the rule is
-    only checked along the spanning tree.
+    only checked along the tree.
     """
-    known = {0: identity}
-    mul = group.mul
-    queue = [0]
-    for a in queue:
-        for g, image in images.items():
-            b = mul[a][g]
-            if b not in known:
-                known[b] = compose(known[a], image)
-                queue.append(b)
-    if len(known) < group.order:
-        raise ValidationError(failure)
-    return [known[g] for g in range(group.order)]
+    gens = tuple(images)
+    tree = group.spanning_tree()
+    if tree[0] != gens:
+        tree = _left_tree(group, gens)
+        if tree is None:
+            raise ValidationError(failure)
+    known = [identity] * group.order
+    for b, i, a in tree[1]:
+        known[b] = compose(images[gens[i]], known[a])
+    return known
 
 
 def group_from_table(table) -> FiniteGroup:

@@ -35,9 +35,12 @@ class OrbifoldCurve:
         if self.genus < 0:
             raise ValidationError(f"genus must be >= 0, got {self.genus}")
         object.__setattr__(
-            self, "stacky_points", tuple((str(l), r) for l, r in self.stacky_points)
+            self, "stacky_points", tuple((l, r) for l, r in self.stacky_points)
         )
         labels = [l for l, _ in self.stacky_points]
+        for l in labels:
+            if not isinstance(l, str):
+                raise ValidationError(f"stacky label must be a string, got {l!r}")
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate stacky labels in {labels}")
         for l, r in self.stacky_points:

@@ -128,7 +128,7 @@ def gset_from_json(data) -> FiniteGSet:
     if "points" not in data:
         raise ValidationError("gset spec needs a 'points' count")
     points = data["points"]
-    if not isinstance(points, int) or points < 0:
+    if isinstance(points, bool) or not isinstance(points, int) or points < 0:
         raise ValidationError(f"'points' must be a non-negative integer, got {points!r}")
     if ("action" in data) == ("action_generators" in data):
         raise ValidationError("gset spec needs exactly one of action/action_generators")
@@ -153,7 +153,8 @@ def curve_from_json(data) -> OrbifoldCurve:
     if not isinstance(data, dict):
         raise ValidationError(f"curve spec must be an object or name, got {data!r}")
     _require_keys(data, {"genus", "stacky"}, "curve spec")
-    if "genus" not in data or not isinstance(data["genus"], int):
+    genus = data.get("genus")
+    if isinstance(genus, bool) or not isinstance(genus, int):
         raise ValidationError("curve spec needs an integer 'genus'")
     pts = []
     for i, entry in enumerate(data.get("stacky", [])):
@@ -163,7 +164,7 @@ def curve_from_json(data) -> OrbifoldCurve:
         if "label" not in entry or "order" not in entry:
             raise ValidationError(f"stacky[{i}] needs 'label' and 'order'")
         pts.append((entry["label"], entry["order"]))
-    return OrbifoldCurve(data["genus"], tuple(pts))
+    return OrbifoldCurve(genus, tuple(pts))
 
 
 def divisor_from_json(data, curve: OrbifoldCurve) -> FracDivisor:
@@ -181,8 +182,10 @@ def divisor_from_json(data, curve: OrbifoldCurve) -> FracDivisor:
             raise ValidationError(f"divisor[{i}] needs 'label' and 'num'")
         num = entry["num"]
         den = entry.get("den", 1)
-        if not isinstance(num, int) or not isinstance(den, int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (num, den)):
             raise ValidationError(f"divisor[{i}] num/den must be integers")
+        if den == 0:
+            raise ValidationError(f"divisor[{i}] denominator must be nonzero")
         pairs.append((entry["label"], Fraction(num, den)))
     return FracDivisor.from_pairs(curve, pairs)
 

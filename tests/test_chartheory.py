@@ -389,3 +389,14 @@ def test_frobenius_reciprocity_invariants():
                 )
                 chi = ClassFunction(sg, vals)
                 assert invariants_dim(induce(g, sub, chi)) == invariants_dim(chi)
+
+
+def test_rep_corrupted_at_a_non_generator_is_rejected():
+    s3 = symmetric(3)
+    gens = set(s3.spanning_tree()[0])
+    mats = list(regular_rep(s3).matrices)
+    a = next(a for a in range(1, 6) if a not in gens)
+    b = next(b for b in range(1, 6) if b != a)
+    mats[a] = mats[b]
+    with pytest.raises(ValidationError, match="multiplication"):
+        MatrixRep(s3, 6, tuple(mats))

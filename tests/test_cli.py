@@ -217,3 +217,26 @@ def test_bad_cap_environment_is_json_validation_error(capsys, monkeypatch, value
     assert status == EXIT_VALIDATION
     error = json.loads(out)["error"]
     assert error["kind"] == "validation" and "STACKYRR_TUPLE_CAP" in error["message"]
+
+
+@pytest.mark.parametrize("argv_files, fragment", [
+    ({"gset": {"group": "S3", "points": True, "action": [[0, 0, 0, 0, 0, 0]]}},
+     "'points'"),
+    ({"curve": {"genus": True}}, "genus"),
+    ({"divisor": [{"label": "p2", "num": True, "den": 2}]}, "num/den"),
+    ({"curve": {"genus": 0, "stacky": [{"label": 5, "order": 2}]}}, "label"),
+    ({"divisor": [{"label": "p2", "num": 1, "den": 0}]}, "denominator must be nonzero"),
+], ids=["bool-points", "bool-genus", "bool-divisor-num", "int-label", "zero-den"])
+def test_strict_json_scalars(tmp_path, capsys, argv_files, fragment):
+    (kind, spec), = argv_files.items()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(spec))
+    argv = {
+        "gset": ("inertia", "--gset", str(path)),
+        "curve": ("rr", "--curve", str(path), "--divisor", "zero"),
+        "divisor": ("rr", "--curve", "p23", "--divisor", str(path)),
+    }[kind]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation" and fragment in error["message"]

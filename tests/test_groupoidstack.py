@@ -220,3 +220,98 @@ def test_coset_action_transitive_and_sized():
         x = coset_gset(s4, sub)
         assert x.size == s4.order // sub.order
         assert orbits(x).count == 1
+
+
+# -- generator columns and generator-only checks ----------------------------
+
+
+def _coset_table(g, sub):
+    """act[x][a] of the coset action, straight from the multiplication table."""
+    cosets = []
+    for a in range(g.order):
+        c = frozenset(g.mul[a][h] for h in sub.elements)
+        if c not in cosets:
+            cosets.append(c)  # first seen at its minimum, so ordered by minimum
+    where = {e: i for i, c in enumerate(cosets) for e in c}
+    return tuple(
+        tuple(where[g.mul[a][min(c)]] for a in range(g.order)) for c in cosets
+    )
+
+
+def test_lazy_table_matches_multiplication_on_every_coset_action():
+    for _, g in group_catalog(16):
+        for sub in subgroup_conjugacy_reps(g):
+            x = coset_gset(g, sub)
+            assert len(x.cols) == len(g.spanning_tree()[0])
+            assert x.act == _coset_table(g, sub)
+
+
+def _non_generators(g):
+    gens = set(g.spanning_tree()[0])
+    return [a for a in range(1, g.order) if a not in gens]
+
+
+def test_corrupted_non_generator_entry_is_rejected():
+    checked = 0
+    for _, g in group_catalog(12):
+        for sub in subgroup_conjugacy_reps(g):
+            table = [list(row) for row in coset_gset(g, sub).act]
+            if len(table) < 2 or not _non_generators(g):
+                continue
+            gset_from_table(g, table)  # the clean table passes
+            a = _non_generators(g)[-1]
+            table[0][a] = (table[0][a] + 1) % len(table)
+            with pytest.raises(ValidationError):
+                gset_from_table(g, table)
+            checked += 1
+    assert checked > 20
+
+
+def test_generators_spanning_a_proper_subgroup_fall_back_to_all_elements():
+    from stackyrr.grouptheory import FiniteGroup
+
+    s3 = symmetric(3)
+    swap = s3.generators[0]
+    bad = FiniteGroup(s3.mul, generators=[swap])
+    assert bad.spanning_tree()[0] == tuple(range(1, 6))
+    table = [list(row) for row in natural_gset(s3).act]
+    x = gset_from_table(bad, table)
+    assert x.act == natural_gset(s3).act and len(x.cols) == 5
+    assert orbits(inertia(x)).count == orbits(inertia(natural_gset(s3))).count
+    # a table that is right on the recorded generator but wrong elsewhere
+    a = next(a for a in range(1, 6) if a != swap and table[0][a] != table[1][a])
+    table[0][a], table[1][a] = table[1][a], table[0][a]
+    with pytest.raises(ValidationError):
+        gset_from_table(bad, table)
+    with pytest.raises(ValidationError, match="do not generate"):
+        gset_from_generator_action(bad, [[1, 0, 2]])
+
+
+def test_equivariant_map_checks_every_generator():
+    s3 = symmetric(3)
+    x = natural_gset(s3)
+    first, second = s3.generators
+    # f = the first generator's permutation commutes with it, not with the second
+    f = s3.perms[first]
+    for s in (first, second):
+        commutes = all(f[x.act[p][s]] == x.act[f[p]][s] for p in range(3))
+        assert commutes == (s == first)
+    with pytest.raises(ValidationError, match=f"witness \\(g={second}"):
+        equivariant_map(x, x, f, range(6))
+
+
+def test_trivial_group_builds_validates_and_takes_inertia():
+    from stackyrr.groupoidstack import orbit_count
+    from stackyrr.grouptheory import trivial_group
+
+    g = trivial_group()
+    assert g.generators is None and g.spanning_tree() == ((), ())
+    x = gset_from_table(g, [[0], [1], [2]])
+    assert x.cols == () and x.act == ((0,), (1,), (2,))
+    assert x.act == trivial_gset(g, 3).act
+    iner = inertia(x)
+    assert iner.pairs == ((0, 0), (1, 0), (2, 0))
+    assert orbit_count(iner) == orbits(iner).count == 3
+    assert iterated_inertia(x, 3).size == 3
+    with pytest.raises(ValidationError):
+        gset_from_table(g, [[1], [1]])
