@@ -61,7 +61,6 @@ from .chartheory import (
     VirtualEqBundle,
     character_of,
     coset_character,
-    delta_character,
     devissage_matrix,
     devissage_phi,
     devissage_summary,

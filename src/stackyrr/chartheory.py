@@ -17,7 +17,7 @@ the basis used for rank computations is the indicator basis on classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclonum import ONE, ZERO, CyclotomicNumber
@@ -111,14 +111,6 @@ def trivial_character(group: FiniteGroup) -> ClassFunction:
 def regular_character(group: FiniteGroup) -> ClassFunction:
     vals = [_as_cyclo(group.order)] + [ZERO] * (conjugacy_classes(group).count - 1)
     return ClassFunction(group, tuple(vals), True)
-
-
-def delta_character(group: FiniteGroup, class_index: int) -> ClassFunction:
-    """Indicator of one conjugacy class (a virtual character basis vector)."""
-    table = conjugacy_classes(group)
-    vals = [ZERO] * table.count
-    vals[class_index] = ONE
-    return ClassFunction(group, tuple(vals))
 
 
 def permutation_character(gset: FiniteGSet) -> ClassFunction:
@@ -303,7 +295,6 @@ class VirtualEqBundle:
 
     base: FiniteGSet
     orbit_characters: tuple[ClassFunction, ...]
-    stabilizers: tuple = field(init=False)
 
     def __post_init__(self):
         dec = orbits(self.base)
@@ -312,17 +303,13 @@ class VirtualEqBundle:
                 f"need one character per orbit ({dec.count}), got "
                 f"{len(self.orbit_characters)}"
             )
-        stabs = []
         for i, rep in enumerate(dec.representatives):
-            sub = self.base.stabilizer(rep)
-            stab_group, elems = sub.as_group()
+            stab_group, _ = self.base.stabilizer(rep).as_group()
             chi = self.orbit_characters[i]
             if chi.group is not stab_group and chi.group.mul != stab_group.mul:
                 raise ValidationError(
                     f"character {i} lives on the wrong group for orbit {i}"
                 )
-            stabs.append((sub, stab_group, elems))
-        object.__setattr__(self, "stabilizers", tuple(stabs))
 
     def tensor(self, other: "VirtualEqBundle") -> "VirtualEqBundle":
         if other.base is not self.base:
@@ -366,47 +353,57 @@ class InertiaFunction:
         )
 
 
-def _local_value(bundle: VirtualEqBundle, x: int, h: int) -> CyclotomicNumber:
-    """chi_{V_x}(h): transport the orbit character to Stab(x), evaluate at h."""
-    base = bundle.base
+def _trace_cells(iner: InertiaSet) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (base orbit, stabilizer class) cell of each inertia orbit.
+
+    A pair (x, h) with x = g.rep is transported to g^-1 h g in Stab(rep)
+    and lands in that element's conjugacy class there.  Every pair of an
+    inertia orbit is transported and must land in the same cell, which pins
+    down the conjugation bookkeeping.  Also returns the class count of each
+    base orbit's stabilizer.
+    """
+    base = iner.base
     dec = orbits(base)
-    o = dec.orbit_of[x]
-    g = dec.transporter[x]  # x = g . rep
-    ginv = base.group.inv[g]
-    moved = base.group.mul[base.group.mul[ginv][h]][g]  # g^-1 h g in Stab(rep)
-    sub, stab_group, elems = bundle.stabilizers[o]
-    try:
-        pos = elems.index(moved)
-    except ValueError:
-        raise ConsistencyError(
-            f"transported element {moved} not in stabilizer of orbit {o}"
-        ) from None
-    return bundle.orbit_characters[o](pos)
+    mul, inv = base.group.mul, base.group.inv
+    stabs = []  # per base orbit: parent element -> class in Stab(rep)
+    counts = []
+    for rep in dec.representatives:
+        stab_group, elems = base.stabilizer(rep).as_group()
+        table = conjugacy_classes(stab_group)
+        stabs.append({e: table.class_of[i] for i, e in enumerate(elems)})
+        counts.append(table.count)
+    cells = []
+    for orbit in orbits(iner).orbits:
+        found = set()
+        for i in orbit:
+            x, h = iner.pairs[i]
+            o = dec.orbit_of[x]
+            g = dec.transporter[x]
+            moved = mul[mul[inv[g]][h]][g]
+            if moved not in stabs[o]:
+                raise ConsistencyError(
+                    f"transported element {moved} not in stabilizer of orbit {o}"
+                )
+            found.add((o, stabs[o][moved]))
+        if len(found) != 1:
+            raise ConsistencyError(
+                f"trace map not constant on an inertia orbit: cells {sorted(found)}"
+            )
+        cells.append(found.pop())
+    return cells, counts
 
 
 def devissage_phi(bundle: VirtualEqBundle, inertia_set: InertiaSet | None = None) -> InertiaFunction:
     """The trace map: bundle -> function on inertia orbits.
 
     The value at the orbit of (x, h) is the transported character value
-    chi_{V_x}(h); conjugate pairs are all evaluated and must agree, which
-    pins down the conjugation bookkeeping.
+    chi_{V_x}(h), read off the orbit's cell (see :func:`_trace_cells`).
     """
     iner = inertia_set if inertia_set is not None else inertia(bundle.base)
     if iner.base is not bundle.base:
         raise ValidationError("inertia set does not belong to the bundle's base")
-    dec = orbits(iner)
-    values = []
-    for orbit in dec.orbits:
-        vals = {
-            _local_value(bundle, *iner.pairs[i]) for i in orbit
-        }
-        if len(vals) != 1:
-            raise ConsistencyError(
-                "trace map not constant on an inertia orbit: "
-                f"{sorted(map(repr, vals))}"
-            )
-        values.append(vals.pop())
-    return InertiaFunction(iner, tuple(values))
+    cells, _ = _trace_cells(iner)
+    return InertiaFunction(iner, tuple(bundle.orbit_characters[o].values[c] for o, c in cells))
 
 
 def devissage_matrix(base: FiniteGSet):
@@ -418,27 +415,11 @@ def devissage_matrix(base: FiniteGSet):
     isomorphism at this scale, so the matrix is square of full rank; the
     rank certificate is exact elimination, not numerics.
     """
-    iner = inertia(base)
-    dec = orbits(base)
-    columns = []
-    for o in range(dec.count):
-        rep = dec.representatives[o]
-        stab_group, _ = base.stabilizer(rep).as_group()
-        for c in range(conjugacy_classes(stab_group).count):
-            chars = []
-            for oo in range(dec.count):
-                sg, _ = base.stabilizer(dec.representatives[oo]).as_group()
-                if oo == o:
-                    chars.append(delta_character(sg, c))
-                else:
-                    chars.append(
-                        ClassFunction(sg, (ZERO,) * conjugacy_classes(sg).count)
-                    )
-            columns.append(devissage_phi(VirtualEqBundle(base, tuple(chars)), iner))
-    nrows = orbits(iner).count
-    return [
-        [col.values[i] for col in columns] for i in range(nrows)
-    ]
+    cells, counts = _trace_cells(inertia(base))
+    matrix = [[ZERO] * sum(counts) for _ in cells]
+    for row, (o, c) in zip(matrix, cells):
+        row[sum(counts[:o]) + c] = ONE
+    return matrix
 
 
 def devissage_summary(base: FiniteGSet) -> dict:

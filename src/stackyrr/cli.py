@@ -16,8 +16,8 @@ repeated runs on identical inputs produce byte-identical output.  With
 cross-check and any disagreement exits with status 4.  Validation problems
 exit 2, resource caps 3.
 
-Environment: STACKYRR_CONDUCTOR_CAP and STACKYRR_TUPLE_CAP override the
-resource caps.
+Environment: STACKYRR_CONDUCTOR_CAP and STACKYRR_TUPLE_CAP replace the
+conductor and tuples fields of the `limits.Limits` in force for the run.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from . import limits
 from .chartheory import devissage_summary
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .eulerlab import (
+    _strata_parts,
     euler_determinant,
     euler_report,
     euler_series,
@@ -85,10 +86,8 @@ class JobSpec:
     fmt: str = "json"
 
 
-def _load_spec(arg: str, kind: str):
+def _load_spec(arg: str):
     """Resolve a CLI argument to parsed JSON: file contents or preset name."""
-    if arg is None:
-        raise ValidationError(f"missing required --{kind} input")
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
             try:
@@ -266,8 +265,7 @@ def _cmd_weighted(spec: JobSpec) -> dict:
         refined = strata.refine()
     chi = weighted_chi(strata, spec.variant)
     result = {"variant": spec.variant, "chi": chi}
-    nonzero = all(w for w, in _weight_iter(strata))
-    if nonzero:
+    if all(w for w, _, _ in _strata_parts(strata)):
         det = euler_determinant(strata, spec.variant)
         result["determinant"] = det
         if det.is_integral:
@@ -279,18 +277,6 @@ def _cmd_weighted(spec: JobSpec) -> dict:
         if not agree:
             raise ConsistencyError("weighted chi changed under refinement")
     return result
-
-
-def _weight_iter(strata):
-    from .eulerlab import CurveStrata, GSetStrata
-
-    if isinstance(strata, CurveStrata):
-        yield (strata.open_weight,)
-        for _, w in strata.point_weights:
-            yield (w,)
-    elif isinstance(strata, GSetStrata):
-        for w in strata.weights:
-            yield (w,)
 
 
 def _cmd_report(spec: JobSpec) -> dict:
@@ -425,22 +411,22 @@ def load_report(text: str) -> dict:
     return data
 
 
-def _apply_env_caps() -> None:
-    limits.CONDUCTOR_CAP = _env_cap("STACKYRR_CONDUCTOR_CAP", limits.DEFAULT_CONDUCTOR_CAP)
-    limits.TUPLE_CAP = _env_cap("STACKYRR_TUPLE_CAP", limits.DEFAULT_TUPLE_CAP)
-
-
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
-    return value
+def _env_caps() -> dict:
+    """The `Limits` fields set in the environment; unset ones are left out."""
+    caps = {}
+    for field_name, name in (("conductor", "STACKYRR_CONDUCTOR_CAP"),
+                             ("tuples", "STACKYRR_TUPLE_CAP")):
+        raw = os.environ.get(name)
+        if raw is None:
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
+        caps[field_name] = value
+    return caps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,7 +483,7 @@ def jobspec_from_args(args) -> JobSpec:
     inputs = {}
     for kind in ("group", "gset", "curve", "divisor", "weights"):
         value = getattr(args, kind, None)
-        inputs[kind] = _load_spec(value, kind) if value is not None else None
+        inputs[kind] = _load_spec(value) if value is not None else None
     return JobSpec(
         command=args.command,
         inputs=inputs,
@@ -518,19 +504,16 @@ def main(argv=None) -> int:
             spec.inputs.get("curve") or spec.inputs.get("gset")
         ):
             raise ValidationError("weighted needs --curve or --gset")
-        if spec.command == "rr":
-            for key in ("curve", "divisor"):
-                if spec.inputs.get(key) is None:
-                    raise ValidationError(f"rr needs --{key}")
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     try:
-        _apply_env_caps()
+        caps = _env_caps()
     except ValidationError as exc:
         status, text = EXIT_VALIDATION, _render_error(spec, "validation", str(exc))
     else:
-        status, text = run(spec)
+        with limits.using(**caps):
+            status, text = run(spec)
     if spec.output_path:
         with open(spec.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)

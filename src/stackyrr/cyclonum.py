@@ -181,10 +181,9 @@ class CyclotomicNumber:
     def _lift_pair(self, other: "CyclotomicNumber"):
         na, nb = self.conductor, other.conductor
         n = na * nb // math.gcd(na, nb)
-        if n > limits.CONDUCTOR_CAP:
-            raise ResourceLimitError(
-                f"conductor {n} exceeds cap {limits.CONDUCTOR_CAP}"
-            )
+        cap = limits.current().conductor
+        if n > cap:
+            raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
         return n, lift_coeffs(self, n), lift_coeffs(other, n)
 
     def __add__(self, other):
@@ -445,8 +444,9 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     """
     if n < 1:
         raise ValidationError(f"invalid conductor {n}; conductors are >= 1")
-    if n > limits.CONDUCTOR_CAP:
-        raise ResourceLimitError(f"conductor {n} exceeds cap {limits.CONDUCTOR_CAP}")
+    cap = limits.current().conductor
+    if n > cap:
+        raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
     return canonicalize(n, _power_table(n)[k % n])
 
 

@@ -60,18 +60,18 @@ def chi_phy_gset(gset: FiniteGSet) -> int:
     return chi_top_gset(inertia(gset))
 
 
-def chi_m(gset: FiniteGSet, m: int, *, tuple_cap: int | None = None) -> Fraction:
+def chi_m(gset: FiniteGSet, m: int) -> Fraction:
     """chi_orb of the m-th iterated inertia, computed two ways.
 
     Direct route: walk the tuples (x, h_1..h_m) with the h_i pairwise
     commuting in Stab(x) with :func:`commuting_prefixes`, count, divide by
     |G|.  Recursive route: sum over orbits of the centralizer recursion on
     the stabilizer.  Exact agreement is mandatory; the enumeration is
-    subject to the tuple cap.
+    subject to ``Limits.tuples``.
     """
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
-    cap = tuple_cap if tuple_cap is not None else limits.TUPLE_CAP
+    cap = limits.current().tuples
     group = gset.group
     if m == 0:
         return chi_orb_gset(gset)
@@ -81,7 +81,7 @@ def chi_m(gset: FiniteGSet, m: int, *, tuple_cap: int | None = None) -> Fraction
         for _, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
             direct_count += len(last)
             if direct_count > cap:
-                raise ResourceLimitError(f"tuple enumeration exceeds cap {cap}")
+                raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
 
     dec = orbits(gset)
     recursive_count = 0
@@ -97,14 +97,14 @@ def chi_m(gset: FiniteGSet, m: int, *, tuple_cap: int | None = None) -> Fraction
     return Fraction(direct_count, group.order)
 
 
-def euler_series(gset: FiniteGSet, m_max: int, *, tuple_cap: int | None = None) -> list[Fraction]:
+def euler_series(gset: FiniteGSet, m_max: int) -> list[Fraction]:
     """[chi_0, ..., chi_m_max]; chi_0 is chi_orb of the base itself."""
     if m_max < 0:
         raise ValidationError(f"m_max must be >= 0, got {m_max}")
-    return [chi_m(gset, m, tuple_cap=tuple_cap) for m in range(m_max + 1)]
+    return [chi_m(gset, m) for m in range(m_max + 1)]
 
 
-def ladder_check(gset: FiniteGSet, m: int, *, point_cap: int | None = None) -> bool:
+def ladder_check(gset: FiniteGSet, m: int) -> bool:
     """Verify chi_phy(I^m) = chi_top(I^(m+1)) = chi_m(X, m+2), exactly.
 
     The three quantities are computed from three different objects: the
@@ -112,8 +112,8 @@ def ladder_check(gset: FiniteGSet, m: int, *, point_cap: int | None = None) -> b
     commuting-tuple count.  Any mismatch raises; the return value is True
     so the call reads as an assertion.
     """
-    level_m = iterated_inertia(gset, m, point_cap=point_cap)
-    level_m1 = iterated_inertia(gset, m + 1, point_cap=point_cap)
+    level_m = iterated_inertia(gset, m)
+    level_m1 = iterated_inertia(gset, m + 1)
     phy = chi_phy_gset(level_m)
     top = chi_top_gset(level_m1)
     orb = chi_m(gset, m + 2)
@@ -132,23 +132,19 @@ class EulerReport:
     chi_orb: Fraction
     chi_phy: int
     series: tuple[Fraction, ...]
-    ladder_verified: bool
+    ladder_verified: bool  # always True: a broken ladder raises instead
 
 
-def euler_report(gset: FiniteGSet, m_max: int = 3, *, check_ladder: bool = True,
-                 tuple_cap: int | None = None, point_cap: int | None = None) -> EulerReport:
-    series = euler_series(gset, m_max, tuple_cap=tuple_cap)
-    verified = False
-    if check_ladder:
-        for m in range(max(1, m_max - 1)):
-            ladder_check(gset, m, point_cap=point_cap)
-        verified = True
+def euler_report(gset: FiniteGSet, m_max: int = 3) -> EulerReport:
+    series = euler_series(gset, m_max)
+    for m in range(max(1, m_max - 1)):
+        ladder_check(gset, m)
     return EulerReport(
         chi_top=chi_top_gset(gset),
         chi_orb=chi_orb_gset(gset),
         chi_phy=chi_phy_gset(gset),
         series=tuple(series),
-        ladder_verified=verified,
+        ladder_verified=True,
     )
 
 

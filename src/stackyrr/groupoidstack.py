@@ -42,16 +42,14 @@ class FiniteGSet:
     induction on word length is the whole composition rule.
     """
 
-    __slots__ = ("group", "size", "cols", "labels", "label_index", "_act", "_orbits")
+    __slots__ = ("group", "size", "cols", "labels", "_label_index", "_act", "_orbits")
 
     def __init__(self, group: FiniteGroup, size: int, cols, *, labels=None, validate=True):
         self.group = group
         self.size = size
         self.cols = tuple(tuple(col) for col in cols)
         self.labels = tuple(labels) if labels is not None else None
-        self.label_index = (
-            {lab: i for i, lab in enumerate(self.labels)} if self.labels else None
-        )
+        self._label_index = None
         self._act = None
         self._orbits = None
         if validate:
@@ -67,6 +65,13 @@ class FiniteGSet:
                 images[b] = tuple(map(self.cols[i].__getitem__, images[a]))
             self._act = tuple(zip(*images)) if self.size else ()
         return self._act
+
+    @property
+    def label_index(self) -> dict | None:
+        """Label -> point, built on first use and cached; None without labels."""
+        if self._label_index is None and self.labels:
+            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._label_index
 
     def _validate(self):
         # callers have checked that every column maps 0..size-1 into itself
@@ -218,20 +223,21 @@ def inertia(gset: FiniteGSet) -> InertiaSet:
     return InertiaSet(gset, cols, pairs)
 
 
-def iterated_inertia(gset: FiniteGSet, m: int, *, point_cap: int | None = None) -> FiniteGSet:
+def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
     """Tuples (x, h_1..h_m), h_i pairwise commuting and fixing x.
 
     ``m = 0`` returns the input unchanged.  The action conjugates every
     group coordinate and translates the point; only its generator columns
     are written.  Built directly from commuting tuples; repeatedly applying
     :func:`inertia` gives the same G-set up to flattening of the nested
-    pair labels (see :func:`flattening_bijection`).
+    pair labels (see :func:`flattening_bijection`).  At most
+    ``Limits.points`` points are built.
     """
     if m < 0:
         raise ValidationError(f"iteration depth must be >= 0, got {m}")
     if m == 0:
         return gset
-    cap = point_cap if point_cap is not None else limits.POINT_CAP
+    cap = limits.current().points
     group = gset.group
     n = group.order
     points: list[tuple[int, ...]] = []
@@ -240,7 +246,7 @@ def iterated_inertia(gset: FiniteGSet, m: int, *, point_cap: int | None = None) 
             head = (x,) + prefix
             points.extend(head + (h,) for h in last)
             if len(points) > cap:
-                raise ResourceLimitError(f"iterated fixed-point set exceeds cap {cap}")
+                raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
     points.sort()
     # integer-encode tuples for the action lookup: much cheaper than hashing
     # label tuples in the inner loop

@@ -141,16 +141,16 @@ def _compose(p, q):
     return tuple(p[i] for i in q)
 
 
-def group_from_permutations(generators, *, order_cap: int | None = None) -> FiniteGroup:
+def group_from_permutations(generators) -> FiniteGroup:
     """Close permutation generators into a group.
 
     Each generator is a sequence ``p`` with ``p[i]`` the image of ``i``; all
     must act on the same ground set.  Elements are discovered breadth-first
     from the identity, multiplying by generators in input order on the
     right, so the index assignment is deterministic.  Multiplication is
-    ``(a*b)(i) = a(b(i))``.
+    ``(a*b)(i) = a(b(i))``.  Closure stops at ``Limits.group_order``.
     """
-    cap = order_cap if order_cap is not None else limits.GROUP_ORDER_CAP
+    cap = limits.current().group_order
     gens = [tuple(g) for g in generators]
     degree = len(gens[0]) if gens else 1
     for g in gens:
@@ -168,7 +168,7 @@ def group_from_permutations(generators, *, order_cap: int | None = None) -> Fini
                 if b not in index:
                     if len(elements) >= cap:
                         raise ResourceLimitError(
-                            f"group closure exceeds order cap {cap}"
+                            f"group closure exceeds Limits.group_order = {cap}"
                         )
                     index[b] = len(elements)
                     elements.append(b)
@@ -405,11 +405,10 @@ def centralizer(group: FiniteGroup, elems) -> Subgroup:
 # -- commuting tuples -------------------------------------------------------
 
 
-def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursive",
-                           *, tuple_cap: int | None = None) -> int:
+def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursive") -> int:
     """Number of m-tuples of pairwise commuting elements.
 
-    ``algorithm`` is "brute" (enumerate, subject to the tuple cap) or
+    ``algorithm`` is "brute" (enumerate, subject to ``Limits.tuples``) or
     "recursive" (sum class_size * count over centralizers, one level down).
     Both are exposed because agreeing answers from the two are the test
     oracle for everything built on top of them.
@@ -420,10 +419,10 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
         memo: dict = {}
         return _commuting_recursive(group, tuple(range(group.order)), m, memo)
     if algorithm == "brute":
-        cap = tuple_cap if tuple_cap is not None else limits.TUPLE_CAP
+        cap = limits.current().tuples
         if group.order**m > cap:
             raise ResourceLimitError(
-                f"{group.order}^{m} tuples exceed cap {cap}"
+                f"{group.order}^{m} tuples exceed Limits.tuples = {cap}"
             )
         return _commuting_brute(group, m)
     raise ValidationError(f"unknown algorithm {algorithm!r}")

@@ -1,19 +1,43 @@
-"""Default resource caps.
+"""Resource caps: one immutable `Limits` value, in force for a block.
 
-Everything here exists to make runaway computations fail loudly instead of
-eating all memory.  The CLI overrides these from the environment variables
-STACKYRR_CONDUCTOR_CAP and STACKYRR_TUPLE_CAP; library callers can either
-mutate the module globals or pass explicit keyword arguments where offered.
+The caps make runaway computations raise `ResourceLimitError`, naming the
+field that tripped, instead of eating all memory.  Read them with
+:func:`current`; change them for one block with ``with using(tuples=...):``
+(the CLI does so from its environment).  They live in a context variable,
+not in arguments, because the conductor cap is enforced inside the
+`CyclotomicNumber` operators.
 """
 
-DEFAULT_CONDUCTOR_CAP = 1000
-CONDUCTOR_CAP = DEFAULT_CONDUCTOR_CAP
+from __future__ import annotations
 
-# Largest group that group_from_permutations will close.
-GROUP_ORDER_CAP = 10080
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
-# Largest number of tuples a brute-force commuting-tuple enumeration may
-# visit, and the largest iterated-fixed-point set that may be built.
-DEFAULT_TUPLE_CAP = 10**8
-TUPLE_CAP = DEFAULT_TUPLE_CAP
-POINT_CAP = 10**6
+
+@dataclass(frozen=True)
+class Limits:
+    """Upper bounds that make the headline computations fail loudly."""
+
+    conductor: int = 1000  # largest cyclotomic conductor an operation may reach
+    group_order: int = 10080  # largest group group_from_permutations will close
+    tuples: int = 10**8  # most commuting tuples an enumeration may visit
+    points: int = 10**6  # largest iterated fixed-point set that may be built
+
+
+_CURRENT = ContextVar("stackyrr_limits", default=Limits())
+
+
+def current() -> Limits:
+    """The caps in force."""
+    return _CURRENT.get()
+
+
+@contextmanager
+def using(**caps):
+    """Run the block with the given `Limits` fields replaced, then restore."""
+    token = _CURRENT.set(replace(_CURRENT.get(), **caps))
+    try:
+        yield _CURRENT.get()
+    finally:
+        _CURRENT.reset(token)

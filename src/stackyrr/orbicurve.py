@@ -70,6 +70,8 @@ class FracDivisor:
         cleaned = []
         seen = set()
         for label, coeff in self.support:
+            if not isinstance(label, str):
+                raise ValidationError(f"divisor label must be a string, got {label!r}")
             coeff = Fraction(coeff)
             if label in seen:
                 raise ValidationError(f"label {label!r} listed twice")
@@ -80,7 +82,7 @@ class FracDivisor:
                     f"coefficient {coeff} at {label!r} is not a multiple of 1/{r}"
                 )
             if coeff:
-                cleaned.append((str(label), coeff))
+                cleaned.append((label, coeff))
         object.__setattr__(self, "support", tuple(sorted(cleaned)))
 
     @staticmethod

@@ -120,7 +120,10 @@ def gset_from_json(data) -> FiniteGSet:
         data, {"group", "points", "action", "action_generators", "natural"}, "gset spec"
     )
     group = group_from_json(data.get("group"))
-    if data.get("natural"):
+    natural = data.get("natural", False)
+    if not isinstance(natural, bool):
+        raise ValidationError(f"'natural' must be true or false, got {natural!r}")
+    if natural:
         extra = set(data) & {"points", "action", "action_generators"}
         if extra:
             raise ValidationError(f"natural action excludes keys {sorted(extra)}")
@@ -156,8 +159,11 @@ def curve_from_json(data) -> OrbifoldCurve:
     genus = data.get("genus")
     if isinstance(genus, bool) or not isinstance(genus, int):
         raise ValidationError("curve spec needs an integer 'genus'")
+    stacky = data.get("stacky", [])
+    if not isinstance(stacky, list):
+        raise ValidationError(f"curve 'stacky' must be a list, got {stacky!r}")
     pts = []
-    for i, entry in enumerate(data.get("stacky", [])):
+    for i, entry in enumerate(stacky):
         if not isinstance(entry, dict):
             raise ValidationError(f"stacky[{i}] must be an object")
         _require_keys(entry, {"label", "order"}, f"stacky[{i}]")
@@ -200,9 +206,12 @@ def curve_strata_from_json(data, curve: OrbifoldCurve) -> CurveStrata:
     if "open" not in data:
         raise ValidationError("weights spec needs an 'open' weight")
     open_w = fraction_from_json(data["open"], "weights.open")
+    points = data.get("points", {})
+    if not isinstance(points, dict):
+        raise ValidationError(f"curve weights 'points' must be an object, got {points!r}")
     pts = tuple(
         (label, fraction_from_json(w, f"weights.points[{label!r}]"))
-        for label, w in sorted(data.get("points", {}).items())
+        for label, w in sorted(points.items())
     )
     return CurveStrata(curve, open_w, pts)
 

@@ -30,6 +30,7 @@ from stackyrr.chartheory import (
 from stackyrr.cyclonum import CyclotomicNumber, root_of_unity
 from stackyrr.errors import ConsistencyError, ValidationError
 from stackyrr.groupoidstack import (
+    InertiaSet,
     coset_gset,
     disjoint_union,
     inertia,
@@ -261,6 +262,38 @@ def test_devissage_square_full_rank_grid():
             summary = devissage_summary(base)
             assert summary["invertible"], (g, sub.elements)
             assert summary["source_dim"] == summary["inertia_orbits"]
+
+
+def _indicator_bundles(base):
+    """One bundle per (orbit, stabilizer class): its class indicator, zero elsewhere."""
+    groups = [base.stabilizer(r).as_group()[0] for r in orbits(base).representatives]
+    counts = [conjugacy_classes(sg).count for sg in groups]
+    for o, count in enumerate(counts):
+        for c in range(count):
+            yield VirtualEqBundle(base, tuple(
+                ClassFunction(sg, tuple(int(oo == o and j == c) for j in range(k)))
+                for oo, (sg, k) in enumerate(zip(groups, counts))
+            ))
+
+
+def test_devissage_matrix_is_the_trace_of_the_indicator_bundles():
+    # direct cell placement against devissage_phi of each basis bundle
+    for g in (symmetric(3), dihedral(4), dicyclic(2), alternating(4)):
+        for sub in subgroup_conjugacy_reps(g):
+            if g.order // sub.order > 8:
+                continue
+            base = disjoint_union(coset_gset(g, sub), trivial_gset(g, 1))
+            expected = _phi_matrix_in_basis(base, list(_indicator_bundles(base)))
+            assert devissage_summary(base)["matrix"] == expected, (g, sub.elements)
+
+
+def test_trace_map_rejects_an_orbit_spanning_two_cells():
+    # the generator swaps (0, e) and (0, s): one orbit, two classes of Stab(0)
+    z2 = cyclic(2)
+    pt = trivial_gset(z2, 1)
+    fake = InertiaSet(pt, [[1, 0]], ((0, 0), (0, 1)))
+    with pytest.raises(ConsistencyError, match="not constant on an inertia orbit"):
+        devissage_phi(structure_bundle(pt), fake)
 
 
 def test_pushforward_examples():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stackyrr import limits
 from stackyrr.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -226,7 +227,15 @@ def test_bad_cap_environment_is_json_validation_error(capsys, monkeypatch, value
     ({"divisor": [{"label": "p2", "num": True, "den": 2}]}, "num/den"),
     ({"curve": {"genus": 0, "stacky": [{"label": 5, "order": 2}]}}, "label"),
     ({"divisor": [{"label": "p2", "num": 1, "den": 0}]}, "denominator must be nonzero"),
-], ids=["bool-points", "bool-genus", "bool-divisor-num", "int-label", "zero-den"])
+    ({"weights": {"open": 1, "points": []}}, "'points' must be an object"),
+    ({"divisor": [{"label": ["a"], "num": 1}]}, "label must be a string"),
+    ({"divisor": [{"label": 5, "num": 1}, {"label": "5", "num": 1}]},
+     "label must be a string"),
+    ({"gset": {"group": "S3", "natural": "yes"}}, "'natural' must be true or false"),
+    ({"curve": {"genus": 0, "stacky": 5}}, "'stacky' must be a list"),
+], ids=["bool-points", "bool-genus", "bool-divisor-num", "int-label", "zero-den",
+        "list-weights", "list-divisor-label", "int-divisor-label", "string-natural",
+        "int-stacky"])
 def test_strict_json_scalars(tmp_path, capsys, argv_files, fragment):
     (kind, spec), = argv_files.items()
     path = tmp_path / f"{kind}.json"
@@ -235,8 +244,29 @@ def test_strict_json_scalars(tmp_path, capsys, argv_files, fragment):
         "gset": ("inertia", "--gset", str(path)),
         "curve": ("rr", "--curve", str(path), "--divisor", "zero"),
         "divisor": ("rr", "--curve", "p23", "--divisor", str(path)),
+        "weights": ("weighted", "--curve", "p23", "--weights", str(path)),
     }[kind]
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_VALIDATION
     error = json.loads(out)["error"]
     assert error["kind"] == "validation" and fragment in error["message"]
+
+
+def test_main_keeps_the_callers_limits(capsys, monkeypatch):
+    monkeypatch.delenv("STACKYRR_TUPLE_CAP", raising=False)
+    with limits.using(tuples=5):
+        status, out, _ = run_cli(capsys, "series", "--gset", "pt-s3", "--max-m", "3")
+        assert status == EXIT_RESOURCE
+        assert "Limits.tuples = 5" in json.loads(out)["error"]["message"]
+        assert limits.current().tuples == 5
+    assert limits.current() == limits.Limits()
+
+
+def test_environment_cap_does_not_leak(capsys, monkeypatch):
+    monkeypatch.setenv("STACKYRR_TUPLE_CAP", "2")
+    status, _, _ = run_cli(capsys, "series", "--gset", "pt-s3", "--max-m", "3")
+    assert status == EXIT_RESOURCE
+    assert limits.current() == limits.Limits()
+    monkeypatch.delenv("STACKYRR_TUPLE_CAP")
+    status, _, _ = run_cli(capsys, "series", "--gset", "pt-s3", "--max-m", "3")
+    assert status == EXIT_OK

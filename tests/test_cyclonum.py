@@ -186,15 +186,11 @@ def test_field_axioms_randomized():
 
 
 def test_conductor_cap():
-    old = limits.CONDUCTOR_CAP
-    limits.CONDUCTOR_CAP = 40
-    try:
-        with pytest.raises(ResourceLimitError):
+    with limits.using(conductor=40):
+        with pytest.raises(ResourceLimitError, match=r"Limits\.conductor = 40"):
             root_of_unity(41)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"Limits\.conductor = 40"):
             root_of_unity(8) + root_of_unity(27)  # lcm 216 > 40
-    finally:
-        limits.CONDUCTOR_CAP = old
 
 
 def test_galois_conjugate():

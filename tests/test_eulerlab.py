@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stackyrr import limits
 from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.eulerlab import (
     CurveStrata,
@@ -88,8 +89,8 @@ def test_chi_m_walk_matches_brute_counts_on_cosets():
 
 def test_chi_m_tuple_cap():
     pt = trivial_gset(symmetric(3), 1)
-    with pytest.raises(ResourceLimitError):
-        chi_m(pt, 4, tuple_cap=100)
+    with limits.using(tuples=100), pytest.raises(ResourceLimitError, match=r"Limits\.tuples"):
+        chi_m(pt, 4)
 
 
 def test_euler_series_examples():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from stackyrr import limits
 from stackyrr.errors import ValidationError
 from stackyrr.groupoidstack import (
     coset_gset,
@@ -172,8 +173,8 @@ def test_iterated_inertia_point_cap():
     from stackyrr.errors import ResourceLimitError
 
     pt = trivial_gset(symmetric(3), 1)
-    with pytest.raises(ResourceLimitError):
-        iterated_inertia(pt, 4, point_cap=50)
+    with limits.using(points=50), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
+        iterated_inertia(pt, 4)
 
 
 def test_burnside_bookkeeping_order_24():

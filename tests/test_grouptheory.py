@@ -2,6 +2,7 @@
 
 import pytest
 
+from stackyrr import limits
 from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.grouptheory import (
     Subgroup,
@@ -43,8 +44,9 @@ def test_group_from_permutations_rejects_non_bijection():
 
 
 def test_group_order_cap():
-    with pytest.raises(ResourceLimitError):
-        group_from_permutations([(1, 2, 3, 4, 0)], order_cap=3)
+    with limits.using(group_order=3):
+        with pytest.raises(ResourceLimitError, match=r"Limits\.group_order"):
+            group_from_permutations([(1, 2, 3, 4, 0)])
 
 
 def test_bfs_indexing_deterministic():
@@ -183,8 +185,8 @@ def test_commuting_prefixes_walk_every_tuple_in_order():
 
 
 def test_commuting_tuple_brute_cap():
-    with pytest.raises(ResourceLimitError):
-        count_commuting_tuples(symmetric(4), 9, "brute", tuple_cap=10**6)
+    with limits.using(tuples=10**6), pytest.raises(ResourceLimitError, match=r"Limits\.tuples"):
+        count_commuting_tuples(symmetric(4), 9, "brute")
 
 
 def test_product_class_count_multiplies():
