@@ -8,6 +8,18 @@ to 2 mod 4 are folded into their odd half (zeta_{2m} = -zeta_m^{(m+1)/2}
 for odd m), so each element has exactly one representation and equality is
 literal equality of (conductor, coefficients).
 
+The minimal conductor is found by descending one prime at a time.  For each
+prime p of a canonical n, the largest cyclotomic subfield without p is
+Q(zeta_d), with d = n/p (d = n/4 when p = 2 and n = 4 mod 8), and
+Gal(Q(zeta_n)/Q(zeta_d)) is cyclic, so one test per prime decides it.  When
+p^2 divides n, Phi_n(x) = Phi_d(x^p) and the value lies in Q(zeta_d) exactly
+when only the coefficients of z^(p*j) are nonzero; otherwise the value must
+be fixed by one generator sigma_k of that group, applied to the integer
+numerators.  The first prime that passes sets n = d and the search repeats.
+The conductors whose field holds a value are closed under gcd, so this greedy
+descent ends at the minimal one, and a prime that fails once fails at every
+level below, so it is never tested again.
+
 The coefficients are `fractions.Fraction` values; that type is the package's
 rational scalar (arbitrary precision, reduced, positive denominator).
 """
@@ -19,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import limits
-from .errors import ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .exactlinalg import forward_eliminate
 
 Rational = Fraction
@@ -129,10 +141,8 @@ def _substitute(n: int, coeffs, k: int) -> list:
 
 
 def _scale_to_int(coeffs) -> tuple[list[int], int]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs], den
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class CyclotomicNumber:
@@ -362,7 +372,7 @@ def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
             raise ValidationError("canonicalize needs (conductor, coeffs) or a value")
     if conductor < 1:
         raise ValidationError(f"invalid conductor {conductor}; conductors are >= 1")
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     phi = euler_phi(conductor)
     if len(coeffs) > phi:
         ints, den = _scale_to_int(coeffs)
@@ -373,21 +383,69 @@ def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
     n = conductor
     if n % 4 == 2:
         n, coeffs = _fold_even(n, coeffs)
-        phi = euler_phi(n)
 
-    if all(not c for c in coeffs[1:]):
-        return CyclotomicNumber(1, (coeffs[0],))
-    if n == 1:
-        return CyclotomicNumber(1, (coeffs[0],))
+    floor = 2  # every prime below it has failed at a higher level
+    while True:
+        if all(not c for c in coeffs[1:]):
+            return CyclotomicNumber(1, (coeffs[0],))
+        ints = None
+        for p, d, k in _descents(n):
+            if p < floor:
+                continue
+            if d % p == 0:
+                # p^2 | n, so Phi_n(x) = Phi_d(x^p): Q(zeta_d) is the span
+                # of the powers z^(p*j).
+                if any(any(coeffs[r::p]) for r in range(1, p)):
+                    continue
+                sub = coeffs[::p]
+            else:
+                if ints is None:
+                    ints = _scale_to_int(coeffs)[0]
+                if _substitute(n, ints, k) != ints:
+                    continue
+                sub = _express_in_subfield(n, coeffs, d)
+                if sub is None:
+                    raise ConsistencyError(
+                        f"value fixed by sigma_{k} on Q(zeta_{n}) is not in Q(zeta_{d})"
+                    )
+            floor, n, coeffs = p, d, sub
+            break
+        else:
+            return CyclotomicNumber(n, tuple(coeffs))
 
-    for d in _divisors(n)[:-1]:
-        if d % 4 == 2 or d == 1:
+
+@lru_cache(maxsize=None)
+def _descents(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, d, k) for each prime p of a canonical n whose descent d exceeds 1.
+
+    Q(zeta_d) is the largest cyclotomic subfield of Q(zeta_n) without p, and
+    sigma_k generates the cyclic group Gal(Q(zeta_n)/Q(zeta_d)) =
+    {sigma_k : k = 1 mod d}: k is the smallest such unit whose order is the
+    degree phi(n)/phi(d).
+
+    >>> _descents(12)
+    ((2, 3, 7), (3, 4, 5))
+    >>> _descents(8)
+    ((2, 4, 5),)
+    """
+    out = []
+    for p in _primes(n):
+        d = n // 4 if p == 2 and n % 8 == 4 else n // p
+        if d == 1:
             continue
-        if _fixed_by_kernel(n, coeffs, d):
-            sub = _express_in_subfield(n, coeffs, d)
-            if sub is not None:
-                return canonicalize(d, sub)
-    return CyclotomicNumber(n, tuple(coeffs))
+        degree = euler_phi(n) // euler_phi(d)
+        k = next(
+            k
+            for k in range(1 + d, n, d)
+            if math.gcd(k, n) == 1
+            and all(pow(k, degree // q, n) != 1 for q in _primes(degree))
+        )
+        out.append((p, d, k))
+    return tuple(out)
+
+
+def _primes(n: int) -> list[int]:
+    return [p for p in _divisors(n)[1:] if _divisors(p) == (1, p)]
 
 
 def _fold_even(n: int, coeffs: list[Fraction]):
@@ -396,17 +454,6 @@ def _fold_even(n: int, coeffs: list[Fraction]):
     ints, den = _scale_to_int(coeffs)
     signed = [-c if i % 2 else c for i, c in enumerate(ints)]
     return m, [Fraction(c, den) for c in _substitute(m, signed, (m + 1) // 2)]
-
-
-def _fixed_by_kernel(n: int, coeffs: list[Fraction], d: int) -> bool:
-    # Is the value fixed by every sigma_k with k = 1 mod d (so it lies in
-    # Q(zeta_d))?  Early exit on the first moved coefficient.
-    for k in range(1 + d, n, d):
-        if math.gcd(k, n) != 1:
-            continue
-        if _substitute(n, coeffs, k) != coeffs:
-            return False
-    return True
 
 
 def _express_in_subfield(n: int, coeffs, d: int):

@@ -240,10 +240,13 @@ class CurveStrata:
 
     def __post_init__(self):
         object.__setattr__(self, "open_weight", Fraction(self.open_weight))
+        for l, _ in self.point_weights:
+            if not isinstance(l, str):
+                raise ValidationError(f"point label must be a string, got {l!r}")
         object.__setattr__(
             self,
             "point_weights",
-            tuple(sorted((str(l), Fraction(w)) for l, w in self.point_weights)),
+            tuple(sorted((l, Fraction(w)) for l, w in self.point_weights)),
         )
         labels = [l for l, _ in self.point_weights]
         if len(set(labels)) != len(labels):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,14 @@ class Limits:
     group_order: int = 10080  # largest group group_from_permutations will close
     tuples: int = 10**8  # most commuting tuples an enumeration may visit
     points: int = 10**6  # largest iterated fixed-point set that may be built
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:  # bool is not a cap
+                raise ValidationError(
+                    f"Limits.{f.name} must be a positive int, got {value!r}"
+                )
 
 
 _CURRENT = ContextVar("stackyrr_limits", default=Limits())

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic: canonical forms, field axioms, closed sums."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,12 @@ import pytest
 from stackyrr import limits
 from stackyrr.cyclonum import (
     CyclotomicNumber,
+    _descents,
+    _divisors,
+    _express_in_subfield,
+    _fold_even,
+    _scale_to_int,
+    _substitute,
     arith,
     canonicalize,
     cyclotomic_polynomial,
@@ -278,3 +285,91 @@ def test_pow_and_inverse():
     assert z5**-1 == root_of_unity(5, 4)
     assert z5**0 == 1
     assert (1 + z5) ** 3 == (1 + z5) * (1 + z5) * (1 + z5)
+
+
+def reference_canonical_form(n, coeffs):
+    """The ascending-divisor route: (conductor, coeffs) of the minimal field.
+
+    Every proper divisor d of n (d = 1 and d = 2 mod 4 skipped) is tried in
+    increasing order, and the value descends to the first Q(zeta_d) whose
+    whole Galois kernel {sigma_k : k = 1 mod d} fixes it.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    if n % 4 == 2:
+        n, coeffs = _fold_even(n, coeffs)
+    if all(not c for c in coeffs[1:]):
+        return 1, (coeffs[0],)
+    ints = _scale_to_int(coeffs)[0]
+    for d in _divisors(n)[:-1]:
+        if d % 4 == 2 or d == 1:
+            continue
+        if all(
+            _substitute(n, ints, k) == ints
+            for k in range(1 + d, n, d)
+            if math.gcd(k, n) == 1
+        ):
+            sub = _express_in_subfield(n, coeffs, d)
+            assert sub is not None
+            return reference_canonical_form(d, sub)
+    return n, tuple(coeffs)
+
+
+def _random_vector(rng, length):
+    return [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(length)]
+
+
+def _sample_values(rng, n):
+    """Raw coefficient vectors at conductor n, many of them in subfields."""
+    phi = euler_phi(n)
+    yield _random_vector(rng, phi)
+    m = rng.choice(_divisors(n))
+    yield _substitute(n, _random_vector(rng, euler_phi(m)), n // m)
+    powers = [0] * n
+    for _ in range(rng.randint(1, 6)):
+        powers[rng.randrange(n)] += rng.choice((-2, -1, 1, 3))
+    yield _substitute(n, powers, 1)
+    # The average over <sigma_k> lies in the fixed field of that subgroup,
+    # which need not be cyclotomic (sqrt(2) in Q(zeta_8) for k = 7).
+    k = rng.choice([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+    x = _random_vector(rng, phi)
+    total, kj = [0] * phi, 1
+    while True:
+        total = [a + b for a, b in zip(total, _substitute(n, x, kj))]
+        kj = kj * k % n
+        if kj == 1 % n:
+            break
+    yield total
+
+
+def test_canonicalize_matches_the_ascending_divisor_route():
+    rng = random.Random(20261018)
+    conductors = sorted(set(_divisors(840)) | set(range(1, 121)))
+    seen = set()
+    for n in conductors:
+        for coeffs in _sample_values(rng, n):
+            x = canonicalize(n, coeffs)
+            assert all(type(c) is Fraction for c in x.coeffs)
+            assert (x.conductor, x.coeffs) == reference_canonical_form(n, coeffs), n
+            seen.add(x.conductor)
+    # The sample reaches proper subfields, not just the rationals and the top.
+    assert {1, 3, 4, 8, 12, 105, 420} <= seen
+
+
+def test_descents_are_generators_of_the_galois_kernels():
+    for n in range(1, 1001):
+        if n % 4 == 2:
+            continue
+        primes = [p for p in _divisors(n)[1:] if _divisors(p) == (1, p)]
+        expected = []
+        for p in primes:
+            d = n // 4 if p == 2 and n % 8 == 4 else n // p
+            if d > 1:
+                expected.append((p, d))
+        assert [(p, d) for p, d, _ in _descents(n)] == expected, n
+        for p, d, k in _descents(n):
+            kernel = {j for j in range(1, n, d) if math.gcd(j, n) == 1}
+            powers, kj = set(), 1
+            while kj not in powers:
+                powers.add(kj)
+                kj = kj * k % n
+            assert powers == kernel, (n, p, d, k)

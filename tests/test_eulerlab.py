@@ -209,6 +209,12 @@ def test_curve_strata_require_stacky_points():
         CurveStrata(curve, 1, ())
 
 
+def test_curve_strata_reject_non_string_labels():
+    curve = OrbifoldCurve(0, (("p2", 2), ("p3", 3)))
+    with pytest.raises(ValidationError, match="point label must be a string"):
+        CurveStrata(curve, 1, (("p2", 1), ("p3", 1), (5, 2)))
+
+
 def test_determinant_constant_weight():
     rng = random.Random(31)
     for g in range(4):
