@@ -91,7 +91,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n)[:-1]:
         poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        assert not rem, "non-exact cyclotomic division"
+        if rem:
+            raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1 exactly")
     return tuple(poly)
 
 
@@ -468,7 +469,8 @@ def _express_in_subfield(n: int, coeffs, d: int):
         return None
     # The power basis of a subfield is independent, so every column has a
     # pivot and back substitution through the unit diagonal finishes.
-    assert len(pivots) == phi_d
+    if len(pivots) != phi_d:
+        raise ConsistencyError(f"power basis of Q(zeta_{d}) is dependent in Q(zeta_{n})")
     sol = [_ZERO] * phi_d
     for r in range(phi_d - 1, -1, -1):
         row = rows[r]
@@ -556,7 +558,8 @@ def _field_inverse(n: int, coeffs) -> tuple[Fraction, ...]:
         q, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert r1, "cyclotomic polynomial is irreducible; gcd must be constant"
+        if not r1:
+            raise ConsistencyError(f"Phi_{n} is irreducible, yet shares a factor with {coeffs}")
 
 
 def _poly_divmod(num, den):

@@ -3,17 +3,18 @@
 Elements are indices 0..n-1 with the identity at index 0.  Groups come from
 permutation generators (closed by breadth-first search, so the element
 order is reproducible) or from explicit multiplication tables.  Everything
-downstream -- conjugacy classes, centralizers, commuting-tuple counts --
-is plain table arithmetic, which is the right trade at the scale this
-package works at (orders in the hundreds, not millions).
+downstream -- conjugacy classes, centralizers, subgroup lattices,
+commuting-tuple counts -- is plain table arithmetic, which is the right
+trade at the scale this package works at (orders in the hundreds, not
+millions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import limits
-from .errors import ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
 
 class FiniteGroup:
@@ -64,7 +65,8 @@ class FiniteGroup:
         """Generators and a breadth-first tree of left multiplication by them.
 
         Returns ``(gens, edges)``.  ``gens`` are the recorded generators when
-        they generate the group, otherwise every non-identity element.
+        they generate the group, otherwise a greedy generating set (the least
+        element not yet reached, then close; at most log2 |G| of them).
         ``edges`` holds one ``(b, i, a)`` with ``b = gens[i] * a`` per
         non-identity element ``b``, each ``a`` reached before ``b``.  Since
         every element is a word in ``gens``, a rule of the form
@@ -76,7 +78,7 @@ class FiniteGroup:
             if gens is not None and all(0 <= s < self.order for s in gens):
                 self._tree = _left_tree(self, gens)
             if self._tree is None:
-                self._tree = _left_tree(self, tuple(range(1, self.order)))
+                self._tree = _left_tree(self, _span(self.mul, set(range(self.order))))
         return self._tree
 
     def element_order(self, g: int) -> int:
@@ -240,27 +242,105 @@ def trivial_group() -> FiniteGroup:
 # -- subgroups --------------------------------------------------------------
 
 
+def _close(mul, reached: list, seen: set, gens: list, s: int, inside=None) -> None:
+    """Add generator ``s`` to ``gens`` and extend ``reached`` to the new closure.
+
+    ``reached`` (``seen`` is its set) must be closed under right
+    multiplication by ``gens``.  Then it is enough to multiply the old
+    elements by ``s`` and each new element by every generator, so a whole
+    closure costs O(|closure| * #gens).  A product outside ``inside``, when
+    given, raises ``ValidationError``.
+    """
+    gens.append(s)
+    old = len(reached)
+    i = 0
+    while i < len(reached):
+        a = reached[i]
+        row = mul[a]
+        for t in (gens if i >= old else (s,)):
+            b = row[t]
+            if b not in seen:
+                if inside is not None and b not in inside:
+                    raise ValidationError(
+                        f"subgroup not closed under product at ({a}, {t})"
+                    )
+                seen.add(b)
+                reached.append(b)
+        i += 1
+
+
+def _span(mul, inside: set, gens=None) -> tuple[int, ...]:
+    """Generators whose closure is exactly ``inside``, an index set holding 0.
+
+    Closes ``gens`` when given.  Otherwise picks greedy generators: the least
+    element not yet reached, then close again.  Each pick at least doubles
+    the closure (Lagrange), so there are at most log2 |inside| of them.
+    Raises ``ValidationError`` when a product leaves ``inside`` or the
+    closure ends short of it.
+    """
+    reached, seen, taken = [0], {0}, []
+    for s in (sorted(inside) if gens is None else gens):
+        if s not in seen:
+            _close(mul, reached, seen, taken, s, inside)
+    if len(reached) != len(inside):
+        raise ValidationError(
+            f"generators {tuple(gens)} do not generate the subgroup: "
+            f"element {min(inside - seen)} is not reached"
+        )
+    return tuple(taken) if gens is None else tuple(gens)
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup, stored as its sorted element set."""
+    """A validated subgroup: its sorted element set and generators for it.
+
+    ``elements`` must be a strictly increasing tuple of indices of
+    ``parent`` starting at the identity 0.  ``generators`` must lie in that
+    set and their closure must equal it; when they are omitted a greedy set
+    is taken (the least element not yet reached, then close), at most
+    log2 |H| of them.  The closure multiplies by generators only, so
+    validation costs O(|H| * #generators) rather than the O(|H|^2) of
+    checking every product.  A non-integer, out-of-range, repeated or
+    unsorted element, a generator outside the set, a product leaving the
+    set or a closure short of it raises ``ValidationError``.  Two subgroups
+    are equal when their parents and element sets are; the generators take
+    no part in ``==`` or ``hash``.
+    """
 
     parent: FiniteGroup
     elements: tuple[int, ...]
+    generators: tuple[int, ...] = field(default=None, compare=False)
 
     def __post_init__(self):
         elems = self.elements
+        if not isinstance(elems, tuple):
+            raise ValidationError(f"subgroup elements must be a tuple, got {elems!r}")
+        n = self.parent.order
+        for e in elems:
+            if not _is_index(e):
+                raise ValidationError(f"subgroup element {e!r} is not an integer")
+            if not 0 <= e < n:
+                raise ValidationError(f"subgroup element {e} is out of range 0..{n - 1}")
+        for a, b in zip(elems, elems[1:]):
+            if b <= a:
+                what = "repeated" if a == b else "out of order"
+                raise ValidationError(f"subgroup element {b} is {what}")
         if not elems or elems[0] != 0:
             raise ValidationError("subgroup must contain the identity (index 0)")
         eset = set(elems)
-        mul, inv = self.parent.mul, self.parent.inv
-        for a in elems:
-            if inv[a] not in eset:
-                raise ValidationError(f"subgroup not closed under inverse at {a}")
-            for b in elems:
-                if mul[a][b] not in eset:
+        gens = self.generators
+        if gens is not None:
+            gens = tuple(gens)
+            for s in gens:
+                if not _is_index(s) or s not in eset:
                     raise ValidationError(
-                        f"subgroup not closed under product at ({a}, {b})"
+                        f"generator {s!r} is not an element of the subgroup"
                     )
+        object.__setattr__(self, "generators", _span(self.parent.mul, eset, gens))
 
     @property
     def order(self) -> int:
@@ -269,8 +349,9 @@ class Subgroup:
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Re-index as a standalone group; returns (group, parent indices).
 
-        Cached on the parent so repeated stabilizer lookups share class
-        tables and conjugation data.
+        The group records the re-indexed generators, so G-sets over it are
+        stored with one column per generator.  Cached on the parent so
+        repeated stabilizer lookups share class tables and conjugation data.
         """
         elems = self.elements
         cached = self.parent._sub_groups.get(elems)
@@ -280,63 +361,121 @@ class Subgroup:
         mul = tuple(
             tuple(pos[self.parent.mul[a][b]] for b in elems) for a in elems
         )
-        small = FiniteGroup(mul, _validated=True)
+        small = FiniteGroup(
+            mul, generators=[pos[s] for s in self.generators], _validated=True
+        )
         self.parent._sub_groups[elems] = small
         return small, elems
 
 
 def subgroup(parent: FiniteGroup, elements) -> Subgroup:
-    return Subgroup(parent, tuple(sorted(set(elements))))
+    """The subgroup with these elements, in any order, with greedy generators."""
+    elements = tuple(elements)
+    try:
+        elements = tuple(sorted(elements))
+    except TypeError:
+        pass  # Subgroup names the element that is not an integer
+    return Subgroup(parent, elements)
 
 
-def generated_subgroup(parent: FiniteGroup, gens) -> Subgroup:
-    elems = {0}
-    queue = [0]
-    mul = parent.mul
-    while queue:
-        a = queue.pop()
-        for g in gens:
-            b = mul[a][g]
-            if b not in elems:
-                elems.add(b)
-                queue.append(b)
-    return Subgroup(parent, tuple(sorted(elems)))
+def _zuppos(group: FiniteGroup) -> tuple[list[int], dict[int, int]]:
+    """Cyclic subgroups of prime-power order > 1 ("zuppos").
+
+    Returns the least generator of each, and for every element of
+    prime-power order the position of the zuppo it generates.
+    """
+    mul = group.mul
+    gens, position, zuppo_of = [], {}, {}
+    for g in range(1, group.order):
+        powers = [g]
+        while powers[-1] != 0:
+            powers.append(mul[powers[-1]][g])
+        k = len(powers)
+        p = next(d for d in range(2, k + 1) if k % d == 0)
+        while k % p == 0:
+            k //= p
+        if k == 1:
+            cyclic = frozenset(powers)
+            if cyclic not in position:
+                position[cyclic] = len(gens)
+                gens.append(g)
+            zuppo_of[g] = position[cyclic]
+    return gens, zuppo_of
+
+
+def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
+    """Conjugacy classes of subgroups by cyclic extension (Neubüser 1960).
+
+    Every subgroup is generated by its zuppos, and dropping one zuppo from
+    a shortest such generating list leaves a proper subgroup.  So, starting
+    from the trivial group, every class is reached by extending each class
+    representative K by the zuppos not in K.  Zuppos conjugate under the
+    normalizer of K give conjugate extensions, so one per normalizer orbit
+    is enough.  A new closure's whole class is enumerated once, as its orbit
+    under conjugation by the parent's generators.  Each class is a dict
+    from a member's sorted elements to generators of that member (the
+    extended ones, conjugated along the orbit).
+    """
+    mul, conj = parent.mul, parent.conj_table()
+    moves = parent.spanning_tree()[0]
+    zuppos, zuppo_of = _zuppos(parent)
+    classes = [{(0,): ()}]
+    known = {(0,)}
+    for cls in classes:  # grows while it is walked
+        rep = min(cls)
+        in_rep = set(rep)
+        normalizer = [g for g in range(parent.order)
+                      if all(conj[g][k] in in_rep for k in cls[rep])]
+        done = set()
+        for z in zuppos:
+            if z in in_rep or zuppo_of[z] in done:
+                continue
+            done.update(zuppo_of[conj[g][z]] for g in normalizer)
+            reached, seen, gens = list(rep), set(in_rep), list(cls[rep])
+            _close(mul, reached, seen, gens, z)
+            elems = tuple(sorted(reached))
+            if elems in known:
+                continue
+            orbit = {elems: tuple(gens)}
+            queue = [elems]
+            for h in queue:
+                for s in moves:
+                    row = conj[s]
+                    image = tuple(sorted(row[x] for x in h))
+                    if image not in orbit:
+                        orbit[image] = tuple(row[x] for x in orbit[h])
+                        queue.append(image)
+            known.update(orbit)
+            classes.append(orbit)
+    return classes
 
 
 def all_subgroups(parent: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, found by closing known subgroups with one new element.
+    """Every subgroup, sorted by (order, elements).
 
-    Exponential in the worst case but instant at this package's scale.
-    Returned sorted by (order, elements) for reproducibility.
+    The union of the conjugacy classes found by cyclic extension (see
+    `subgroup_conjugacy_reps`); each subgroup carries the generators it was
+    found with, and is validated on them.
     """
-    seen = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        fresh = []
-        for elems in frontier:
-            eset = set(elems)
-            for g in range(1, parent.order):
-                if g in eset:
-                    continue
-                bigger = generated_subgroup(parent, list(elems) + [g]).elements
-                if bigger not in seen:
-                    seen.add(bigger)
-                    fresh.append(bigger)
-        frontier = fresh
-    return [Subgroup(parent, e) for e in sorted(seen, key=lambda e: (len(e), e))]
+    members = [m for cls in _subgroup_classes(parent) for m in cls.items()]
+    members.sort(key=lambda m: (len(m[0]), m[0]))
+    return [Subgroup(parent, elems, gens) for elems, gens in members]
 
 
 def subgroup_conjugacy_reps(parent: FiniteGroup) -> list[Subgroup]:
-    """One subgroup per conjugacy class of subgroups."""
-    reps = []
-    seen = set()
-    for sub in all_subgroups(parent):
-        if sub.elements in seen:
-            continue
-        reps.append(sub)
-        for g in range(parent.order):
-            seen.add(tuple(sorted(parent.conj(g, h) for h in sub.elements)))
-    return reps
+    """One subgroup per conjugacy class of subgroups, sorted by (order, elements).
+
+    Found by Neubüser's cyclic extension method (as in GAP's
+    ``LatticeByCyclicExtension``): from the trivial group, each class
+    representative is extended by the cyclic subgroups of prime-power order
+    outside it, one per orbit of its normalizer, and each new class is
+    enumerated once by conjugation.  The representative of a class is its
+    least member in (order, elements) order and carries the conjugated
+    generators; no pass over all subgroups is made.
+    """
+    reps = [min(cls.items()) for cls in _subgroup_classes(parent)]
+    reps.sort(key=lambda m: (len(m[0]), m[0]))
+    return [Subgroup(parent, elems, gens) for elems, gens in reps]
 
 
 # -- conjugacy structure ----------------------------------------------------
@@ -484,7 +623,8 @@ def _commuting_recursive(group, elems, m, memo):
     while remaining:
         h = min(remaining)
         orbit = {mul[mul[g][h]][inv[g]] for g in elems}
-        assert orbit <= eset
+        if not orbit <= eset:
+            raise ConsistencyError(f"class of {h} leaves a centralizer it was taken in")
         remaining -= orbit
         cent = tuple(
             g for g in elems if mul[g][h] == mul[h][g]

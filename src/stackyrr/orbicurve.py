@@ -128,7 +128,8 @@ def multiplicity(divisor: FracDivisor, label: str) -> int:
     if r == 1:
         raise ValidationError(f"{label!r} is not a stacky point")
     scaled = divisor.coefficient(label) * r
-    assert scaled.denominator == 1
+    if scaled.denominator != 1:
+        raise ConsistencyError(f"coefficient at {label!r} is not a multiple of 1/{r}")
     return scaled.numerator % r
 
 
@@ -151,12 +152,8 @@ def euler_char_rr(divisor: FracDivisor) -> int:
 
 def coarse_rr_oracle(divisor: FracDivisor) -> int:
     """Classical Riemann-Roch for floor(D) on the coarse curve."""
-    floor_deg = sum(
-        (Fraction(c.numerator // c.denominator) for _, c in divisor.support),
-        Fraction(0),
-    )
-    assert floor_deg.denominator == 1
-    return floor_deg.numerator + 1 - divisor.curve.genus
+    floor_deg = sum(c.numerator // c.denominator for _, c in divisor.support)
+    return floor_deg + 1 - divisor.curve.genus
 
 
 def canonical_divisor(curve: OrbifoldCurve, anchor: str = ANCHOR_LABEL) -> FracDivisor:

@@ -1,6 +1,12 @@
 """Group kernel: construction, conjugacy, centralizers, commuting tuples."""
 
+import math
+import re
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackyrr import limits
 from stackyrr.errors import ResourceLimitError, ValidationError
@@ -18,6 +24,7 @@ from stackyrr.grouptheory import (
     subgroup_conjugacy_reps,
     trivial_group,
 )
+from stackyrr.groupoidstack import coset_gset, natural_gset
 from stackyrr.smallgroups import (
     abelian,
     alternating,
@@ -214,3 +221,174 @@ def test_all_subgroups_orders_divide():
         assert a4.order % sub.order == 0
     # A4 famously has no subgroup of order 6
     assert 6 not in {s.order for s in all_subgroups(a4)}
+
+
+# -- the subgroup lattice against the closure-of-everything route -----------
+
+
+def _closure(g, gens):
+    elems, queue = {0}, [0]
+    while queue:
+        a = queue.pop()
+        for s in gens:
+            b = g.mul[a][s]
+            if b not in elems:
+                elems.add(b)
+                queue.append(b)
+    return tuple(sorted(elems))
+
+
+def _reference_subgroups(g):
+    """Every subgroup, closing each known one with each element outside it."""
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        fresh = []
+        for elems in frontier:
+            for x in range(1, g.order):
+                if x not in elems:
+                    bigger = _closure(g, elems + (x,))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        fresh.append(bigger)
+        frontier = fresh
+    return sorted(seen, key=lambda e: (len(e), e))
+
+
+def _reference_reps(g, subs):
+    """The first subgroup of each class, walking ``subs`` in order."""
+    reps, seen = [], set()
+    for elems in subs:
+        if elems not in seen:
+            reps.append(elems)
+            seen.update(_conjugates(g, elems))
+    return reps
+
+
+def _conjugates(g, elems):
+    return {tuple(sorted(g.conj(x, h) for h in elems)) for x in range(g.order)}
+
+
+def _closed_under_products(g, elems):
+    """The O(|H|^2) subgroup test: identity first, inverses and products inside."""
+    eset = set(elems)
+    return bool(elems) and elems[0] == 0 and all(
+        g.inv[a] in eset and all(g.mul[a][b] in eset for b in elems) for a in elems
+    )
+
+
+def _lattice_groups():
+    return list(group_catalog()) + [("A5", alternating(5)), ("S5", symmetric(5))]
+
+
+def test_subgroup_lattice_matches_the_closure_of_everything_route():
+    for name, g in _lattice_groups():
+        subs = _reference_subgroups(g)
+        assert [h.elements for h in all_subgroups(g)] == subs, name
+        reps = subgroup_conjugacy_reps(g)
+        assert [h.elements for h in reps] == _reference_reps(g, subs), name
+
+
+def test_each_class_representative_is_the_least_member_of_its_class():
+    for name, g in _lattice_groups():
+        for rep in subgroup_conjugacy_reps(g):
+            assert rep.elements == min(_conjugates(g, rep.elements)), name
+
+
+def test_s6_subgroup_counts_match_the_published_ones():
+    # OEIS A005432 (subgroups of S_n) and A000638 (their conjugacy classes)
+    s6 = symmetric(6)
+    assert len(all_subgroups(s6)) == 1455
+    assert len(subgroup_conjugacy_reps(s6)) == 56
+
+
+def test_lattice_subgroups_carry_generators_that_close_to_them():
+    for name, g in _lattice_groups():
+        for h in all_subgroups(g):
+            assert _closure(g, h.generators) == h.elements, name
+            assert 2 ** len(h.generators) <= h.order
+
+
+# -- subgroup validation ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "elements, bad",
+    [([0, 999], "999"), ([0, -1], "-1"), ([0, "x"], "'x'"), ([0, 1.0], "1.0"),
+     ([0, True], "True"), ([0, 1, 1], "1 is repeated")],
+)
+def test_subgroup_names_a_malformed_element(elements, bad):
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        subgroup(symmetric(3), elements)
+
+
+def test_subgroup_checks_its_generators():
+    s3 = symmetric(3)
+    transposition = next(g for g in range(6) if s3.element_order(g) == 2)
+    three_cycle = next(g for g in range(6) if s3.element_order(g) == 3)
+    pair = (0, transposition)
+    assert Subgroup(s3, pair, [transposition]).generators == (transposition,)
+    with pytest.raises(ValidationError, match=f"generator {three_cycle} is not an element"):
+        Subgroup(s3, pair, (three_cycle,))
+    with pytest.raises(ValidationError, match="do not generate"):
+        Subgroup(s3, tuple(range(6)), (transposition,))
+    with pytest.raises(ValidationError, match="out of order"):
+        Subgroup(s3, (0, 2, 1))
+    with pytest.raises(ValidationError, match="tuple"):
+        Subgroup(s3, [0])
+    # equality and hashing ignore the generators
+    assert Subgroup(s3, tuple(range(6)), (1, 2)) == subgroup(s3, range(6))
+    assert len({Subgroup(s3, tuple(range(6)), (1, 2)), subgroup(s3, range(6))}) == 1
+
+
+@lru_cache(maxsize=None)
+def _catalog():
+    return group_catalog()
+
+
+@lru_cache(maxsize=None)
+def _catalog_subgroups(name):
+    return tuple(h.elements for h in all_subgroups(dict(_catalog())[name]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_subgroup_accepts_exactly_the_closed_subsets(data):
+    name, g = data.draw(st.sampled_from(_catalog()))
+    index = st.integers(0, g.order - 1)
+    kind = data.draw(st.sampled_from(["subset", "subgroup", "near"]))
+    if kind == "subset":
+        elems = data.draw(st.sets(index))
+    else:
+        elems = set(data.draw(st.sampled_from(_catalog_subgroups(name))))
+        if kind == "near":
+            elems ^= data.draw(st.sets(index, min_size=1, max_size=2))
+    elems = tuple(sorted(elems))
+    gens = data.draw(st.none() | st.lists(st.sampled_from(elems or (0,)), max_size=3))
+    closed = _closed_under_products(g, elems)
+    expected = closed and (gens is None or _closure(g, gens) == elems)
+    try:
+        Subgroup(g, elems, gens)
+    except ValidationError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == expected, (name, elems, gens)
+
+
+# -- generating sets --------------------------------------------------------
+
+
+def test_spanning_trees_of_bare_tables_and_stabilizers_are_logarithmic():
+    for name, g in list(group_catalog()) + [("S4", symmetric(4)), ("A5", alternating(5))]:
+        bare = group_from_table(g.mul)
+        assert len(bare.spanning_tree()[0]) <= math.log2(g.order), name
+        actions = [coset_gset(g, h) for h in subgroup_conjugacy_reps(g)]
+        if g.perms is not None:
+            actions.append(natural_gset(g))
+        for x in actions:
+            for p in range(x.size):
+                stab, _ = x.stabilizer(p).as_group()
+                gens = stab.spanning_tree()[0]
+                assert len(gens) <= math.log2(stab.order), name
+                assert stab.order == 1 or gens == stab.generators, name
