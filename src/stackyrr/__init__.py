@@ -10,7 +10,6 @@ headline formula double-checked against an independent brute-force route.
 from .cyclonum import (
     CyclotomicNumber,
     Rational,
-    arith,
     canonicalize,
     cyclotomic_polynomial,
     euler_phi,
@@ -21,7 +20,7 @@ from .cyclonum import (
     stacky_todd_sum,
 )
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .exactlinalg import exact_rank, is_invertible
+from .exactlinalg import exact_rank
 from .grouptheory import (
     ConjClassTable,
     FiniteGroup,

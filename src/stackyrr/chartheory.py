@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclonum import ONE, ZERO, CyclotomicNumber
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, agree
 from .exactlinalg import exact_rank
 from .groupoidstack import FiniteGSet, InertiaSet, inertia, orbits
 from .grouptheory import (
@@ -524,8 +524,4 @@ def pushforward_to_point(bundle: VirtualEqBundle) -> CyclotomicNumber:
         total = total + phi.values[dec.orbit_of[i]]
     inertia_side = total * Fraction(1, bundle.base.group.order)
 
-    if source != inertia_side:
-        raise ConsistencyError(
-            f"pushforward mismatch: source {source!r} vs inertia {inertia_side!r}"
-        )
-    return source
+    return agree("pushforward to a point, source and inertia sides", source, inertia_side)

@@ -1,6 +1,8 @@
 """Batch front-end: JSON in, deterministic reports out.
 
-Commands
+Commands, each declared once as a row of `_COMMANDS` (help text, inputs,
+implementation) from which the parser, the job spec and the input check in
+`run` are derived:
     classes    conjugacy table of a group
     inertia    fixed-point pairs and their orbits
     euler      chi_top / chi_orb / chi_phy, the series, and the ladder
@@ -12,9 +14,10 @@ Commands
 
 Every value in a report is an exact integer, rational or cyclotomic number;
 repeated runs on identical inputs produce byte-identical output.  With
---oracle each computed quantity is accompanied by its independent
-cross-check and any disagreement exits with status 4.  Validation problems
-exit 2, resource caps 3.
+--oracle each command recomputes its quantities by an independent route
+(listed in the README), compares the routes with `errors.agree` and records
+the evidence; any disagreement exits with status 4.  Validation problems, a
+missing input included, exit 2, resource caps 3.
 
 Environment: STACKYRR_CONDUCTOR_CAP and STACKYRR_TUPLE_CAP replace the
 conductor and tuples fields of the `limits.Limits` in force for the run.
@@ -26,11 +29,12 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import limits
 from .chartheory import devissage_summary
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError, agree
 from .eulerlab import (
     _strata_parts,
     euler_determinant,
@@ -39,7 +43,7 @@ from .eulerlab import (
     weighted_chi,
 )
 from .groupoidstack import flattening_bijection, inertia, iterated_inertia, orbits
-from .grouptheory import conjugacy_classes
+from .grouptheory import conjugacy_classes, count_commuting_tuples
 from .orbicurve import (
     canonical_divisor,
     chi_orb_curve,
@@ -98,6 +102,9 @@ def _load_spec(arg: str):
 
 
 # -- command implementations -------------------------------------------------
+#
+# Each oracle block compares its routes with `agree`, which raises (exit 4)
+# on any disagreement, so the evidence it records is what both routes gave.
 
 
 def _cmd_classes(spec: JobSpec) -> dict:
@@ -123,17 +130,13 @@ def _cmd_classes(spec: JobSpec) -> dict:
         ],
     }
     if spec.oracle:
-        balanced = all(
-            s * z == group.order
-            for s, z in zip(table.class_sizes, table.centralizer_orders)
-        )
-        covers = sum(table.class_sizes) == group.order
+        agree("group order, by class sizes and by each size x centralizer order",
+              group.order, sum(table.class_sizes),
+              *(s * z for s, z in zip(table.class_sizes, table.centralizer_orders)))
         result["oracle"] = {
-            "class_size_times_centralizer_is_order": balanced,
-            "classes_partition_group": covers,
+            "class_size_times_centralizer_is_order": True,
+            "classes_partition_group": True,
         }
-        if not (balanced and covers):
-            raise ConsistencyError("conjugacy bookkeeping failed")
     return result
 
 
@@ -155,18 +158,18 @@ def _cmd_inertia(spec: JobSpec) -> dict:
             sum(1 for x in range(gset.size) if gset.act[x][h] == x)
             for h in range(gset.group.order)
         )
-        by_classes = 0
-        base_dec = orbits(gset)
-        for rep in base_dec.representatives:
-            sg, _ = gset.stabilizer(rep).as_group()
-            by_classes += conjugacy_classes(sg).count
+        by_classes = sum(
+            conjugacy_classes(gset.stabilizer(rep).as_group()[0]).count
+            for rep in orbits(gset).representatives
+        )
+        agree("inertia points, by stabilizers and by fixed sets",
+              iner.size, by_points, by_elements)
+        agree("inertia orbits, by stabilizer classes", dec.count, by_classes)
         result["oracle"] = {
             "points_by_stabilizers": by_points,
             "points_by_fixed_sets": by_elements,
             "orbits_by_stabilizer_classes": by_classes,
         }
-        if by_points != iner.size or by_elements != iner.size or by_classes != dec.count:
-            raise ConsistencyError("inertia counting cross-checks disagree")
     return result
 
 
@@ -186,15 +189,12 @@ def _cmd_euler(spec: JobSpec) -> dict:
         for m in range(1, min(spec.m_max, 3) + 1):
             direct = iterated_inertia(gset, m)
             chain = inertia(chain)
+            agree(f"points of I^{m}, direct and by repeated inertia", direct.size, chain.size)
+            agree(f"orbits of I^{m}, direct and by repeated inertia",
+                  orbits(direct).count, orbits(chain).count)
             bij = flattening_bijection(inertia(iterated_inertia(gset, m - 1)), direct)
-            agree = (
-                chain.size == direct.size
-                and orbits(chain).count == orbits(direct).count
-                and bij.is_bijective()
-            )
-            rebuilt.append({"m": m, "points": direct.size, "agrees": agree})
-            if not agree:
-                raise ConsistencyError(f"iterated inertia mismatch at depth {m}")
+            agree(f"flattening of I(I^{m - 1}) onto I^{m} is bijective", True, bij.is_bijective())
+            rebuilt.append({"m": m, "points": direct.size, "agrees": True})
         result["oracle"] = {"repeated_inertia": rebuilt}
     return result
 
@@ -204,8 +204,17 @@ def _cmd_series(spec: JobSpec) -> dict:
     series = euler_series(gset, spec.m_max)
     result = {"series": series, "m_max": spec.m_max}
     if spec.oracle:
-        # chi_m already runs enumeration and recursion; surface the counts
+        # a third route beside chi_m's walk and recursion: per orbit,
+        # |orbit| times a brute-force count over the stabilizer (Limits.tuples)
         counts = [int(v * gset.group.order) for v in series]
+        dec = orbits(gset)
+        stabs = [gset.stabilizer(rep).as_group()[0] for rep in dec.representatives]
+        brute = [
+            sum(len(orbit) * count_commuting_tuples(stab, m, "brute")
+                for orbit, stab in zip(dec.orbits, stabs))
+            for m in range(spec.m_max + 1)
+        ]
+        agree("commuting tuple counts, by the series and by brute force", counts, brute)
         result["oracle"] = {"tuple_counts": counts, "group_order": gset.group.order}
     return result
 
@@ -225,16 +234,13 @@ def _cmd_rr(spec: JobSpec) -> dict:
     }
     if spec.oracle:
         oracle = coarse_rr_oracle(divisor)
-        duality = serre_duality_check(divisor)
+        agree("chi(D), stacky and coarse round-down", chi, oracle)
+        agree("Serre duality chi(D) = -chi(K - D)", True, serre_duality_check(divisor))
         result["oracle"] = {
             "coarse_round_down": oracle,
-            "agrees": oracle == chi,
-            "serre_duality": duality,
+            "agrees": True,
+            "serre_duality": True,
         }
-        if oracle != chi or not duality:
-            raise ConsistencyError(
-                f"Riemann-Roch oracle disagreement: chi={chi}, oracle={oracle}"
-            )
     return result
 
 
@@ -249,13 +255,18 @@ def _cmd_devissage(spec: JobSpec) -> dict:
         "ok": summary["invertible"],
         "matrix": summary["matrix"],
     }
-    if spec.oracle and not summary["invertible"]:
-        raise ConsistencyError("trace-map matrix is not invertible")
+    if spec.oracle:
+        _agree_full_rank(summary)
     return result
 
 
+def _agree_full_rank(summary: dict) -> None:
+    agree("trace-map rank, inertia orbits and source dimension",
+          summary["rank"], summary["inertia_orbits"], summary["source_dim"])
+
+
 def _cmd_weighted(spec: JobSpec) -> dict:
-    if "curve" in spec.inputs and spec.inputs["curve"] is not None:
+    if spec.inputs.get("curve") is not None:
         curve = curve_from_json(spec.inputs["curve"])
         strata = curve_strata_from_json(spec.inputs["weights"], curve)
         refined = strata.refine("@refined")
@@ -272,10 +283,8 @@ def _cmd_weighted(spec: JobSpec) -> dict:
             result["determinant_value"] = det.value()
     if spec.oracle:
         refined_chi = weighted_chi(refined, spec.variant)
-        agree = refined_chi == chi
-        result["oracle"] = {"refined_chi": refined_chi, "agrees": agree}
-        if not agree:
-            raise ConsistencyError("weighted chi changed under refinement")
+        agree("weighted chi, before and after refinement", chi, refined_chi)
+        result["oracle"] = {"refined_chi": refined_chi, "agrees": True}
     return result
 
 
@@ -286,6 +295,8 @@ def _cmd_report(spec: JobSpec) -> dict:
         table = conjugacy_classes(gset.group)
         rep = euler_report(gset, spec.m_max)
         summary = devissage_summary(gset)
+        if spec.oracle:
+            _agree_full_rank(summary)
         iner = inertia(gset)
         result["gset"] = {
             "group_order": gset.group.order,
@@ -322,33 +333,86 @@ def _cmd_report(spec: JobSpec) -> dict:
         }
         if spec.inputs.get("divisor") is not None:
             divisor = divisor_from_json(spec.inputs["divisor"], curve)
-            part["divisor"] = {
-                "degree": degree(divisor),
-                "chi": euler_char_rr(divisor),
-                "coarse_oracle": coarse_rr_oracle(divisor),
-            }
+            chi, coarse = euler_char_rr(divisor), coarse_rr_oracle(divisor)
+            if spec.oracle:
+                agree("chi(D), stacky and coarse round-down", chi, coarse)
+            part["divisor"] = {"degree": degree(divisor), "chi": chi, "coarse_oracle": coarse}
         result["curve"] = part
-    if not result:
-        raise ValidationError("report needs --gset and/or --curve")
     return result
 
 
-_COMMANDS = {
-    "classes": _cmd_classes,
-    "inertia": _cmd_inertia,
-    "euler": _cmd_euler,
-    "series": _cmd_series,
-    "rr": _cmd_rr,
-    "devissage": _cmd_devissage,
-    "weighted": _cmd_weighted,
-    "report": _cmd_report,
+# -- the command table -------------------------------------------------------
+
+REQUIRED, OPTIONAL, ANY = "required", "optional", "any"
+
+# Every input kind, in --help order, with its help text.
+_INPUT_HELP = {
+    "group": "group JSON file or preset",
+    "gset": "action JSON file or preset",
+    "curve": "curve JSON file or preset",
+    "divisor": "divisor JSON file or preset",
+    "weights": "weights JSON file or preset",
 }
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its inputs and its implementation.
+
+    ``inputs`` maps each input kind the command reads to REQUIRED, OPTIONAL
+    or ANY; at least one of the ANY kinds must be given.  The parser, the
+    job spec and the input check in `run` are all derived from this row.
+    """
+
+    help: str
+    inputs: dict
+    impl: Callable[[JobSpec], dict]
+    depth: bool = False  # takes --max-m
+    variant: bool = False  # takes --variant
+
+
+_COMMANDS = {
+    "classes": Command("conjugacy classes", {"group": REQUIRED}, _cmd_classes),
+    "inertia": Command("fixed-point pairs", {"gset": REQUIRED}, _cmd_inertia),
+    "euler": Command("Euler characteristics and ladder", {"gset": REQUIRED}, _cmd_euler,
+                     depth=True),
+    "series": Command("generating series only", {"gset": REQUIRED}, _cmd_series, depth=True),
+    "rr": Command("Riemann-Roch on an orbifold curve",
+                  {"curve": REQUIRED, "divisor": REQUIRED}, _cmd_rr),
+    "devissage": Command("trace-map matrix and rank", {"gset": REQUIRED}, _cmd_devissage),
+    "weighted": Command("weighted chi and determinant",
+                        {"gset": ANY, "curve": ANY, "weights": REQUIRED}, _cmd_weighted,
+                        variant=True),
+    "report": Command("combined document",
+                      {"gset": ANY, "curve": ANY, "divisor": OPTIONAL}, _cmd_report,
+                      depth=True),
+}
+
+
+def _check_inputs(spec: JobSpec) -> Command:
+    """The command's row, once the spec gives exactly the inputs it declares."""
+    command = _COMMANDS.get(spec.command)
+    if command is None:
+        raise ValidationError(f"unknown command {spec.command!r}; one of {', '.join(_COMMANDS)}")
+    given = {kind for kind, value in spec.inputs.items() if value is not None}
+    extra = sorted(given - command.inputs.keys())
+    if extra:
+        raise ValidationError(f"{spec.command} takes no --{extra[0]}")
+    for kind, need in command.inputs.items():
+        if need == REQUIRED and kind not in given:
+            raise ValidationError(f"{spec.command} needs --{kind}")
+    any_of = [kind for kind, need in command.inputs.items() if need == ANY]
+    if any_of and not given.intersection(any_of):
+        raise ValidationError(
+            f"{spec.command} needs " + " and/or ".join(f"--{kind}" for kind in any_of)
+        )
+    return command
 
 
 def run(spec: JobSpec) -> tuple[int, str]:
     """Execute a job; returns (exit status, rendered report)."""
     try:
-        payload = _COMMANDS[spec.command](spec)
+        payload = _check_inputs(spec).impl(spec)
     except ConsistencyError as exc:
         return EXIT_ORACLE, _render_error(spec, "oracle-disagreement", str(exc))
     except ResourceLimitError as exc:
@@ -436,54 +500,30 @@ def build_parser() -> argparse.ArgumentParser:
         " for finite quotient stacks and orbifold curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, gset=False, group=False, curve=False, divisor=False,
-               weights=False, m=False, variant=False):
-        if group:
-            p.add_argument("--group", required=True, help="group JSON file or preset")
-        if gset:
-            p.add_argument("--gset", required=gset == "required",
-                           help="action JSON file or preset")
-        if curve:
-            p.add_argument("--curve", required=curve == "required",
-                           help="curve JSON file or preset")
-        if divisor:
-            p.add_argument("--divisor", required=divisor == "required",
-                           help="divisor JSON file or preset")
-        if weights:
-            p.add_argument("--weights", required=True, help="weights JSON file or preset")
-        if m:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for kind, text in _INPUT_HELP.items():
+            if kind in command.inputs:
+                p.add_argument(f"--{kind}", required=command.inputs[kind] == REQUIRED,
+                               help=text)
+        if command.depth:
             p.add_argument("--max-m", type=int, default=3, dest="max_m",
                            help="series depth (default 3)")
-        if variant:
+        if command.variant:
             p.add_argument("--variant", choices=["top", "orb"], default="top")
         p.add_argument("--oracle", action="store_true",
                        help="run every independent cross-check and fail loudly")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
-
-    common(sub.add_parser("classes", help="conjugacy classes"), group=True)
-    common(sub.add_parser("inertia", help="fixed-point pairs"), gset="required")
-    common(sub.add_parser("euler", help="Euler characteristics and ladder"),
-           gset="required", m=True)
-    common(sub.add_parser("series", help="generating series only"),
-           gset="required", m=True)
-    common(sub.add_parser("rr", help="Riemann-Roch on an orbifold curve"),
-           curve="required", divisor="required")
-    common(sub.add_parser("devissage", help="trace-map matrix and rank"),
-           gset="required")
-    common(sub.add_parser("weighted", help="weighted chi and determinant"),
-           gset=True, curve=True, weights=True, variant=True)
-    common(sub.add_parser("report", help="combined document"),
-           gset=True, curve=True, divisor=True, m=True)
     return parser
 
 
 def jobspec_from_args(args) -> JobSpec:
     inputs = {}
-    for kind in ("group", "gset", "curve", "divisor", "weights"):
-        value = getattr(args, kind, None)
-        inputs[kind] = _load_spec(value) if value is not None else None
+    for kind in _COMMANDS[args.command].inputs:
+        value = getattr(args, kind)
+        if value is not None:
+            inputs[kind] = _load_spec(value)
     return JobSpec(
         command=args.command,
         inputs=inputs,
@@ -500,10 +540,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = jobspec_from_args(args)
-        if spec.command == "weighted" and not (
-            spec.inputs.get("curve") or spec.inputs.get("gset")
-        ):
-            raise ValidationError("weighted needs --curve or --gset")
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

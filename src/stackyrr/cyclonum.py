@@ -499,19 +499,6 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     return canonicalize(n, _power_table(n)[k % n])
 
 
-def arith(a: CyclotomicNumber, b: CyclotomicNumber, op: str) -> CyclotomicNumber:
-    """Field arithmetic by operation name ('add', 'sub', 'mul', 'div')."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValidationError(f"unknown operation {op!r}")
-
-
 def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple:
     """Coefficients of a rewritten in the power basis of Q(zeta_n).
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, agree
 from .groupoidstack import FiniteGSet, inertia, iterated_inertia, orbit_count, orbits
 from .grouptheory import commuting_prefixes, count_commuting_tuples
 from .orbicurve import OrbifoldCurve
@@ -47,12 +47,8 @@ def chi_orb_gset(gset: FiniteGSet) -> Fraction:
     """Sum over orbits of 1/|stabilizer|; asserted equal to |X|/|G|."""
     dec = orbits(gset)
     total = sum((Fraction(1, s) for s in dec.stabilizer_orders), Fraction(0))
-    expected = Fraction(gset.size, gset.group.order)
-    if total != expected:
-        raise ConsistencyError(
-            f"orbit-stabilizer bookkeeping broken: {total} != {expected}"
-        )
-    return total
+    return agree("chi_orb, by orbits and as |X|/|G|", total,
+                 Fraction(gset.size, gset.group.order))
 
 
 def chi_phy_gset(gset: FiniteGSet) -> int:
@@ -90,11 +86,9 @@ def chi_m(gset: FiniteGSet, m: int) -> Fraction:
         n_m = count_commuting_tuples(stab_group, m, "recursive")
         recursive_count += len(dec.orbits[o]) * n_m
 
-    if direct_count != recursive_count:
-        raise ConsistencyError(
-            f"chi_{m} enumeration {direct_count} != recursion {recursive_count}"
-        )
-    return Fraction(direct_count, group.order)
+    count = agree(f"commuting {m}-tuples, by enumeration and by recursion",
+                  direct_count, recursive_count)
+    return Fraction(count, group.order)
 
 
 def euler_series(gset: FiniteGSet, m_max: int) -> list[Fraction]:
@@ -117,10 +111,7 @@ def ladder_check(gset: FiniteGSet, m: int) -> bool:
     phy = chi_phy_gset(level_m)
     top = chi_top_gset(level_m1)
     orb = chi_m(gset, m + 2)
-    if not (phy == top == orb):
-        raise ConsistencyError(
-            f"Euler ladder broken at m={m}: chi_phy={phy}, chi_top={top}, chi_orb={orb}"
-        )
+    agree(f"Euler ladder at m={m}: chi_phy, chi_top, chi_orb", phy, top, orb)
     return True
 
 

@@ -51,7 +51,3 @@ def exact_rank(rows) -> int:
     if not m or not m[0]:
         return 0
     return len(forward_eliminate(m, len(m[0])))
-
-
-def is_invertible(rows) -> bool:
-    return len(rows) > 0 and len(rows) == len(rows[0]) == exact_rank(rows)

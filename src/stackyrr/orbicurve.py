@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, agree
 
 ANCHOR_LABEL = "@coarse"
 
@@ -195,12 +195,7 @@ def chi_top_via_inertia(curve: OrbifoldCurve) -> int:
     total = chi_orb_curve(curve)
     for _, r in curve.stacky_points:
         total += Fraction(r - 1, r)
-    expected = 2 - 2 * curve.genus
-    if total != expected:
-        raise ConsistencyError(
-            f"inertia-side Euler number {total} != coarse {expected}"
-        )
-    return expected
+    return agree("coarse chi_top, directly and via inertia", 2 - 2 * curve.genus, total)
 
 
 def serre_duality_check(divisor: FracDivisor, anchor: str = ANCHOR_LABEL) -> bool:

@@ -77,13 +77,6 @@ def cyclo_to_json(v: CyclotomicNumber):
     return v.to_dict()
 
 
-def cyclo_from_json(value, where: str) -> CyclotomicNumber:
-    if isinstance(value, dict):
-        _require_keys(value, {"conductor", "coeffs"}, where)
-        return CyclotomicNumber.from_dict(value)
-    return CyclotomicNumber.from_rational(fraction_from_json(value, where))
-
-
 # -- domain object parsing ---------------------------------------------------
 
 
@@ -226,82 +219,6 @@ def gset_strata_from_json(data, gset: FiniteGSet) -> GSetStrata:
         raise ValidationError("gset weights need a 'points' list")
     parsed = [fraction_from_json(w, f"weights.points[{i}]") for i, w in enumerate(weights)]
     return GSetStrata.from_point_weights(gset, parsed)
-
-
-def bundle_from_json(data, gset: FiniteGSet | None = None):
-    """{"gset": ref, "orbit_characters": [{"orbit": i, "values_on_stab_classes": [...]}]}
-
-    The base may be embedded under "gset" or supplied by the caller; values
-    are integers, ["num", "den"] pairs or cyclotomic objects.  Orbits left
-    unlisted get the zero virtual character.
-    """
-    from .chartheory import ClassFunction, VirtualEqBundle
-    from .groupoidstack import orbits
-    from .grouptheory import conjugacy_classes
-
-    if not isinstance(data, dict):
-        raise ValidationError(f"bundle spec must be an object, got {data!r}")
-    _require_keys(data, {"gset", "orbit_characters"}, "bundle spec")
-    if gset is None:
-        if "gset" not in data:
-            raise ValidationError("bundle spec needs a 'gset' base")
-        gset = gset_from_json(data["gset"])
-    dec = orbits(gset)
-    entries = data.get("orbit_characters", [])
-    by_orbit = {}
-    for i, entry in enumerate(entries):
-        _require_keys(entry, {"orbit", "values_on_stab_classes"}, f"orbit_characters[{i}]")
-        if entry["orbit"] in by_orbit:
-            raise ValidationError(f"orbit {entry['orbit']} listed twice")
-        by_orbit[entry["orbit"]] = entry["values_on_stab_classes"]
-    chars = []
-    for o, rep in enumerate(dec.representatives):
-        stab_group, _ = gset.stabilizer(rep).as_group()
-        count = conjugacy_classes(stab_group).count
-        if o in by_orbit:
-            raw = by_orbit.pop(o)
-            if len(raw) != count:
-                raise ValidationError(
-                    f"orbit {o} needs {count} class values, got {len(raw)}"
-                )
-            vals = tuple(
-                cyclo_from_json(v, f"orbit {o} value {j}") for j, v in enumerate(raw)
-            )
-            chars.append(ClassFunction(stab_group, vals))
-        else:
-            from .cyclonum import ZERO
-
-            chars.append(ClassFunction(stab_group, (ZERO,) * count))
-    if by_orbit:
-        raise ValidationError(f"orbit indices {sorted(by_orbit)} out of range")
-    return VirtualEqBundle(gset, tuple(chars))
-
-
-def matrix_rep_from_json(data, group: FiniteGroup):
-    """{"generators": [matrix, ...]} with one matrix per recorded generator.
-
-    Entries are integers, ["num", "den"] pairs or cyclotomic objects; the
-    images are extended to the whole group and validated as a homomorphism.
-    """
-    from .chartheory import rep_from_generator_images
-
-    if not isinstance(data, dict):
-        raise ValidationError(f"matrix rep spec must be an object, got {data!r}")
-    _require_keys(data, {"generators"}, "matrix rep spec")
-    if group.generators is None:
-        raise ValidationError("matrix rep by generators needs a permutation-built group")
-    mats = data.get("generators", [])
-    if len(mats) != len(group.generators):
-        raise ValidationError(
-            f"expected {len(group.generators)} generator matrices, got {len(mats)}"
-        )
-    images = {}
-    for g, raw in zip(group.generators, mats):
-        images[g] = tuple(
-            tuple(cyclo_from_json(v, f"matrix for generator {g}") for v in row)
-            for row in raw
-        )
-    return rep_from_generator_images(group, images)
 
 
 # -- report encoding ---------------------------------------------------------

@@ -243,73 +243,3 @@ def order_profile(group: FiniteGroup) -> tuple:
         tuple(square_orders),
         group.is_abelian(),
     )
-
-
-def isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Brute-force isomorphism test, fine for orders <= 16 or so."""
-    if a.order != b.order:
-        return False
-    if order_profile(a) != order_profile(b):
-        return False
-    n = a.order
-    orders_b: dict[int, list[int]] = {}
-    for h in range(n):
-        orders_b.setdefault(b.element_order(h), []).append(h)
-
-    def closure(gen_list):
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for g in gen_list:
-                y = a.mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    gens: list[int] = []
-    closed = {0}
-    for g in range(1, n):
-        if g not in closed:
-            gens.append(g)
-            closed = closure(gens)
-            if len(closed) == n:
-                break
-
-    def extend(mapping, images):
-        # close the partial map under multiplication; None on conflict
-        table = dict(mapping)
-        frontier = list(table)
-        while frontier:
-            x = frontier.pop()
-            for g, img in zip(gens[: len(images)], images):
-                for y, hy in ((a.mul[x][g], b.mul[table[x]][img]),
-                              (a.mul[g][x], b.mul[img][table[x]])):
-                    if y in table:
-                        if table[y] != hy:
-                            return None
-                    else:
-                        table[y] = hy
-                        frontier.append(y)
-        return table
-
-    def search(images):
-        mapping = extend({0: 0}, images)
-        if mapping is None:
-            return False
-        if len(images) == len(gens):
-            if len(mapping) != n or len(set(mapping.values())) != n:
-                return False
-            return all(
-                mapping[a.mul[x][y]] == b.mul[mapping[x]][mapping[y]]
-                for x in range(n)
-                for y in range(n)
-            )
-        g = gens[len(images)]
-        for cand in orders_b[a.element_order(g)]:
-            if search(images + [cand]):
-                return True
-        return False
-
-    return search([])

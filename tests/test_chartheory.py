@@ -227,7 +227,7 @@ def _phi_matrix_in_basis(base, bundles):
 
 
 def test_devissage_matrix_in_character_basis():
-    from stackyrr.exactlinalg import exact_rank, is_invertible
+    from stackyrr.exactlinalg import exact_rank
 
     # on [pt/Z2] the basis {trivial, sign} gives the classical 2x2 matrix
     z2 = cyclic(2)
@@ -250,7 +250,7 @@ def test_devissage_matrix_in_character_basis():
         matrix = _phi_matrix_in_basis(
             base, [VirtualEqBundle(base, (c,)) for c in chars]
         )
-        assert is_invertible(matrix)
+        assert len(matrix) == len(matrix[0]) == exact_rank(matrix)
 
 
 def test_devissage_square_full_rank_grid():

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from stackyrr import limits
+from stackyrr import cli, limits
 from stackyrr.cli import (
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
     JobSpec,
@@ -270,3 +271,98 @@ def test_environment_cap_does_not_leak(capsys, monkeypatch):
     monkeypatch.delenv("STACKYRR_TUPLE_CAP")
     status, _, _ = run_cli(capsys, "series", "--gset", "pt-s3", "--max-m", "3")
     assert status == EXIT_OK
+
+
+@pytest.mark.parametrize("spec, fragment", [
+    (JobSpec("classes", {}), "classes needs --group"),
+    (JobSpec("rr", {"curve": "p23"}), "rr needs --divisor"),
+    (JobSpec("weighted", {"gset": "s3-natural"}), "weighted needs --weights"),
+    (JobSpec("weighted", {"weights": "p23-weights"}), "weighted needs --gset and/or --curve"),
+    (JobSpec("report", {"divisor": "zero"}), "report needs --gset and/or --curve"),
+    (JobSpec("inertia", {"gset": "s3-natural", "curve": "p23"}), "inertia takes no --curve"),
+    (JobSpec("nope"), "unknown command 'nope'"),
+], ids=["classes", "rr", "weighted-weights", "weighted-base", "report", "extra", "unknown"])
+def test_run_rejects_missing_or_undeclared_inputs(spec, fragment):
+    status, text = run(spec)
+    assert status == EXIT_VALIDATION
+    error = json.loads(text)["error"]
+    assert error["kind"] == "validation" and fragment in error["message"]
+
+
+def test_weighted_without_a_base_is_json_validation_error(capsys):
+    status, out, err = run_cli(capsys, "weighted", "--weights", "p23-weights")
+    assert status == EXIT_VALIDATION and err == ""
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation" and "--gset and/or --curve" in error["message"]
+
+
+# One run per command in the table; the parametrization below reads the
+# table, so a command added without an entry here fails with a KeyError.
+ORACLE_RUNS = {
+    "classes": ("--group", "S4"),
+    "inertia": ("--gset", "s3-mixed"),
+    "euler": ("--gset", "pt-s3", "--max-m", "2"),
+    "series": ("--gset", "s3-mixed", "--max-m", "3"),
+    "rr": ("--curve", "p23", "--divisor", "weight12"),
+    "devissage": ("--gset", "d4-vertices"),
+    "weighted": ("--curve", "p23", "--weights", "p23-weights"),
+    "report": ("--gset", "s3-natural", "--curve", "p237", "--divisor", "canonical"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_oracle_goes_through_agree(capsys, monkeypatch, command):
+    calls = []
+
+    def counting(quantity, fast, *independent):
+        calls.append(quantity)
+        return cli_agree(quantity, fast, *independent)
+
+    cli_agree = cli.agree
+    monkeypatch.setattr(cli, "agree", counting)
+    status, _, _ = run_cli(capsys, command, *ORACLE_RUNS[command])
+    assert status == EXIT_OK and calls == []
+    status, _, _ = run_cli(capsys, command, *ORACLE_RUNS[command], "--oracle")
+    assert status == EXIT_OK and calls
+
+    def disagreeing(quantity, fast, *independent):
+        return cli_agree(quantity, fast, *independent, "a wrong value")
+
+    monkeypatch.setattr(cli, "agree", disagreeing)
+    status, out, _ = run_cli(capsys, command, *ORACLE_RUNS[command], "--oracle")
+    assert status == EXIT_ORACLE
+    assert json.loads(out)["error"]["kind"] == "oracle-disagreement"
+
+
+def test_series_oracle_recounts_by_brute_force(capsys, monkeypatch):
+    count = cli.count_commuting_tuples
+    argv = ("series", "--gset", "s3-mixed", "--max-m", "3", "--oracle")
+    monkeypatch.setattr(cli, "count_commuting_tuples",
+                        lambda g, m, algorithm: count(g, m, algorithm) + (m == 2))
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_ORACLE
+    assert "commuting tuple counts" in json.loads(out)["error"]["message"]
+    monkeypatch.setattr(cli, "count_commuting_tuples", count)
+    with limits.using(tuples=30):  # S3 has 36 pairs: the brute count trips the cap
+        status, out, _ = run_cli(capsys, "series", "--gset", "pt-s3", "--max-m", "2",
+                                 "--oracle")
+    assert status == EXIT_RESOURCE
+    assert "6^2 tuples exceed Limits.tuples" in json.loads(out)["error"]["message"]
+
+
+def test_report_oracle_checks_the_divisor_and_the_trace_map(capsys, monkeypatch):
+    argv = ("report", "--gset", "s3-natural", "--curve", "p237", "--divisor", "zero",
+            "--oracle")
+    coarse = cli.coarse_rr_oracle
+    monkeypatch.setattr(cli, "coarse_rr_oracle", lambda d: coarse(d) + 1)
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_ORACLE
+    assert "chi(D)" in json.loads(out)["error"]["message"]
+    status, _, _ = run_cli(capsys, *argv[:-1])  # without --oracle nothing is compared
+    assert status == EXIT_OK
+    monkeypatch.setattr(cli, "coarse_rr_oracle", coarse)
+    summary = cli.devissage_summary
+    monkeypatch.setattr(cli, "devissage_summary", lambda g: {**summary(g), "rank": 0})
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_ORACLE
+    assert "trace-map rank" in json.loads(out)["error"]["message"]

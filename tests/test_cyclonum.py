@@ -15,7 +15,6 @@ from stackyrr.cyclonum import (
     _fold_even,
     _scale_to_int,
     _substitute,
-    arith,
     canonicalize,
     cyclotomic_polynomial,
     euler_phi,
@@ -153,16 +152,13 @@ def test_arith_examples():
     # (1 - z3)(2 + z3) = 2 + z3 - 2 z3 - z3^2 = 2 - z3 - (-1 - z3) = 3
     assert (1 - z3) * (2 + z3) == 3
     assert inv == (2 + z3) / 3
-    assert arith(ONE, 1 - z3, "div") == inv
-    with pytest.raises(ValidationError):
-        arith(ONE, ONE, "frobnicate")
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         1 / ZERO
     with pytest.raises(ZeroDivisionError):
-        arith(ONE, ZERO, "div")
+        ONE / ZERO
 
 
 def test_self_division_is_one():

@@ -32,6 +32,7 @@ from stackyrr.smallgroups import (
     dicyclic,
     dihedral,
     group_catalog,
+    order_profile,
     symmetric,
 )
 
@@ -93,6 +94,14 @@ def test_conjugacy_classes_examples():
     assert sorted(t.class_sizes) == [1, 2, 3]
     for n in (2, 3, 5, 8):
         assert conjugacy_classes(cyclic(n)).count == n
+
+
+def test_catalog_is_every_group_of_order_at_most_16_once():
+    catalog = group_catalog(16)
+    counts = [sum(1 for _, g in catalog if g.order == n) for n in range(1, 17)]
+    assert counts == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14]  # OEIS A000001
+    # entries with distinct isomorphism invariants are pairwise non-isomorphic
+    assert len({order_profile(g) for _, g in catalog}) == len(catalog) == 42
 
 
 def _groups_up_to_24():

@@ -10,10 +10,8 @@ from stackyrr.eulerlab import FormalProduct
 from stackyrr.groupoidstack import natural_gset
 from stackyrr.orbicurve import degree
 from stackyrr.serialize import (
-    bundle_from_json,
     curve_from_json,
     curve_strata_from_json,
-    cyclo_from_json,
     cyclo_to_json,
     divisor_from_json,
     encode_value,
@@ -38,7 +36,7 @@ def test_fraction_round_trip():
 
 def test_cyclo_round_trip():
     z = root_of_unity(12, 5) + 3
-    assert cyclo_from_json(cyclo_to_json(z), "t") == z
+    assert CyclotomicNumber.from_dict(cyclo_to_json(z)) == z
     assert cyclo_to_json(CyclotomicNumber.from_rational(4)) == 4
 
 
@@ -100,56 +98,6 @@ def test_strata_parsing():
     assert strata.open_weight == 5
     with pytest.raises(ValidationError):
         curve_strata_from_json({"open": 1, "points": {"p2": 1}}, curve)
-
-
-def test_bundle_parsing():
-    nat = gset_from_json("s3-natural")
-    bundle = bundle_from_json(
-        {"orbit_characters": [{"orbit": 0, "values_on_stab_classes": [1, -1]}]}, nat
-    )
-    assert len(bundle.orbit_characters) == 1
-    with pytest.raises(ValidationError, match="out of range"):
-        bundle_from_json(
-            {"orbit_characters": [{"orbit": 5, "values_on_stab_classes": [1, 1]}]}, nat
-        )
-    with pytest.raises(ValidationError, match="class values"):
-        bundle_from_json(
-            {"orbit_characters": [{"orbit": 0, "values_on_stab_classes": [1]}]}, nat
-        )
-
-
-def test_bundle_with_embedded_base():
-    from stackyrr.chartheory import pushforward_to_point
-    from stackyrr.serialize import bundle_from_json as parse
-
-    bundle = parse(
-        {
-            "gset": "pt-z2",
-            "orbit_characters": [{"orbit": 0, "values_on_stab_classes": [1, -1]}],
-        }
-    )
-    assert pushforward_to_point(bundle) == 0
-    with pytest.raises(ValidationError, match="'gset'"):
-        parse({"orbit_characters": []})
-
-
-def test_matrix_rep_from_json():
-    from stackyrr.chartheory import character_of
-    from stackyrr.serialize import matrix_rep_from_json
-
-    s3 = symmetric(3)
-    mats = []
-    for g in s3.generators:
-        p = s3.perms[g]
-        mats.append([[1 if p[j] == i else 0 for j in range(3)] for i in range(3)])
-    rep = matrix_rep_from_json({"generators": mats}, s3)
-    assert [v.integer_value() for v in character_of(rep).values] == [3, 1, 0]
-    with pytest.raises(ValidationError, match="generator matrices"):
-        matrix_rep_from_json({"generators": mats[:1]}, s3)
-    zeta_entry = {"conductor": 4, "coeffs": [["0", "1"], ["1", "1"]]}
-    z4 = group_from_json("Z4")
-    rep4 = matrix_rep_from_json({"generators": [[[zeta_entry]]]}, z4)
-    assert character_of(rep4)(1) == root_of_unity(4)
 
 
 def test_encode_value_rejects_floats():

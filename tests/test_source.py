@@ -17,3 +17,14 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_declares_its_oracles_through_agree():
+    # a hand-written `raise ConsistencyError` would bypass `errors.agree`
+    tree = ast.parse((SRC / "cli.py").read_text())
+    raised = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "ConsistencyError" in ast.unparse(node)
+    ]
+    assert raised == []
