@@ -275,13 +275,12 @@ def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
     if zeta**r != 1:
         raise ValidationError(f"{zeta!r} is not an {r}-th root of unity")
     zeta_inv = zeta.inverse()
-    acc = None
-    power = _identity(rep.dim)
-    for a in range(r):
-        term = _mat_scale(power, zeta_inv**a) if a else power
-        acc = term if acc is None else _mat_add(acc, term)
-        if a < r - 1:
-            power = _mat_mul(power, rep.matrices[h])
+    acc = power = _identity(rep.dim)
+    scalar = ONE  # zeta^(-a)
+    for _ in range(1, r):
+        power = _mat_mul(power, rep.matrices[h])
+        scalar = scalar * zeta_inv
+        acc = _mat_add(acc, _mat_scale(power, scalar))
     proj = _mat_scale(acc, Fraction(1, r))
     return exact_rank(proj)
 

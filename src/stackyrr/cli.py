@@ -92,13 +92,17 @@ class JobSpec:
 
 def _load_spec(arg: str):
     """Resolve a CLI argument to parsed JSON: file contents or preset name."""
-    if os.path.exists(arg):
+    if not os.path.exists(arg):
+        return arg  # treated as a preset name downstream
+    try:
         with open(arg, "r", encoding="utf-8") as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{arg}: invalid JSON at {exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return arg  # treated as a preset name downstream
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{arg}: invalid JSON at {exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{arg}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ValidationError(f"{arg}: cannot read ({exc.strerror})") from None
 
 
 # -- command implementations -------------------------------------------------
@@ -536,14 +540,10 @@ def jobspec_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    spec = JobSpec(args.command, output_path=args.output, fmt=args.format)
     try:
         spec = jobspec_from_args(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    try:
         caps = _env_caps()
     except ValidationError as exc:
         status, text = EXIT_VALIDATION, _render_error(spec, "validation", str(exc))

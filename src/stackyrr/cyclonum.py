@@ -20,8 +20,13 @@ The conductors whose field holds a value are closed under gcd, so this greedy
 descent ends at the minimal one, and a prime that fails once fails at every
 level below, so it is never tested again.
 
-The coefficients are `fractions.Fraction` values; that type is the package's
-rational scalar (arbitrary precision, reduced, positive denominator).
+A value is held as integers: its conductor, the numerators of its
+coefficients and one positive common denominator, with no factor common to
+all of them, so the form stays unique.  Sums, products, the descent and the
+inverse (a fraction-free extended Euclid, see `_field_inverse`) all run on
+these integers, and a conductor-1 operand never leaves Q.  The read-only
+``coeffs`` view gives the coefficients as `fractions.Fraction` values, the
+package's rational scalar.
 """
 
 from __future__ import annotations
@@ -35,9 +40,6 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .exactlinalg import forward_eliminate
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -97,28 +99,39 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^j reduced modulo Phi_n, for j up to max(n - 1, 2*phi(n) - 2).
+def _reductions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^j modulo Phi_n for phi(n) <= j <= max(n - 1, 2*phi(n) - 2).
 
-    Entries are integer vectors of length phi(n); they drive multiplication,
-    conductor lifting and Galois substitution.
+    Row j - phi(n) lists the (index, value) pairs of the nonzero entries;
+    lower powers are basis vectors and need no row.  These rows drive
+    multiplication, conductor lifting and Galois substitution.
     """
     phi = euler_phi(n)
-    top = max(n - 1, 2 * phi - 2, 0)
     modulus = cyclotomic_polynomial(n)
-    rows: list[tuple[int, ...]] = []
-    for j in range(phi):
-        rows.append(tuple(1 if i == j else 0 for i in range(phi)))
-    for j in range(phi, top + 1):
-        prev = rows[j - 1]
-        shifted = [0] + list(prev[: phi - 1])
-        overflow = prev[phi - 1]
+    row = [0] * phi
+    row[-1] = 1  # x^(phi-1)
+    rows = []
+    for _ in range(phi, max(n - 1, 2 * phi - 2) + 1):
+        overflow = row[-1]
+        row = [0] + row[:-1]
         if overflow:
             # x^phi = -(Phi_n - x^phi), Phi_n monic
             for i in range(phi):
-                shifted[i] -= overflow * modulus[i]
-        rows.append(tuple(shifted))
+                row[i] -= overflow * modulus[i]
+        rows.append(tuple((i, t) for i, t in enumerate(row) if t))
     return tuple(rows)
+
+
+def _power_row(n: int, j: int) -> list[int]:
+    """x^j reduced modulo Phi_n as a dense integer vector, 0 <= j < n."""
+    phi = euler_phi(n)
+    row = [0] * phi
+    if j < phi:
+        row[j] = 1
+    else:
+        for i, t in _reductions(n)[j - phi]:
+            row[i] = t
+    return row
 
 
 def _substitute(n: int, coeffs, k: int) -> list:
@@ -130,14 +143,17 @@ def _substitute(n: int, coeffs, k: int) -> list:
     input gives integer output; Fraction input gives Fraction entries
     wherever a term landed.
     """
-    table = _power_table(n)
-    out = [0] * euler_phi(n)
+    phi = euler_phi(n)
+    high = _reductions(n)
+    out = [0] * phi
     for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        for j, t in enumerate(table[(i * k) % n]):
-            if t:
-                out[j] += c * t
+        if c:
+            e = i * k % n
+            if e < phi:
+                out[e] += c
+            else:
+                for j, t in high[e - phi]:
+                    out[j] += c * t
     return out
 
 
@@ -149,24 +165,37 @@ def _scale_to_int(coeffs) -> tuple[list[int], int]:
 class CyclotomicNumber:
     """An exact element of some Q(zeta_N), always in canonical form.
 
-    Do not call the class directly with non-canonical data; use
-    :func:`canonicalize`, :func:`root_of_unity` or ``from_rational``.
-    Arithmetic operators accept ``int`` and ``Fraction`` operands.
+    The value is sum_i nums[i] * z^i / den at conductor N: ``nums`` is a
+    tuple of phi(N) integers and ``den`` a positive integer, with no factor
+    common to all of them.  ``coeffs`` gives the same coefficients as
+    Fractions.  Do not call the class directly; use :func:`canonicalize`,
+    :func:`root_of_unity` or ``from_rational``.  Arithmetic operators accept
+    ``int`` and ``Fraction`` operands.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den", "_coeffs")
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, conductor: int, nums: tuple[int, ...], den: int):
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+        self._coeffs = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(q),))
+        return _coerce(q if isinstance(q, (int, Fraction)) else Fraction(q))
 
     # -- predicates and conversions -----------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as a tuple of Fractions (built once)."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return self._coeffs
 
     @property
     def is_rational(self) -> bool:
@@ -174,12 +203,12 @@ class CyclotomicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return self.conductor == 1 and not self.coeffs[0]
+        return self.conductor == 1 and not self.nums[0]
 
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValidationError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def integer_value(self) -> int:
         q = self.rational_value()
@@ -195,14 +224,38 @@ class CyclotomicNumber:
         cap = limits.current().conductor
         if n > cap:
             raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
-        return n, lift_coeffs(self, n), lift_coeffs(other, n)
+        return n, _lift(self, n), _lift(other, n)
+
+    def _plus_rational(self, p: int, q: int) -> "CyclotomicNumber":
+        # Adding a rational never moves the minimal conductor.
+        if not p:
+            return self
+        den = math.lcm(self.den, q)
+        scale = den // self.den
+        nums = [c * scale for c in self.nums]
+        nums[0] += p * (den // q)
+        return _reduced(self.conductor, nums, den)
+
+    def _times_rational(self, p: int, q: int) -> "CyclotomicNumber":
+        # Nor does multiplying by a nonzero one.
+        if not p:
+            return ZERO
+        if p == q:
+            return self
+        return _reduced(self.conductor, [c * p for c in self.nums], self.den * q)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.conductor == 1:
+            return self._plus_rational(other.nums[0], other.den)
+        if self.conductor == 1:
+            return other._plus_rational(self.nums[0], self.den)
         n, a, b = self._lift_pair(other)
-        return canonicalize(n, tuple(x + y for x, y in zip(a, b)))
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return _canonical(n, [x * fa + y * fb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
@@ -210,54 +263,49 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n, a, b = self._lift_pair(other)
-        return canonicalize(n, tuple(x - y for x, y in zip(a, b)))
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return other + -self
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coeffs))
+        return CyclotomicNumber(self.conductor, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1:
-            q = self.coeffs[0]
-            return canonicalize(
-                other.conductor, tuple(q * c for c in other.coeffs)
-            )
+            return other._times_rational(self.nums[0], self.den)
         if other.conductor == 1:
-            q = other.coeffs[0]
-            return canonicalize(self.conductor, tuple(q * c for c in self.coeffs))
+            return self._times_rational(other.nums[0], other.den)
         n, a, b = self._lift_pair(other)
-        ia, da = _scale_to_int(a)
-        ib, db = _scale_to_int(b)
-        conv = [0] * (len(ia) + len(ib) - 1)
-        for i, x in enumerate(ia):
-            if x == 0:
-                continue
-            for j, y in enumerate(ib):
-                if y:
-                    conv[i + j] += x * y
-        red = _substitute(n, conv, 1)
-        den = da * db
-        return canonicalize(n, tuple(Fraction(c, den) for c in red))
+        conv = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        return _canonical(n, _substitute(n, conv, 1), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero:
             raise ZeroDivisionError("division by zero cyclotomic number")
-        if self.conductor == 1:
-            return CyclotomicNumber(1, (1 / self.coeffs[0],))
         n = self.conductor
-        inv = _field_inverse(n, self.coeffs)
-        return canonicalize(n, inv)
+        if n == 1:
+            p = self.nums[0]
+            return CyclotomicNumber(1, (self.den if p > 0 else -self.den,), abs(p))
+        s, c = _field_inverse(n, self.nums)
+        if c < 0:
+            s, c = [-x for x in s], -c
+        # 1/a generates the same field as a, so the conductor stays n.
+        nums = [x * self.den for x in s] + [0] * (euler_phi(n) - len(s))
+        return _reduced(n, nums, c)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -286,14 +334,19 @@ class CyclotomicNumber:
     # -- structure -----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other)
-        if not isinstance(other, CyclotomicNumber):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (
+            self.conductor == other.conductor
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        if self.conductor == 1:  # equal to an int or Fraction, so hash like one
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.conductor, self.nums, self.den))
 
     def __bool__(self):
         return not self.is_zero
@@ -347,12 +400,27 @@ def _coerce(x):
     if isinstance(x, CyclotomicNumber):
         return x
     if isinstance(x, (int, Fraction)):
-        return CyclotomicNumber.from_rational(x)
+        return CyclotomicNumber(1, (x.numerator,), x.denominator)
     return NotImplemented
 
 
-ZERO = CyclotomicNumber(1, (_ZERO,))
-ONE = CyclotomicNumber(1, (_ONE,))
+def _reduced(n: int, nums, den: int) -> CyclotomicNumber:
+    """nums/den at the canonical conductor n, for den > 0, with the common factor removed."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return CyclotomicNumber(n, tuple(c // g for c in nums), den // g)
+    return CyclotomicNumber(n, tuple(nums), den)
+
+
+def _lift(a: CyclotomicNumber, n: int):
+    """The numerators of ``a`` in the power basis of Q(zeta_n), n a multiple of its conductor."""
+    if n == a.conductor:
+        return a.nums
+    return _substitute(n, a.nums, n // a.conductor)
+
+
+ZERO = CyclotomicNumber(1, (0,), 1)
+ONE = CyclotomicNumber(1, (1,), 1)
 
 
 # -- canonicalization ----------------------------------------------------
@@ -361,58 +429,61 @@ ONE = CyclotomicNumber(1, (_ONE,))
 def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
     """Reduce a raw (conductor, coefficient vector) to the canonical form.
 
-    The vector may have any length (it is reduced modulo Phi first).  The
-    result has the minimal conductor containing the value, which is never
-    congruent to 2 mod 4.  Applied to an existing CyclotomicNumber this is
-    the identity, since every value is kept canonical.
+    The vector may have any length (it is reduced modulo Phi first) and
+    holds ints, Fractions or anything ``Fraction`` accepts.  The result has
+    the minimal conductor containing the value, which is never congruent to
+    2 mod 4.  Applied to an existing CyclotomicNumber this is the identity,
+    since every value is kept canonical.
     """
     if coeffs is None:
         if isinstance(conductor, CyclotomicNumber):
-            conductor, coeffs = conductor.conductor, conductor.coeffs
-        else:
-            raise ValidationError("canonicalize needs (conductor, coeffs) or a value")
+            return conductor
+        raise ValidationError("canonicalize needs (conductor, coeffs) or a value")
     if conductor < 1:
         raise ValidationError(f"invalid conductor {conductor}; conductors are >= 1")
-    coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    phi = euler_phi(conductor)
-    if len(coeffs) > phi:
-        ints, den = _scale_to_int(coeffs)
-        coeffs = [Fraction(c, den) for c in _substitute(conductor, ints, 1)]
-    elif len(coeffs) < phi:
-        coeffs = coeffs + [_ZERO] * (phi - len(coeffs))
+    nums, den = _scale_to_int(
+        [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    )
+    return _canonical(conductor, nums, den)
 
-    n = conductor
+
+def _canonical(n: int, nums: list[int], den: int) -> CyclotomicNumber:
+    """The canonical form of sum_i nums[i] * z_n^i / den, for den > 0."""
+    phi = euler_phi(n)
+    if len(nums) > phi:
+        nums = _substitute(n, nums, 1)
+    else:
+        nums = list(nums) + [0] * (phi - len(nums))
     if n % 4 == 2:
-        n, coeffs = _fold_even(n, coeffs)
+        n, nums = _fold_even(n, nums)
 
     floor = 2  # every prime below it has failed at a higher level
     while True:
-        if all(not c for c in coeffs[1:]):
-            return CyclotomicNumber(1, (coeffs[0],))
-        ints = None
+        if not any(nums[1:]):
+            return _reduced(1, nums[:1], den)
         for p, d, k in _descents(n):
             if p < floor:
                 continue
             if d % p == 0:
                 # p^2 | n, so Phi_n(x) = Phi_d(x^p): Q(zeta_d) is the span
                 # of the powers z^(p*j).
-                if any(any(coeffs[r::p]) for r in range(1, p)):
+                if any(any(nums[r::p]) for r in range(1, p)):
                     continue
-                sub = coeffs[::p]
+                sub = nums[::p]
             else:
-                if ints is None:
-                    ints = _scale_to_int(coeffs)[0]
-                if _substitute(n, ints, k) != ints:
+                if _substitute(n, nums, k) != nums:
                     continue
-                sub = _express_in_subfield(n, coeffs, d)
+                sub = _express_in_subfield(n, nums, d)
                 if sub is None:
                     raise ConsistencyError(
                         f"value fixed by sigma_{k} on Q(zeta_{n}) is not in Q(zeta_{d})"
                     )
-            floor, n, coeffs = p, d, sub
+                sub, scale = _scale_to_int(sub)
+                den *= scale
+            floor, n, nums = p, d, sub
             break
         else:
-            return CyclotomicNumber(n, tuple(coeffs))
+            return _reduced(n, nums, den)
 
 
 @lru_cache(maxsize=None)
@@ -449,32 +520,62 @@ def _primes(n: int) -> list[int]:
     return [p for p in _divisors(n)[1:] if _divisors(p) == (1, p)]
 
 
-def _fold_even(n: int, coeffs: list[Fraction]):
+def _fold_even(n: int, coeffs):
     # zeta_n = -zeta_m^((m+1)/2) with m = n/2 odd.
     m = n // 2
-    ints, den = _scale_to_int(coeffs)
-    signed = [-c if i % 2 else c for i, c in enumerate(ints)]
-    return m, [Fraction(c, den) for c in _substitute(m, signed, (m + 1) // 2)]
+    signed = [-c if i % 2 else c for i, c in enumerate(coeffs)]
+    return m, _substitute(m, signed, (m + 1) // 2)
+
+
+@lru_cache(maxsize=256)
+def _subfield_solver(n: int, d: int):
+    """(rows, inverse, scale) for writing elements of Q(zeta_n) over Q(zeta_d).
+
+    B is the phi(n) x phi(d) integer matrix whose column j is z^(j*n/d);
+    ``rows`` are the first phi(d) independent rows of B, and
+    inverse / scale is the inverse of B restricted to them, with
+    ``inverse`` an integer matrix.
+    """
+    phi_d = euler_phi(d)
+    basis = [_power_row(n, j * (n // d) % n) for j in range(phi_d)]
+    # The pivot columns of B's transpose are its first independent rows.
+    rows = forward_eliminate([list(col) for col in basis], euler_phi(n))
+    if len(rows) != phi_d:
+        raise ConsistencyError(f"power basis of Q(zeta_{d}) is dependent in Q(zeta_{n})")
+    # Gauss-Jordan on [B[rows] | I] with integer row operations only.
+    m = [
+        [col[r] for col in basis] + [int(i == j) for j in range(phi_d)]
+        for i, r in enumerate(rows)
+    ]
+    for c in range(phi_d):
+        p = next(i for i in range(c, phi_d) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        pivot_row, a = m[c], m[c][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != c:
+                g = math.gcd(a, f)
+                u, v = a // g, f // g
+                m[i] = [x * u - y * v for x, y in zip(row, pivot_row)]
+    # Row i now reads m[i][i] * e_i | m[i][i] * (row i of the inverse).
+    m = [[x // g for x in row] for row, g in zip(m, (math.gcd(*row) for row in m))]
+    scale = math.lcm(*(m[i][i] for i in range(phi_d)))
+    inverse = tuple(
+        tuple(x * (scale // row[i]) for x in row[phi_d:]) for i, row in enumerate(m)
+    )
+    return tuple(rows), inverse, scale
 
 
 def _express_in_subfield(n: int, coeffs, d: int):
-    # Solve coeffs = sum_j c_j * (x^(j*n/d) mod Phi_n) for c in Q^phi(d);
-    # None when the system is inconsistent.
-    phi_d = euler_phi(d)
-    table = _power_table(n)
-    cols = [table[(j * (n // d)) % n] for j in range(phi_d)]
-    rows = [[col[i] for col in cols] + [c] for i, c in enumerate(coeffs)]
-    pivots = forward_eliminate(rows, phi_d)
-    if any(row[phi_d] for row in rows[len(pivots):]):
+    # coeffs = sum_j c_j * (z^(j*n/d) mod Phi_n): solve on the independent
+    # rows, then substitute the answer back; None when it does not hold.
+    rows, inverse, scale = _subfield_solver(n, d)
+    picked = [coeffs[r] for r in rows]
+    sol = [sum(a * c for a, c in zip(row, picked) if a) for row in inverse]
+    if scale != 1:
+        sol = [Fraction(x, scale) for x in sol]
+    if _substitute(n, sol, n // d) != list(coeffs):
         return None
-    # The power basis of a subfield is independent, so every column has a
-    # pivot and back substitution through the unit diagonal finishes.
-    if len(pivots) != phi_d:
-        raise ConsistencyError(f"power basis of Q(zeta_{d}) is dependent in Q(zeta_{n})")
-    sol = [_ZERO] * phi_d
-    for r in range(phi_d - 1, -1, -1):
-        row = rows[r]
-        sol[r] = row[phi_d] - sum(row[j] * sol[j] for j in range(r + 1, phi_d))
     return sol
 
 
@@ -483,6 +584,10 @@ def _express_in_subfield(n: int, coeffs, d: int):
 
 def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     """zeta_n^k in canonical form.
+
+    With g = gcd(k, n), zeta_n^k is a primitive (n/g)-th root of unity; a
+    primitive m-th root with m != 2 mod 4 has minimal conductor m, and
+    zeta_{2m} = -zeta_m^((m+1)/2) for odd m folds the rest.
 
     >>> root_of_unity(1, 0) == 1
     True
@@ -496,24 +601,28 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     cap = limits.current().conductor
     if n > cap:
         raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
-    return canonicalize(n, _power_table(n)[k % n])
+    g = math.gcd(k, n)
+    n, k = n // g, k // g % (n // g)
+    sign = 1
+    if n % 4 == 2:
+        n //= 2
+        k, sign = k * ((n + 1) // 2) % n, -1  # k is odd
+    if n == 1:
+        return CyclotomicNumber(1, (sign,), 1)
+    return CyclotomicNumber(n, tuple(sign * t for t in _power_row(n, k)), 1)
 
 
-def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple:
+def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
     """Coefficients of a rewritten in the power basis of Q(zeta_n).
 
-    ``n`` must be a multiple of the conductor of ``a``.  Used to put two
-    operands over a common field, and by tests to build non-canonical
-    representations on purpose.  Coefficients are Fractions, or the int 0
-    where no term of ``a`` lands.
+    ``n`` must be a multiple of the conductor of ``a``.  Used by tests to
+    build non-canonical representations on purpose.
     """
     if n % a.conductor:
         raise ValidationError(
             f"cannot lift conductor {a.conductor} into conductor {n}"
         )
-    if n == a.conductor:
-        return a.coeffs
-    return tuple(_substitute(n, a.coeffs, n // a.conductor))
+    return tuple(Fraction(c, a.den) for c in _lift(a, n))
 
 
 def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
@@ -525,28 +634,61 @@ def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
         )
     if n == 1:
         return a
-    return canonicalize(n, _substitute(n, a.coeffs, k % n))
+    # sigma_k maps Q(zeta_d) onto itself for every d, so the conductor is
+    # kept, and it permutes the lattice Z[zeta_n], so no common factor appears.
+    return CyclotomicNumber(n, tuple(_substitute(n, a.nums, k % n)), a.den)
 
 
-def _field_inverse(n: int, coeffs) -> tuple[Fraction, ...]:
-    # Extended Euclid in Q[x] against Phi_n, keeping s*a = r mod Phi_n.
-    # Each divisor is scaled monic first, so the division needs no inverse
-    # and the last remainder is 1, making s the inverse itself.
-    r0, s0 = list(cyclotomic_polynomial(n)), [_ZERO]
-    r1, s1 = list(coeffs), [_ONE]
+def _field_inverse(n: int, nums) -> tuple[list[int], int]:
+    """(s, c) with s * nums = c modulo Phi_n, for an integer c != 0.
+
+    The extended Euclid of Phi_n and nums as a primitive polynomial
+    remainder sequence (Collins 1967; Brown-Traub 1971), all in integers.
+    Each step pseudo-divides r0 by r1, cancelling the top term of r0 with
+    r0 <- (b/g)*r0 - (t/g)*x^i*r1 for b the leading coefficient of r1, t
+    that of r0 and g = gcd(b, t), and applies the same operations to the
+    cofactor s0, so s*a = r modulo Phi_n throughout.  The content common to
+    the remainder and its cofactor is then divided out.  Phi_n is
+    irreducible, so the sequence ends at a nonzero constant.
+    """
+    r0, s0 = list(cyclotomic_polynomial(n)), [0]
+    r1, s1 = list(nums), [1]
     while not r1[-1]:
         r1.pop()
-    while True:
-        inv = _ONE / r1[-1]
-        r1 = [c * inv for c in r1]
-        s1 = [c * inv for c in s1]
-        if len(r1) == 1:
-            return tuple(s1) + (_ZERO,) * (euler_phi(n) - len(s1))
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise ConsistencyError(f"Phi_{n} is irreducible, yet shares a factor with {coeffs}")
+    while len(r1) > 1:
+        lead = r1[-1]
+        r, s = r0, s0
+        while len(r) >= len(r1):
+            t = r[-1]
+            shift = len(r) - len(r1)
+            if t:
+                g = math.gcd(t, lead)
+                u, v = lead // g, t // g
+                # r <- u*r - v*x^shift*r1, whose top entry cancels
+                r = [u * x for x in r[:shift]] + [
+                    u * x - v * y for x, y in zip(r[shift:-1], r1)
+                ]
+                if len(s) < len(s1) + shift:
+                    s = s + [0] * (len(s1) + shift - len(s))
+                s = (
+                    [u * x for x in s[:shift]]
+                    + [u * x - v * y for x, y in zip(s[shift:], s1)]
+                    + [u * x for x in s[shift + len(s1):]]
+                )
+            else:
+                r = r[:-1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            raise ConsistencyError(f"Phi_{n} is irreducible, yet shares a factor with {nums}")
+        g = math.gcd(*r, *s)
+        if g != 1:
+            r = [x // g for x in r]
+            s = [x // g for x in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    while len(s1) > 1 and not s1[-1]:
+        s1.pop()
+    return s1, r1[0]
 
 
 def _poly_divmod(num, den):
@@ -568,26 +710,6 @@ def _poly_divmod(num, den):
     while num and not num[-1]:
         num.pop()
     return out, num
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
 
 
 # -- the closed-form unit sum behind one-dimensional Riemann-Roch ---------

@@ -103,12 +103,33 @@ def test_file_input(tmp_path, capsys):
     assert doc["result"]["multiplicities"]["p"] == 1
 
 
+def assert_validation_document(status, out, err, *needles):
+    assert status == EXIT_VALIDATION
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["command"] == "rr"
+    assert doc["error"]["kind"] == "validation"
+    for needle in needles:
+        assert needle in doc["error"]["message"]
+
+
 def test_bad_json_file_is_validation_error(tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text("{not json")
-    status, _, err = run_cli(capsys, "rr", "--curve", str(path), "--divisor", "zero")
-    assert status == EXIT_VALIDATION
-    assert "curve.json" in err
+    result = run_cli(capsys, "rr", "--curve", str(path), "--divisor", "zero")
+    assert_validation_document(*result, "curve.json", "invalid JSON")
+
+
+def test_directory_input_is_validation_error(tmp_path, capsys):
+    result = run_cli(capsys, "rr", "--curve", str(tmp_path), "--divisor", "zero")
+    assert_validation_document(*result, str(tmp_path), "cannot read")
+
+
+def test_non_utf8_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_bytes(b'{"genus": 0, "name": "\xff\xfe"}')
+    result = run_cli(capsys, "rr", "--curve", str(path), "--divisor", "zero")
+    assert_validation_document(*result, "curve.json", "not UTF-8")
 
 
 def test_output_file(tmp_path, capsys):

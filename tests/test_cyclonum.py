@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackyrr import limits
 from stackyrr.cyclonum import (
@@ -13,6 +15,7 @@ from stackyrr.cyclonum import (
     _divisors,
     _express_in_subfield,
     _fold_even,
+    _poly_divmod,
     _scale_to_int,
     _substitute,
     canonicalize,
@@ -270,6 +273,13 @@ def test_serialization_round_trip():
         CyclotomicNumber.from_dict({"conductor": 3, "coeffs": [], "extra": 1})
 
 
+def test_rationals_hash_like_the_numbers_they_equal():
+    for q in (0, 3, -7, Fraction(5, 12), Fraction(-1, 3)):
+        x = CyclotomicNumber.from_rational(q)
+        assert x == q and hash(x) == hash(q)
+        assert {q: "found"}[x] == "found"
+
+
 def test_big_integer_serialization():
     big = Fraction(10**40 + 1, 10**39 + 7)
     x = CyclotomicNumber.from_rational(big)
@@ -369,3 +379,119 @@ def test_descents_are_generators_of_the_galois_kernels():
                 powers.add(kj)
                 kj = kj * k % n
             assert powers == kernel, (n, p, d, k)
+
+
+def reference_inverse(n, coeffs):
+    """The extended Euclid of Q[x] against Phi_n on Fraction coefficients.
+
+    Each divisor is scaled monic first, so the division needs no inverse
+    and the last remainder is 1, making the cofactor s the inverse itself.
+    """
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+
+    def sub(a, b):
+        out = list(a) + [Fraction(0)] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] -= y
+        while len(out) > 1 and not out[-1]:
+            out.pop()
+        return out
+
+    r0, s0 = list(cyclotomic_polynomial(n)), [Fraction(0)]
+    r1, s1 = [Fraction(c) for c in coeffs], [Fraction(1)]
+    while not r1[-1]:
+        r1.pop()
+    while True:
+        inv = Fraction(1) / r1[-1]
+        r1 = [c * inv for c in r1]
+        s1 = [c * inv for c in s1]
+        if len(r1) == 1:
+            return s1
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub(s0, mul(q, s1))
+
+
+def test_inverse_matches_the_fraction_euclid():
+    rng = random.Random(20261019)
+    conductors = [n for n in _divisors(840) if euler_phi(n) <= 96]
+    conductors += [n for n in range(1, 121) if n % 4 != 2 and n not in conductors]
+    for n in conductors:
+        if euler_phi(n) <= 40:
+            x = rand_cyclo(rng, n)
+        else:  # a few terms keep the Fraction route's growth affordable
+            powers = [0] * n
+            for _ in range(3):
+                powers[rng.randrange(n)] += rng.choice((-2, -1, 1, 3))
+            x = canonicalize(n, powers)
+        if x.is_zero:
+            continue
+        inv = x.inverse()
+        ref = canonicalize(x.conductor, reference_inverse(x.conductor, x.coeffs))
+        assert (inv.conductor, inv.coeffs) == (ref.conductor, ref.coeffs), n
+        assert inv.conductor == x.conductor
+        assert x * inv == 1
+
+
+def raw_power(n, k):
+    """x^k as an unreduced vector at conductor n: canonicalize reduces it."""
+    return [0] * (k % n) + [1]
+
+
+def test_root_of_unity_matches_canonicalized_power():
+    for n in range(1, 121):
+        for k in range(-1, 2 * n + 1):
+            assert root_of_unity(n, k) == canonicalize(n, raw_power(n, k)), (n, k)
+    rng = random.Random(840)
+    for n in _divisors(840):
+        for k in rng.sample(range(-n, 3 * n), min(12, 4 * n)):
+            z = root_of_unity(n, k)
+            assert z == canonicalize(n, raw_power(n, k)), (n, k)
+            order = n // math.gcd(k, n)
+            assert z.conductor == (order // 2 if order % 4 == 2 else order)
+
+
+def test_root_of_unity_checks_the_cap_before_reducing():
+    with limits.using(conductor=40):
+        with pytest.raises(ResourceLimitError):
+            root_of_unity(42, 21)  # -1, but conductor 42 was asked for
+
+
+SMALL_840 = [n for n in _divisors(840) if euler_phi(n) <= 48]
+
+
+@st.composite
+def cyclotomic_values(draw):
+    n = draw(st.sampled_from(SMALL_840))
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+        min_size=euler_phi(n), max_size=euler_phi(n)))
+    return canonicalize(n, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclotomic_values(), cyclotomic_values(), cyclotomic_values())
+def test_field_axioms_on_conductors_dividing_840(a, b, c):
+    for x in (a, b, c, a + b, a * b, -c):
+        assert type(x.coeffs) is tuple
+        assert all(type(q) is Fraction for q in x.coeffs)
+        assert len(x.coeffs) == euler_phi(x.conductor)
+        assert x.to_dict() == {
+            "conductor": x.conductor,
+            "coeffs": [[str(q.numerator), str(q.denominator)] for q in x.coeffs],
+        }
+        assert CyclotomicNumber.from_dict(x.to_dict()) == x
+        assert canonicalize(x.conductor, x.coeffs) == x
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert a - b == -(b - a)
+    if not a.is_zero:
+        assert a * a.inverse() == 1
+        assert (b / a) * a == b
