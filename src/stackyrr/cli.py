@@ -551,10 +551,16 @@ def main(argv=None) -> int:
         with limits.using(**caps):
             status, text = run(spec)
     if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(spec.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            status = EXIT_VALIDATION
+            text = _render_error(spec, "validation",
+                                 f"{spec.output_path}: cannot write ({exc.strerror})")
+        else:
+            return status
+    sys.stdout.write(text)
     return status
 
 

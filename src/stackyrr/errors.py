@@ -1,4 +1,5 @@
-"""Exception types shared by all modules, and the one way to declare an oracle.
+"""Exception types shared by all modules, the one way to declare an oracle,
+and the one check on a depth argument.
 
 The CLI maps these onto exit statuses: validation problems exit with 2,
 resource-cap breaches with 3, and cross-check disagreements with 4.
@@ -38,3 +39,27 @@ def agree(quantity: str, fast, *independent):
         values = " vs ".join(str(v) for v in (fast, *independent))
         raise ConsistencyError(f"{quantity}: routes disagree: {values}")
     return fast
+
+
+def check_depth(m, what: str) -> int:
+    """Return ``m`` if it is a non-negative int; raise `ValidationError` if not.
+
+    A depth (tuple length, iteration count, series length) counts steps, so
+    a float, a bool or a negative value is malformed input, never coerced.
+
+    >>> check_depth(2, "m")
+    2
+    >>> check_depth(True, "m")
+    Traceback (most recent call last):
+    ...
+    stackyrr.errors.ValidationError: m must be an int, got True
+    >>> check_depth(-1, "m")
+    Traceback (most recent call last):
+    ...
+    stackyrr.errors.ValidationError: m must be >= 0, got -1
+    """
+    if type(m) is not int:
+        raise ValidationError(f"{what} must be an int, got {m!r}")
+    if m < 0:
+        raise ValidationError(f"{what} must be >= 0, got {m}")
+    return m

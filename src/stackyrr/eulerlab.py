@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
-from .errors import ResourceLimitError, ValidationError, agree
+from .errors import ResourceLimitError, ValidationError, agree, check_depth
 from .groupoidstack import FiniteGSet, inertia, iterated_inertia, orbit_count, orbits
 from .grouptheory import commuting_prefixes, count_commuting_tuples
 from .orbicurve import OrbifoldCurve
@@ -65,8 +65,7 @@ def chi_m(gset: FiniteGSet, m: int) -> Fraction:
     the stabilizer.  Exact agreement is mandatory; the enumeration is
     subject to ``Limits.tuples``.
     """
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
+    check_depth(m, "m")
     cap = limits.current().tuples
     group = gset.group
     if m == 0:
@@ -93,8 +92,7 @@ def chi_m(gset: FiniteGSet, m: int) -> Fraction:
 
 def euler_series(gset: FiniteGSet, m_max: int) -> list[Fraction]:
     """[chi_0, ..., chi_m_max]; chi_0 is chi_orb of the base itself."""
-    if m_max < 0:
-        raise ValidationError(f"m_max must be >= 0, got {m_max}")
+    check_depth(m_max, "m_max")
     return [chi_m(gset, m) for m in range(m_max + 1)]
 
 
@@ -106,6 +104,7 @@ def ladder_check(gset: FiniteGSet, m: int) -> bool:
     commuting-tuple count.  Any mismatch raises; the return value is True
     so the call reads as an assertion.
     """
+    check_depth(m, "m")
     level_m = iterated_inertia(gset, m)
     level_m1 = iterated_inertia(gset, m + 1)
     phy = chi_phy_gset(level_m)

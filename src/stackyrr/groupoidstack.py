@@ -13,22 +13,25 @@ generator h only, which implies it for all pairs: O(|X|·|G|·#gens).
 The central construction is `inertia`: the set of pairs (x, h) with h.x = x,
 carrying the action g.(x, h) = (g.x, g h g^-1).  Iterating it m times is,
 up to relabeling, the set of (x, h_1, ..., h_m) with the h_i pairwise
-commuting and all fixing x; `iterated_inertia` builds that directly and the
-test suite checks the relabeling really is an equivariant bijection.
+commuting and all fixing x.  `iterated_inertia` builds that as a tower of
+`TowerLevel`s: level k+1 is stored as the children of the points of level
+k in compressed rows (offsets into one array of new group coordinates),
+and a generator's column is read off by offset, with no label tuples.
+Each level holds its level below strongly and the one above only weakly,
+so a tower lives exactly as long as its top level is referenced.  Labels
+are built from the parent chain on first use.  `flattening_bijection`
+checks that ``inertia`` of a level really is, equivariantly, the level
+above it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from . import limits
-from .errors import ResourceLimitError, ValidationError
-from .grouptheory import (
-    FiniteGroup,
-    Subgroup,
-    commuting_prefixes,
-    subgroup,
-)
+from .errors import ResourceLimitError, ValidationError, check_depth
+from .grouptheory import FiniteGroup, Subgroup, subgroup
 
 
 class FiniteGSet:
@@ -42,18 +45,25 @@ class FiniteGSet:
     induction on word length is the whole composition rule.
     """
 
-    __slots__ = ("group", "size", "cols", "labels", "_label_index", "_act", "_orbits")
+    __slots__ = ("group", "size", "cols", "_labels", "_label_index", "_act", "_orbits",
+                 "_up", "__weakref__")
 
     def __init__(self, group: FiniteGroup, size: int, cols, *, labels=None, validate=True):
         self.group = group
         self.size = size
         self.cols = tuple(tuple(col) for col in cols)
-        self.labels = tuple(labels) if labels is not None else None
+        self._labels = tuple(labels) if labels is not None else None
         self._label_index = None
         self._act = None
         self._orbits = None
+        self._up = None  # weakref to level 1 of the inertia tower built on this set
         if validate:
             self._validate()
+
+    @property
+    def labels(self) -> tuple | None:
+        """One label per point, or None."""
+        return self._labels
 
     @property
     def act(self) -> tuple[tuple[int, ...], ...]:
@@ -223,77 +233,143 @@ def inertia(gset: FiniteGSet) -> InertiaSet:
     return InertiaSet(gset, cols, pairs)
 
 
+class TowerLevel(FiniteGSet):
+    """Level ``depth`` >= 1 of an inertia tower: the children of ``below``.
+
+    Stored in compressed rows over the points p of ``below``:
+    ``offsets[p]:offsets[p+1]`` are p's children, ``last[i]`` is child i's
+    new group coordinate, and ``pos[p*|G| + h]`` is the child (p, h), or -1
+    if h is not one.  ``below`` is held strongly; the level above, if any,
+    only through a weak reference (``_up`` for a tower built on this level
+    itself, ``_next`` for the next level of this tower), so no level keeps
+    its tower in a reference cycle.
+    """
+
+    __slots__ = ("below", "depth", "offsets", "last", "pos", "_next")
+
+    def __init__(self, below: FiniteGSet, depth: int, offsets, last, pos, cols):
+        super().__init__(below.group, len(last), cols, validate=False)
+        self.below = below
+        self.depth = depth
+        self.offsets = offsets
+        self.last = last
+        self.pos = pos
+        self._next = None
+
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        """Tuples (x, h_1..h_depth), x a point of the tower's base; built once."""
+        if self._labels is None:
+            heads = (
+                [(x,) for x in range(self.below.size)] if self.depth == 1 else self.below.labels
+            )
+            offsets, last = self.offsets, self.last
+            self._labels = tuple(
+                head + (h,)
+                for p, head in enumerate(heads)
+                for h in last[offsets[p]:offsets[p + 1]]
+            )
+        return self._labels
+
+
+def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
+    """The children of every point of ``below``, with their generator columns.
+
+    At depth 1 the children of x are its stabilizer elements.  Deeper, the
+    children of p = (q, h) are the children of q that commute with h.  Both
+    lists come out sorted, so the points are in lexicographic order.
+    """
+    group = below.group
+    n = group.order
+    offsets = [0]
+    last: list[int] = []
+    parent: list[int] = []
+    if depth == 1:
+        rows = (below.stabilizer_elements(x) for x in range(below.size))
+    else:
+        rows = _commuting_children(below, group.commute_sets())
+    for p, children in enumerate(rows):
+        last.extend(children)
+        parent.extend([p] * len(children))
+        offsets.append(len(last))
+        if len(last) > cap:
+            raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
+    pos = [-1] * (below.size * n)
+    for i, (p, h) in enumerate(zip(parent, last)):
+        pos[p * n + h] = i
+    conj = group.conj_table()
+    cols = []
+    for s, below_col in zip(group.spanning_tree()[0], below.cols):
+        conj_s = conj[s]
+        cols.append([pos[below_col[p] * n + conj_s[h]] for p, h in zip(parent, last)])
+    return TowerLevel(below, depth, offsets, last, pos, cols)
+
+
+def _commuting_children(below: TowerLevel, commutes):
+    """Per point (q, h) of ``below``, in order: the children of q commuting with h."""
+    offsets, last = below.offsets, below.last
+    for q in range(len(offsets) - 1):
+        siblings = last[offsets[q]:offsets[q + 1]]
+        for h in siblings:
+            with_h = commutes[h]
+            yield [t for t in siblings if t in with_h]
+
+
 def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
     """Tuples (x, h_1..h_m), h_i pairwise commuting and fixing x.
 
     ``m = 0`` returns the input unchanged.  The action conjugates every
     group coordinate and translates the point; only its generator columns
-    are written.  Built directly from commuting tuples; repeatedly applying
+    are written.  The result is level m of the inertia tower on ``gset``
+    (see `TowerLevel`): any level of that tower still referenced somewhere
+    is reused, and only the levels above it are built.  Repeatedly applying
     :func:`inertia` gives the same G-set up to flattening of the nested
-    pair labels (see :func:`flattening_bijection`).  At most
-    ``Limits.points`` points are built.
+    pair labels (see :func:`flattening_bijection`).  No level of more than
+    ``Limits.points`` points is built or returned.
     """
-    if m < 0:
-        raise ValidationError(f"iteration depth must be >= 0, got {m}")
-    if m == 0:
-        return gset
+    check_depth(m, "iteration depth")
     cap = limits.current().points
-    group = gset.group
-    n = group.order
-    points: list[tuple[int, ...]] = []
-    for x in range(gset.size):
-        for prefix, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
-            head = (x,) + prefix
-            points.extend(head + (h,) for h in last)
-            if len(points) > cap:
-                raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
-    points.sort()
-    # integer-encode tuples for the action lookup: much cheaper than hashing
-    # label tuples in the inner loop
-    def encode(p):
-        code = p[0]
-        for h in p[1:]:
-            code = code * n + h
-        return code
-
-    index = {encode(p): i for i, p in enumerate(points)}
-    conj = group.conj_table()
-    cols: list[list[int]] = []
-    for s, base_col in zip(group.spanning_tree()[0], gset.cols):
-        conj_s = conj[s]
-        col = [0] * len(points)
-        for i, p in enumerate(points):
-            code = base_col[p[0]]
-            for h in p[1:]:
-                code = code * n + conj_s[h]
-            col[i] = index[code]
-        cols.append(col)
-    return FiniteGSet(group, len(points), cols, labels=points, validate=False)
+    level = gset
+    for depth in range(1, m + 1):
+        link = gset._up if depth == 1 else level._next
+        above = link() if link is not None else None
+        if above is None:
+            above = _level_above(level, depth, cap)
+            if depth == 1:
+                gset._up = weakref.ref(above)
+            else:
+                level._next = weakref.ref(above)
+        elif above.size > cap:
+            raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
+        level = above
+    return level
 
 
-def flattening_bijection(nested: InertiaSet, flat: FiniteGSet) -> "EquivariantMap":
+def flattening_bijection(nested: InertiaSet, flat: TowerLevel) -> "EquivariantMap":
     """The relabeling inertia(I^m) -> I^(m+1), checked for equivariance.
 
-    ``nested`` must be the inertia of an iterated inertia set (or of the
-    base itself), ``flat`` the directly built next level; the map appends
-    the new group coordinate to the flattened tuple label.
+    ``nested`` is the inertia of a G-set B (a tower level or the base
+    itself) and ``flat`` must be the tower level built directly on B.  The
+    pair (x, h) maps to the child ``flat.pos[x*|G| + h]``; a pair with no
+    child, or a ``flat`` that is not the level above B, raises
+    `ValidationError`.  The map is then checked on generators by
+    :func:`equivariant_map`.
     """
-    def flatten(label):
-        x, h = label
-        inner = nested.base.labels[x] if nested.base.labels else (x,)
-        if isinstance(inner, int):
-            inner = (inner,)
-        return tuple(inner) + (h,)
-
-    if flat.label_index is None:
-        raise ValidationError("target has no tuple labels to match against")
+    if not (
+        isinstance(nested, InertiaSet)
+        and isinstance(flat, TowerLevel)
+        and flat.below is nested.base
+    ):
+        raise ValidationError("target is not the tower level directly above the nested set's base")
+    n = nested.group.order
+    pos = flat.pos
     point_map = []
-    for i in range(nested.size):
-        key = flatten(nested.pairs[i])
-        if key not in flat.label_index:
-            raise ValidationError(f"pair {key} missing from the direct construction")
-        point_map.append(flat.label_index[key])
-    identity_rho = tuple(range(nested.group.order))
+    for x, h in nested.pairs:
+        i = pos[x * n + h]
+        if i < 0:
+            raise ValidationError(f"pair {(x, h)} missing from the direct construction")
+        point_map.append(i)
+    identity_rho = tuple(range(n))
     return equivariant_map(nested, flat, point_map, identity_rho)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import limits
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError, check_depth
 
 
 class FiniteGroup:
@@ -552,8 +552,7 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
     Both are exposed because agreeing answers from the two are the test
     oracle for everything built on top of them.
     """
-    if m < 0:
-        raise ValidationError(f"tuple length must be >= 0, got {m}")
+    check_depth(m, "tuple length")
     if algorithm in ("recursive", "centralizer-recursive"):
         memo: dict = {}
         return _commuting_recursive(group, tuple(range(group.order)), m, memo)
@@ -576,7 +575,7 @@ def commuting_prefixes(group: FiniteGroup, elems, m: int):
     for ``h`` in ``last``.  Prefixes come in lexicographic order when
     ``elems`` is sorted.  Reads the group's cached commute sets.
     """
-    if m < 1:
+    if check_depth(m, "tuple length") < 1:
         raise ValidationError(f"tuple length must be >= 1, got {m}")
     commutes = group.commute_sets()
     stack = [((), list(elems))]

@@ -141,6 +141,20 @@ def test_output_file(tmp_path, capsys):
     assert doc["result"]["chi_phy"] == 2
 
 
+def test_output_to_a_directory_is_validation_error(tmp_path, capsys):
+    result = run_cli(capsys, "rr", "--curve", "p23", "--divisor", "zero",
+                     "--output", str(tmp_path))
+    assert_validation_document(*result, str(tmp_path), "cannot write")
+
+
+def test_output_under_a_missing_directory_is_validation_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    result = run_cli(capsys, "rr", "--curve", "p23", "--divisor", "zero",
+                     "--output", str(target))
+    assert_validation_document(*result, str(target), "cannot write")
+    assert not target.parent.exists()
+
+
 def test_table_format(capsys):
     status, out, _ = run_cli(capsys, "rr", "--curve", "p23", "--divisor", "zero",
                              "--format", "table")

@@ -24,10 +24,12 @@ from stackyrr.eulerlab import (
 from stackyrr.groupoidstack import (
     coset_gset,
     disjoint_union,
+    iterated_inertia,
     natural_gset,
     trivial_gset,
 )
 from stackyrr.grouptheory import (
+    commuting_prefixes,
     conjugacy_classes,
     count_commuting_tuples,
     subgroup_conjugacy_reps,
@@ -100,6 +102,27 @@ def test_euler_series_examples():
     assert euler_series(pt_triv, 3) == [1, 1, 1, 1]
     pt_s3 = trivial_gset(symmetric(3), 1)
     assert euler_series(pt_s3, 3) == [Fraction(1, 6), 1, 3, 8]
+
+
+_S3_NATURAL = natural_gset(symmetric(3))
+
+DEPTH_ENTRY_POINTS = {
+    "iterated_inertia": lambda m: iterated_inertia(_S3_NATURAL, m),
+    "commuting_prefixes": lambda m: next(commuting_prefixes(symmetric(3), range(6), m)),
+    "count_commuting_tuples": lambda m: count_commuting_tuples(symmetric(3), m),
+    "chi_m": lambda m: chi_m(_S3_NATURAL, m),
+    "euler_series": lambda m: euler_series(_S3_NATURAL, m),
+    "ladder_check": lambda m: ladder_check(_S3_NATURAL, m),
+}
+
+
+@pytest.mark.parametrize("entry", DEPTH_ENTRY_POINTS)
+def test_depth_must_be_a_non_negative_int(entry):
+    call = DEPTH_ENTRY_POINTS[entry]
+    call(1)
+    for bad in (1.5, 2.5, True, False, -1, "2", None):
+        with pytest.raises(ValidationError, match="depth|length|m_max|m must"):
+            call(bad)
 
 
 def test_ladder_small_cases():

@@ -1,9 +1,23 @@
 """G-sets, orbit decompositions, inertia and its iterates."""
 
+import gc
+import weakref
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackyrr import limits
-from stackyrr.errors import ValidationError
+from stackyrr.chartheory import (
+    VirtualEqBundle,
+    coset_character,
+    devissage_matrix,
+    pushforward_to_point,
+)
+from stackyrr.errors import ResourceLimitError, ValidationError
+from stackyrr.eulerlab import ladder_check
+from stackyrr.exactlinalg import exact_rank
 from stackyrr.groupoidstack import (
     coset_gset,
     disjoint_union,
@@ -17,7 +31,7 @@ from stackyrr.groupoidstack import (
     orbits,
     trivial_gset,
 )
-from stackyrr.grouptheory import conjugacy_classes, subgroup_conjugacy_reps
+from stackyrr.grouptheory import commuting_prefixes, conjugacy_classes, subgroup_conjugacy_reps
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
 
 
@@ -170,11 +184,25 @@ def test_equivariant_map_rejects_non_homomorphism():
 
 
 def test_iterated_inertia_point_cap():
-    from stackyrr.errors import ResourceLimitError
-
     pt = trivial_gset(symmetric(3), 1)
     with limits.using(points=50), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
         iterated_inertia(pt, 4)
+
+
+def test_point_cap_trips_exactly_above_the_top_level_size():
+    # every point has the identity as a child, so levels never shrink and
+    # the cap trips iff the requested level is larger than it
+    size = _reference_level(trivial_gset(symmetric(3), 1), 4)[0]
+    with limits.using(points=size):
+        assert iterated_inertia(trivial_gset(symmetric(3), 1), 4).size == size
+    with limits.using(points=size - 1), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
+        iterated_inertia(trivial_gset(symmetric(3), 1), 4)
+    # a level reused from the tower is held to the cap in force, too
+    pt = trivial_gset(symmetric(3), 1)
+    top = iterated_inertia(pt, 4)
+    with limits.using(points=size - 1), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
+        iterated_inertia(pt, 4)
+    assert iterated_inertia(pt, 4) is top
 
 
 def test_burnside_bookkeeping_order_24():
@@ -317,3 +345,134 @@ def test_trivial_group_builds_validates_and_takes_inertia():
     assert iterated_inertia(x, 3).size == 3
     with pytest.raises(ValidationError):
         gset_from_table(g, [[1], [1]])
+
+
+# -- the inertia tower -------------------------------------------------------
+
+
+def _reference_level(gset, m):
+    """I^m by sorting label tuples and integer-encoding them: (size, labels, cols).
+
+    The construction `iterated_inertia` used before levels were stored as
+    children of the level below; kept as the reference the tower must match.
+    """
+    group = gset.group
+    n = group.order
+    points = []
+    for x in range(gset.size):
+        for prefix, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
+            head = (x,) + prefix
+            points.extend(head + (h,) for h in last)
+    points.sort()
+
+    def encode(p):
+        code = p[0]
+        for h in p[1:]:
+            code = code * n + h
+        return code
+
+    index = {encode(p): i for i, p in enumerate(points)}
+    conj = group.conj_table()
+    cols = []
+    for s, base_col in zip(group.spanning_tree()[0], gset.cols):
+        col = []
+        for p in points:
+            code = base_col[p[0]]
+            for h in p[1:]:
+                code = code * n + conj[s][h]
+            col.append(index[code])
+        cols.append(tuple(col))
+    return len(points), tuple(points), tuple(cols)
+
+
+def _assert_tower_matches_reference(x, depth):
+    for m in range(1, depth + 1):
+        level = iterated_inertia(x, m)
+        assert (level.size, level.labels, level.cols) == _reference_level(x, m), m
+
+
+def test_tower_matches_the_sort_and_encode_reference_on_the_catalog():
+    checked = 0
+    for _, g in group_catalog(16):
+        for sub in subgroup_conjugacy_reps(g):
+            if g.order // sub.order <= 6:
+                _assert_tower_matches_reference(coset_gset(g, sub), 4)
+                checked += 1
+    assert checked > 100
+
+
+def test_tower_levels_are_reused_while_referenced():
+    x = natural_gset(symmetric(3))
+    top = iterated_inertia(x, 3)
+    assert iterated_inertia(x, 2) is top.below and iterated_inertia(x, 3) is top
+    assert iterated_inertia(x, 1) is top.below.below and top.below.below.below is x
+    # a level is a base of its own tower, labelled from its own points
+    above = iterated_inertia(top.below, 1)
+    assert above is not top and above.cols == top.cols
+    assert above.labels == _reference_level(top.below, 1)[1]
+
+
+def test_tower_levels_form_no_reference_cycle():
+    gc.disable()
+    try:
+        x = natural_gset(symmetric(3))
+        top = iterated_inertia(x, 4)
+        refs = [weakref.ref(top)]
+        level = top
+        while level.below is not x:
+            level = level.below
+            refs.append(weakref.ref(level))
+        del top, level
+        assert all(ref() is None for ref in refs)
+        assert x._up() is None
+    finally:
+        gc.enable()
+
+
+def test_flattening_needs_the_level_directly_above():
+    x = natural_gset(symmetric(3))
+    twin = natural_gset(symmetric(3))
+    nested = inertia(x)
+    for wrong in (iterated_inertia(x, 2), iterated_inertia(twin, 1), x, inertia(x)):
+        with pytest.raises(ValidationError, match="directly above"):
+            flattening_bijection(nested, wrong)
+    assert flattening_bijection(nested, iterated_inertia(x, 1)).is_bijective()
+
+
+@lru_cache(maxsize=None)
+def _catalog_with_classes():
+    return tuple((g, tuple(subgroup_conjugacy_reps(g))) for _, g in group_catalog(16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_coset_unions_keep_tower_ladder_and_trace_map(data):
+    g, classes = data.draw(st.sampled_from(_catalog_with_classes()))
+    parts = []
+    room = 24
+    for _ in range(data.draw(st.integers(1, 3))):
+        fitting = [sub for sub in classes if g.order // sub.order <= room]
+        if not fitting:
+            break
+        sub = data.draw(st.sampled_from(fitting))
+        parts.append(coset_gset(g, sub))
+        room -= g.order // sub.order
+    x = disjoint_union(*parts)
+
+    _assert_tower_matches_reference(x, 3)
+    for m in range(3):
+        below = iterated_inertia(x, m)
+        assert flattening_bijection(inertia(below), iterated_inertia(x, m + 1)).is_bijective()
+        assert ladder_check(x, m)
+
+    matrix = devissage_matrix(x)
+    assert len(matrix) == len(matrix[0]) == exact_rank(matrix)
+
+    # a coset character on each orbit: its invariants are one-dimensional,
+    # so the pushforward counts the orbits
+    dec = orbits(x)
+    chars = []
+    for rep in dec.representatives:
+        stab = x.stabilizer(rep).as_group()[0]
+        chars.append(coset_character(stab, data.draw(st.sampled_from(subgroup_conjugacy_reps(stab)))))
+    assert pushforward_to_point(VirtualEqBundle(x, tuple(chars))) == dec.count
