@@ -53,6 +53,8 @@ class FiniteGSet:
         self.size = size
         self.cols = tuple(tuple(col) for col in cols)
         self._labels = tuple(labels) if labels is not None else None
+        if self._labels is not None and len(self._labels) != size:
+            raise ValidationError(f"{len(self._labels)} labels for {size} points")
         self._label_index = None
         self._act = None
         self._orbits = None

@@ -6,12 +6,17 @@ order is reproducible) or from explicit multiplication tables.  Everything
 downstream -- conjugacy classes, centralizers, subgroup lattices,
 commuting-tuple counts -- is plain table arithmetic, which is the right
 trade at the scale this package works at (orders in the hundreds, not
-millions).
+millions).  The two kernels that touch all |G|^2 products work a whole row
+at a time: the closure builds each row from an earlier one read through a
+generator's row, and the brute commuting count tests a tuple's last entry
+against the AND of per-element commute bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from operator import eq
 
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError, check_depth
@@ -151,6 +156,11 @@ def group_from_permutations(generators) -> FiniteGroup:
     from the identity, multiplying by generators in input order on the
     right, so the index assignment is deterministic.  Multiplication is
     ``(a*b)(i) = a(b(i))``.  Closure stops at ``Limits.group_order``.
+
+    The table is built along the search tree: each new element b was found
+    as a * gens[i], so its row is row a read through the row of gens[i],
+    mul[b][y] = mul[a][mul[gens[i]][y]].  Only the generators' rows are
+    composed as permutations, |G| compositions each.
     """
     cap = limits.current().group_order
     gens = [tuple(g) for g in generators]
@@ -161,29 +171,27 @@ def group_from_permutations(generators) -> FiniteGroup:
     identity = tuple(range(degree))
     elements = [identity]
     index = {identity: 0}
-    queue = [identity]
-    while queue:
-        nxt = []
-        for a in queue:
-            for g in gens:
-                b = _compose(a, g)
-                if b not in index:
-                    if len(elements) >= cap:
-                        raise ResourceLimitError(
-                            f"group closure exceeds Limits.group_order = {cap}"
-                        )
-                    index[b] = len(elements)
-                    elements.append(b)
-                    nxt.append(b)
-        queue = nxt
-    n = len(elements)
-    mul = tuple(
-        tuple(index[_compose(elements[a], elements[b])] for b in range(n))
-        for a in range(n)
-    )
+    edges = []  # (b, i, a): elements[b] = elements[a] * gens[i]
+    for a, p in enumerate(elements):  # grows while it is walked
+        for i, g in enumerate(gens):
+            b = _compose(p, g)
+            if b not in index:
+                if len(elements) >= cap:
+                    raise ResourceLimitError(
+                        f"group closure exceeds Limits.group_order = {cap}"
+                    )
+                index[b] = len(elements)
+                edges.append((len(elements), i, a))
+                elements.append(b)
     gen_idx = [index[g] for g in gens]
-    # Associativity is inherited from composition of functions.
-    return FiniteGroup(mul, generators=gen_idx, perms=elements, _validated=True)
+    gen_rows = [tuple(index[_compose(g, q)] for q in elements) for g in gens]
+    rows = [None] * len(elements)
+    rows[0] = tuple(range(len(elements)))
+    for b, i, a in edges:
+        rows[b] = tuple(map(rows[a].__getitem__, gen_rows[i]))
+    # By induction along the tree, row b is the composition table's row of
+    # elements[b], so associativity is inherited from composition of functions.
+    return FiniteGroup(tuple(rows), generators=gen_idx, perms=elements, _validated=True)
 
 
 def _left_tree(group: FiniteGroup, gens: tuple[int, ...]):
@@ -589,21 +597,32 @@ def commuting_prefixes(group: FiniteGroup, elems, m: int):
             stack.append((prefix + (h,), [t for t in candidates if t in with_h]))
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _commuting_brute(group: FiniteGroup, m: int) -> int:
-    # The deliberately dumb oracle: scan all |G|^m tuples, check all pairs.
+    # The deliberately plain oracle: scan all |G|^m tuples and check every
+    # pair, reading nothing but the table (no commute sets, classes or
+    # centralizers, which the other routes use).  Bit b of masks[a] is set
+    # when mul[a][b] == mul[b][a]: row a compared with column a gives 0/1
+    # bytes, read as a binary numeral with entry b at bit b.  Each
+    # (m-1)-prefix is checked pair by pair, and its |G| extensions at once:
+    # the last entry must lie in the AND of the prefix masks.
     if m == 0:
         return 1
-    from itertools import product
-
     mul = group.mul
+    masks = [int(bytes(map(eq, row, col)).translate(_BITS)[::-1], 2)
+             for row, col in zip(mul, zip(*mul))]
+    full = (1 << group.order) - 1
     total = 0
-    for tup in product(range(group.order), repeat=m):
-        if all(
-            mul[tup[i]][tup[j]] == mul[tup[j]][tup[i]]
-            for i in range(m)
-            for j in range(i + 1, m)
-        ):
-            total += 1
+    for prefix in product(range(group.order), repeat=m - 1):
+        common = full
+        for a in prefix:
+            if not common >> a & 1:
+                break
+            common &= masks[a]
+        else:
+            total += common.bit_count()
     return total
 
 

@@ -72,6 +72,14 @@ def test_action_table_validation():
         gset_from_table(z2, [(0, 0), (1, 1), (2, 0)])  # incompatible row
 
 
+@pytest.mark.parametrize("labels", [["a"], ["a", "b"], ["a", "b", "c", "d"], []])
+def test_one_label_per_point(labels):
+    act = s3_natural().act
+    with pytest.raises(ValidationError, match=f"{len(labels)} labels for 3 points"):
+        gset_from_table(symmetric(3), act, labels=labels)
+    assert gset_from_table(symmetric(3), act, labels="abc").labels == ("a", "b", "c")
+
+
 def test_inertia_examples():
     free = z2_swap()
     iner = inertia(free)

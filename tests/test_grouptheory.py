@@ -3,14 +3,16 @@
 import math
 import re
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackyrr import limits
+from stackyrr import grouptheory, limits
 from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.grouptheory import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     centralizer,
@@ -180,8 +182,6 @@ def test_commuting_tuples_abelian_power():
 
 
 def test_commuting_prefixes_walk_every_tuple_in_order():
-    from itertools import product
-
     for g in (symmetric(4), dihedral(4), dicyclic(2)):
         for sub in subgroup_conjugacy_reps(g):
             elems = sub.elements
@@ -203,6 +203,123 @@ def test_commuting_prefixes_walk_every_tuple_in_order():
 def test_commuting_tuple_brute_cap():
     with limits.using(tuples=10**6), pytest.raises(ResourceLimitError, match=r"Limits\.tuples"):
         count_commuting_tuples(symmetric(4), 9, "brute")
+
+
+# -- the table kernels against the all-pairs routes -------------------------
+
+
+def _reference_commuting_brute(g, m):
+    """Every one of the |G|^m tuples, every pair compared in the table."""
+    mul = g.mul
+    return sum(
+        all(mul[t[i]][t[j]] == mul[t[j]][t[i]] for i in range(m) for j in range(i + 1, m))
+        for t in product(range(g.order), repeat=m)
+    )
+
+
+def _reference_group_from_permutations(generators):
+    """Breadth-first closure, then every product composed and looked up."""
+    cap = limits.current().group_order
+    gens = [tuple(p) for p in generators]
+    identity = tuple(range(len(gens[0]) if gens else 1))
+    elements, index, queue = [identity], {identity: 0}, [identity]
+    while queue:
+        nxt = []
+        for a in queue:
+            for p in gens:
+                b = tuple(a[i] for i in p)
+                if b not in index:
+                    if len(elements) >= cap:
+                        raise ResourceLimitError(f"exceeds Limits.group_order = {cap}")
+                    index[b] = len(elements)
+                    elements.append(b)
+                    nxt.append(b)
+        queue = nxt
+    mul = tuple(
+        tuple(index[tuple(a[i] for i in b)] for b in elements) for a in elements
+    )
+    gen_idx = [index[p] for p in gens]
+    return FiniteGroup(mul, generators=gen_idx, perms=elements, _validated=True)
+
+
+def _as_built(g):
+    return g.mul, g.perms, g.generators
+
+
+def _recorded_permutations(g):
+    return [g.perms[s] for s in g.generators]
+
+
+def _regular_permutations(g):
+    return [g.mul[s] for s in g.spanning_tree()[0]]
+
+
+def test_brute_count_matches_the_all_tuples_route():
+    groups = list(group_catalog()) + [("S4", symmetric(4)), ("A5", alternating(5))]
+    for name, g in groups:
+        for m in range(5):
+            if g.order**m <= 10**5:
+                expected = _reference_commuting_brute(g, m)
+                assert count_commuting_tuples(g, m, "brute") == expected, (name, m)
+
+
+def test_closure_matches_the_all_pairs_composition_route():
+    generator_lists = [("S4", _recorded_permutations(symmetric(4))),
+                       ("A5", _recorded_permutations(alternating(5))),
+                       ("S5", _recorded_permutations(symmetric(5))),
+                       ("S6", _recorded_permutations(symmetric(6)))]
+    for name, g in group_catalog():
+        generator_lists.append((name, _regular_permutations(g)))
+        if g.perms is not None:
+            generator_lists.append((name, _recorded_permutations(g)))
+    for name, gens in generator_lists:
+        expected = _reference_group_from_permutations(gens)
+        assert _as_built(group_from_permutations(gens)) == _as_built(expected), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closure_of_random_generators_matches_the_all_pairs_route(data):
+    degree = data.draw(st.integers(1, 6))
+    identity = tuple(range(degree))
+    pool = data.draw(st.lists(st.permutations(identity), min_size=1, max_size=3))
+    gens = data.draw(st.lists(st.sampled_from(pool + [identity]), max_size=3))
+    built = group_from_permutations(gens)
+    assert _as_built(built) == _as_built(_reference_group_from_permutations(gens))
+
+
+def test_group_order_cap_trips_at_the_same_element_count():
+    for gens in ([(1, 2, 3, 4, 0)], [(1, 0, 2, 3), (1, 2, 3, 0)], [(1, 0)]):
+        order = _reference_group_from_permutations(gens).order
+        for cap in (order - 1, order):
+            with limits.using(group_order=cap):
+                outcomes = []
+                for build in (group_from_permutations, _reference_group_from_permutations):
+                    try:
+                        build(gens)
+                    except ResourceLimitError:
+                        outcomes.append(False)
+                    else:
+                        outcomes.append(True)
+            assert outcomes == [cap >= order] * 2, (gens, cap)
+
+
+def test_brute_count_reads_only_the_table(monkeypatch):
+    groups = [("S4", symmetric(4)), ("D4", dihedral(4)), ("Q8", dicyclic(2))]
+    expected = {(name, m): count_commuting_tuples(g, m) for name, g in groups for m in range(4)}
+    s6 = symmetric(6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute route must not read this")
+
+    monkeypatch.setattr(FiniteGroup, "commute_sets", refuse)
+    monkeypatch.setattr(FiniteGroup, "conj_table", refuse)
+    monkeypatch.setattr(grouptheory, "conjugacy_classes", refuse)
+    monkeypatch.setattr(grouptheory, "centralizer", refuse)
+    for name, g in groups:
+        for m in range(4):
+            assert count_commuting_tuples(g, m, "brute") == expected[name, m], (name, m)
+    assert count_commuting_tuples(s6, 2, "brute") == 7920  # k(S6) * |S6| = 11 * 720
 
 
 def test_product_class_count_multiplies():
