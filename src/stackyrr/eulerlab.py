@@ -13,10 +13,10 @@ Writing I^m for the m-th iterated inertia, these satisfy the exact ladder
 
 and chi_orb(I^m) = (number of commuting m-tuples with a common fixed
 point)/|H| gives a generating series worth tabulating.  Every quantity here
-is computed by at least two genuinely different routes (the commuting-tuple
-walk of `grouptheory.commuting_prefixes` vs. the centralizer recursion,
-direct construction vs. repeated inertia) and the routes are required to
-agree exactly.
+is computed by at least two genuinely different routes (the bitmask walk of
+`grouptheory.commuting_masks` vs. the centralizer recursion, direct
+construction vs. repeated inertia) and the routes are required to agree
+exactly.
 
 Weighted variants: a constructible integer (or nonzero rational) weight on
 a stratified base produces weighted Euler characteristics (sums) and Euler
@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import limits
 from .errors import ResourceLimitError, ValidationError, agree, check_depth
 from .groupoidstack import FiniteGSet, inertia, iterated_inertia, orbit_count, orbits
-from .grouptheory import commuting_prefixes, count_commuting_tuples
+from .grouptheory import commuting_masks, count_commuting_tuples
 from .orbicurve import OrbifoldCurve
 
 
@@ -59,11 +59,11 @@ def chi_phy_gset(gset: FiniteGSet) -> int:
 def chi_m(gset: FiniteGSet, m: int) -> Fraction:
     """chi_orb of the m-th iterated inertia, computed two ways.
 
-    Direct route: walk the tuples (x, h_1..h_m) with the h_i pairwise
-    commuting in Stab(x) with :func:`commuting_prefixes`, count, divide by
-    |G|.  Recursive route: sum over orbits of the centralizer recursion on
-    the stabilizer.  Exact agreement is mandatory; the enumeration is
-    subject to ``Limits.tuples``.
+    Direct route: per point x, walk the pairwise commuting (m-1)-tuples in
+    Stab(x) with :func:`commuting_masks`, count the extensions of each as
+    the popcount of its mask, sum and divide by |G|.  Recursive route: sum
+    over orbits of the centralizer recursion on the stabilizer.  Exact
+    agreement is mandatory; the enumeration is subject to ``Limits.tuples``.
     """
     check_depth(m, "m")
     cap = limits.current().tuples
@@ -73,8 +73,9 @@ def chi_m(gset: FiniteGSet, m: int) -> Fraction:
 
     direct_count = 0
     for x in range(gset.size):
-        for _, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
-            direct_count += len(last)
+        stab = sum(1 << h for h in gset.stabilizer_elements(x))
+        for extensions in commuting_masks(group, stab, m):
+            direct_count += extensions.bit_count()
             if direct_count > cap:
                 raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
 

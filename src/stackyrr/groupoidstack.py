@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
-from .grouptheory import FiniteGroup, Subgroup, subgroup
+from .grouptheory import FiniteGroup, Subgroup, commuting_masks, subgroup
 
 
 class FiniteGSet:
@@ -106,9 +107,6 @@ class FiniteGSet:
                         f"action is not compatible with multiplication at "
                         f"(x={x}, g={g}, h={s})"
                     )
-
-    def apply(self, g: int, x: int) -> int:
-        return self.act[x][g]
 
     def stabilizer_elements(self, x: int) -> list[int]:
         row = self.act[x]
@@ -278,18 +276,21 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     """The children of every point of ``below``, with their generator columns.
 
     At depth 1 the children of x are its stabilizer elements.  Deeper, the
-    children of p = (q, h) are the children of q that commute with h.  Both
-    lists come out sorted, so the points are in lexicographic order.
+    children of p = (q, h) are the children of q that commute with h, found
+    by `commuting_masks` at m = 2.  Both lists come out sorted, so the
+    points are in lexicographic order.
     """
     group = below.group
     n = group.order
-    offsets = [0]
-    last: list[int] = []
-    parent: list[int] = []
+    offsets, last, parent = [0], [], []
     if depth == 1:
         rows = (below.stabilizer_elements(x) for x in range(below.size))
     else:
-        rows = _commuting_children(below, group.commute_sets())
+        starts, siblings = below.offsets, below.last
+        sibling_masks = (sum(1 << h for h in siblings[a:b]) for a, b in zip(starts, starts[1:]))
+        listed = {}  # each child mask holds h itself, so no listed row is empty
+        rows = (listed.get(c) or listed.setdefault(c, _set_bits(c))
+                for mask in sibling_masks for c in commuting_masks(group, mask, 2))
     for p, children in enumerate(rows):
         last.extend(children)
         parent.extend([p] * len(children))
@@ -307,14 +308,12 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     return TowerLevel(below, depth, offsets, last, pos, cols)
 
 
-def _commuting_children(below: TowerLevel, commutes):
-    """Per point (q, h) of ``below``, in order: the children of q commuting with h."""
-    offsets, last = below.offsets, below.last
-    for q in range(len(offsets) - 1):
-        siblings = last[offsets[q]:offsets[q + 1]]
-        for h in siblings:
-            with_h = commutes[h]
-            yield [t for t in siblings if t in with_h]
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first: its binary digits select positions."""
+    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_SELECT)))
 
 
 def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:

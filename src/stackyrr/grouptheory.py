@@ -56,14 +56,10 @@ class FiniteGroup:
             )
         return self._conj
 
-    def commute_sets(self) -> tuple[frozenset[int], ...]:
-        """Per element g, the set of elements commuting with g."""
+    def commute_masks(self) -> tuple[int, ...]:
+        """Per element g, a bitmask with bit h set when g*h == h*g."""
         if self._commutes is None:
-            mul, n = self.mul, self.order
-            self._commutes = tuple(
-                frozenset(h for h in range(n) if mul[g][h] == mul[h][g])
-                for g in range(n)
-            )
+            self._commutes = _commute_masks(self.mul)
         return self._commutes
 
     def spanning_tree(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -95,12 +91,8 @@ class FiniteGroup:
         return order
 
     def is_abelian(self) -> bool:
-        mul = self.mul
-        return all(
-            mul[a][b] == mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        full = (1 << self.order) - 1
+        return all(mask == full for mask in self.commute_masks())
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -130,6 +122,15 @@ def _check_table(mul) -> None:
                     raise ValidationError(
                         f"associativity fails on triple ({a}, {b}, {c})"
                     )
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _commute_masks(mul) -> tuple[int, ...]:
+    """Bit b of entry a is set when a*b == b*a: row a == column a, read in binary."""
+    return tuple(int(bytes(map(eq, row, col)).translate(_BITS)[::-1], 2)
+                 for row, col in zip(mul, zip(*mul)))
 
 
 def _inverse_vector(mul) -> tuple[int, ...]:
@@ -562,8 +563,7 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
     """
     check_depth(m, "tuple length")
     if algorithm in ("recursive", "centralizer-recursive"):
-        memo: dict = {}
-        return _commuting_recursive(group, tuple(range(group.order)), m, memo)
+        return _commuting_recursive(group, tuple(range(group.order)), m, {})[m]
     if algorithm == "brute":
         cap = limits.current().tuples
         if group.order**m > cap:
@@ -574,45 +574,38 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
     raise ValidationError(f"unknown algorithm {algorithm!r}")
 
 
-def commuting_prefixes(group: FiniteGroup, elems, m: int):
-    """Walk the m-tuples of pairwise commuting elements drawn from ``elems``.
+def commuting_masks(group: FiniteGroup, mask: int, m: int):
+    """Walk the m-tuples of pairwise commuting elements drawn from ``mask``.
 
-    Yields ``(prefix, last)`` once per pairwise commuting (m-1)-tuple
-    ``prefix``, where ``last`` lists the members of ``elems`` commuting with
-    every entry of ``prefix``; the m-tuples are exactly ``prefix + (h,)``
-    for ``h`` in ``last``.  Prefixes come in lexicographic order when
-    ``elems`` is sorted.  Reads the group's cached commute sets.
+    ``mask`` has bit h set for element h.  Once per pairwise commuting
+    (m-1)-tuple drawn from it, in lexicographic order, yields the mask of
+    its extensions: the members of ``mask`` commuting with all its entries.
     """
     if check_depth(m, "tuple length") < 1:
         raise ValidationError(f"tuple length must be >= 1, got {m}")
-    commutes = group.commute_sets()
-    stack = [((), list(elems))]
+    masks = group.commute_masks()
+    stack = [(mask, m - 1)]
     while stack:
-        prefix, candidates = stack.pop()
-        if len(prefix) == m - 1:
-            yield prefix, candidates
+        common, k = stack.pop()
+        if k == 0:
+            yield common
             continue
-        for h in reversed(candidates):
-            with_h = commutes[h]
-            stack.append((prefix + (h,), [t for t in candidates if t in with_h]))
-
-
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
+        rest = common
+        while rest:  # highest bit first, so the lowest is walked first
+            h = rest.bit_length() - 1
+            rest ^= 1 << h
+            stack.append((common & masks[h], k - 1))
 
 
 def _commuting_brute(group: FiniteGroup, m: int) -> int:
     # The deliberately plain oracle: scan all |G|^m tuples and check every
-    # pair, reading nothing but the table (no commute sets, classes or
-    # centralizers, which the other routes use).  Bit b of masks[a] is set
-    # when mul[a][b] == mul[b][a]: row a compared with column a gives 0/1
-    # bytes, read as a binary numeral with entry b at bit b.  Each
+    # pair, reading nothing but the table (not the group's cached commute
+    # masks, classes or centralizers, which the other routes use).  Each
     # (m-1)-prefix is checked pair by pair, and its |G| extensions at once:
     # the last entry must lie in the AND of the prefix masks.
     if m == 0:
         return 1
-    mul = group.mul
-    masks = [int(bytes(map(eq, row, col)).translate(_BITS)[::-1], 2)
-             for row, col in zip(mul, zip(*mul))]
+    masks = _commute_masks(group.mul)
     full = (1 << group.order) - 1
     total = 0
     for prefix in product(range(group.order), repeat=m - 1):
@@ -627,29 +620,34 @@ def _commuting_brute(group: FiniteGroup, m: int) -> int:
 
 
 def _commuting_recursive(group, elems, m, memo):
-    if m == 0:
-        return 1
-    if m == 1:
-        return len(elems)
-    key = (elems, m)
-    if key in memo:
-        return memo[key]
+    """[N_0..N_m], N_k = sum over classes of |class| * N_(k-1)(centralizer).
+
+    Central classes are summed in the loop over k and the rest recur on
+    proper centralizers, so the depth is a centralizer chain, not m.
+    """
+    if m <= 1:
+        return [1, len(elems)][:m + 1]
+    if (elems, m) in memo:
+        return memo[elems, m]
     mul, inv = group.mul, group.inv
-    eset = set(elems)
-    remaining = set(elems)
-    total = 0
+    eset, remaining = set(elems), set(elems)
+    central, others = 0, []
     while remaining:
         h = min(remaining)
         orbit = {mul[mul[g][h]][inv[g]] for g in elems}
         if not orbit <= eset:
             raise ConsistencyError(f"class of {h} leaves a centralizer it was taken in")
         remaining -= orbit
-        cent = tuple(
-            g for g in elems if mul[g][h] == mul[h][g]
-        )
-        total += len(orbit) * _commuting_recursive(group, cent, m - 1, memo)
-    memo[key] = total
-    return total
+        if len(orbit) == 1:
+            central += 1
+            continue
+        cent = tuple(g for g in elems if mul[g][h] == mul[h][g])
+        others.append((len(orbit), _commuting_recursive(group, cent, m - 1, memo)))
+    counts = [1]
+    for k in range(1, m + 1):
+        counts.append(central * counts[-1] + sum(size * sub[k - 1] for size, sub in others))
+    memo[elems, m] = counts
+    return counts
 
 
 # -- products ---------------------------------------------------------------

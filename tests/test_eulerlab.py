@@ -29,7 +29,7 @@ from stackyrr.groupoidstack import (
     trivial_gset,
 )
 from stackyrr.grouptheory import (
-    commuting_prefixes,
+    commuting_masks,
     conjugacy_classes,
     count_commuting_tuples,
     subgroup_conjugacy_reps,
@@ -108,7 +108,7 @@ _S3_NATURAL = natural_gset(symmetric(3))
 
 DEPTH_ENTRY_POINTS = {
     "iterated_inertia": lambda m: iterated_inertia(_S3_NATURAL, m),
-    "commuting_prefixes": lambda m: next(commuting_prefixes(symmetric(3), range(6), m)),
+    "commuting_masks": lambda m: next(commuting_masks(symmetric(3), 0b111111, m)),
     "count_commuting_tuples": lambda m: count_commuting_tuples(symmetric(3), m),
     "chi_m": lambda m: chi_m(_S3_NATURAL, m),
     "euler_series": lambda m: euler_series(_S3_NATURAL, m),

@@ -31,7 +31,7 @@ from stackyrr.groupoidstack import (
     orbits,
     trivial_gset,
 )
-from stackyrr.grouptheory import commuting_prefixes, conjugacy_classes, subgroup_conjugacy_reps
+from stackyrr.grouptheory import conjugacy_classes, subgroup_conjugacy_reps
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
 
 
@@ -363,14 +363,20 @@ def _reference_level(gset, m):
 
     The construction `iterated_inertia` used before levels were stored as
     children of the level below; kept as the reference the tower must match.
+    Tuples grow one stabilizer element at a time, kept when the new entry
+    commutes in the table with every earlier one: no commute masks, no walker.
     """
     group = gset.group
     n = group.order
+    mul = group.mul
     points = []
     for x in range(gset.size):
-        for prefix, last in commuting_prefixes(group, gset.stabilizer_elements(x), m):
-            head = (x,) + prefix
-            points.extend(head + (h,) for h in last)
+        stab = gset.stabilizer_elements(x)
+        tuples = [()]
+        for _ in range(m):
+            tuples = [t + (h,) for t in tuples for h in stab
+                      if all(mul[a][h] == mul[h][a] for a in t)]
+        points.extend((x,) + t for t in tuples)
     points.sort()
 
     def encode(p):

@@ -16,7 +16,7 @@ from stackyrr.grouptheory import (
     Subgroup,
     all_subgroups,
     centralizer,
-    commuting_prefixes,
+    commuting_masks,
     conjugacy_classes,
     count_commuting_tuples,
     direct_product,
@@ -181,23 +181,33 @@ def test_commuting_tuples_abelian_power():
             assert count_commuting_tuples(g, m) == g.order**m
 
 
-def test_commuting_prefixes_walk_every_tuple_in_order():
+def test_commuting_tuples_at_large_m_are_exact():
+    # one recursion level per centralizer in a chain, not one per entry
+    assert count_commuting_tuples(symmetric(3), 1200) == 3 * 2**1200 + 3**1200 - 3
+    assert count_commuting_tuples(cyclic(2), 1200) == 2**1200
+    for name, g in group_catalog():
+        if g.is_abelian():
+            assert count_commuting_tuples(g, 5000) == g.order**5000, name
+
+
+def test_commuting_masks_walk_every_tuple_in_order():
+    def commute(t):
+        return all(g.mul[a][b] == g.mul[b][a] for a in t for b in t)
+
     for g in (symmetric(4), dihedral(4), dicyclic(2)):
         for sub in subgroup_conjugacy_reps(g):
             elems = sub.elements
+            mask = sum(1 << h for h in elems)
             for m in range(1, 4):
-                walked = [
-                    prefix + (h,)
-                    for prefix, last in commuting_prefixes(g, elems, m)
-                    for h in last
-                ]
+                walked = list(commuting_masks(g, mask, m))
                 brute = [
-                    t for t in product(elems, repeat=m)
-                    if all(g.mul[a][b] == g.mul[b][a] for a in t for b in t)
+                    sum(1 << h for h in elems if commute(prefix + (h,)))
+                    for prefix in product(elems, repeat=m - 1)
+                    if commute(prefix)
                 ]
                 assert walked == brute
     with pytest.raises(ValidationError):
-        next(commuting_prefixes(cyclic(2), (0, 1), 0))
+        next(commuting_masks(cyclic(2), 0b11, 0))
 
 
 def test_commuting_tuple_brute_cap():
@@ -304,22 +314,42 @@ def test_group_order_cap_trips_at_the_same_element_count():
             assert outcomes == [cap >= order] * 2, (gens, cap)
 
 
+_INDEPENDENCE_GROUPS = [("S4", symmetric(4)), ("D4", dihedral(4)), ("Q8", dicyclic(2))]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not read this")
+
+
+def _refuse_commute_masks(monkeypatch):
+    monkeypatch.setattr(FiniteGroup, "commute_masks", _refuse)
+    monkeypatch.setattr(grouptheory, "commuting_masks", _refuse)
+
+
 def test_brute_count_reads_only_the_table(monkeypatch):
-    groups = [("S4", symmetric(4)), ("D4", dihedral(4)), ("Q8", dicyclic(2))]
+    groups = _INDEPENDENCE_GROUPS
     expected = {(name, m): count_commuting_tuples(g, m) for name, g in groups for m in range(4)}
     s6 = symmetric(6)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the brute route must not read this")
-
-    monkeypatch.setattr(FiniteGroup, "commute_sets", refuse)
-    monkeypatch.setattr(FiniteGroup, "conj_table", refuse)
-    monkeypatch.setattr(grouptheory, "conjugacy_classes", refuse)
-    monkeypatch.setattr(grouptheory, "centralizer", refuse)
+    _refuse_commute_masks(monkeypatch)
+    monkeypatch.setattr(FiniteGroup, "conj_table", _refuse)
+    monkeypatch.setattr(grouptheory, "conjugacy_classes", _refuse)
+    monkeypatch.setattr(grouptheory, "centralizer", _refuse)
     for name, g in groups:
         for m in range(4):
             assert count_commuting_tuples(g, m, "brute") == expected[name, m], (name, m)
     assert count_commuting_tuples(s6, 2, "brute") == 7920  # k(S6) * |S6| = 11 * 720
+
+
+def test_recursive_count_reads_no_commute_masks(monkeypatch):
+    groups = _INDEPENDENCE_GROUPS
+    expected = {(name, m): count_commuting_tuples(g, m, "brute")
+                for name, g in groups for m in range(4)}
+    s6 = symmetric(6)
+    _refuse_commute_masks(monkeypatch)
+    for name, g in groups:
+        for m in range(4):
+            assert count_commuting_tuples(g, m, "recursive") == expected[name, m], (name, m)
+    assert count_commuting_tuples(s6, 2, "recursive") == 7920
 
 
 def test_product_class_count_multiplies():
