@@ -33,9 +33,12 @@ from .grouptheory import (
 
 
 def _as_cyclo(v) -> CyclotomicNumber:
+    """A cyclotomic, a Fraction or an int (not a bool) as a cyclotomic number."""
     if isinstance(v, CyclotomicNumber):
         return v
-    return CyclotomicNumber.from_rational(v)
+    if type(v) is int or isinstance(v, Fraction):
+        return CyclotomicNumber.from_rational(v)
+    raise ValidationError(f"entry {v!r} is not an int, a Fraction or a cyclotomic number")
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,9 @@ class ClassFunction:
                 tuple(a * b for a, b in zip(self.values, other.values)),
                 self.genuine and other.genuine,
             )
+        scalar = _as_cyclo(other)
         return ClassFunction(
-            self.group, tuple(v * other for v in self.values),
+            self.group, tuple(v * scalar for v in self.values),
             self.genuine and isinstance(other, int) and other >= 0,
         )
 
@@ -133,135 +137,133 @@ def coset_character(group: FiniteGroup, sub: Subgroup) -> ClassFunction:
 # -- matrix representations -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MatrixRep:
     """Explicit matrices over the cyclotomics, validated to be a homomorphism.
 
-    The check is M(1) = I and M(a s) = M(a) M(s) for every element a and
-    every generator s of the group's spanning tree: O(|G| * #gens) products.
+    Each matrix is held as sparse rows: ``rows[g][i]`` lists the nonzero
+    entries of row i of the matrix of g as (column, value) pairs in column
+    order.  ``matrices`` is the dense tuple-of-tuples view, built on first
+    use.  The check is M(1) = I and M(a s) = M(a) M(s) for every element a
+    and every generator s of the group's spanning tree: O(|G| * #gens)
+    products, each over nonzero entries only.
     """
 
-    group: FiniteGroup
-    dim: int
-    matrices: tuple  # one dim x dim tuple-of-tuples per group element
+    __slots__ = ("group", "dim", "rows", "_dense")
 
-    def __post_init__(self):
-        n = self.group.order
-        if len(self.matrices) != n:
-            raise ValidationError(f"need {n} matrices, got {len(self.matrices)}")
-        mats = tuple(
-            tuple(tuple(_as_cyclo(v) for v in row) for row in m)
-            for m in self.matrices
-        )
-        object.__setattr__(self, "matrices", mats)
-        for m in mats:
-            if len(m) != self.dim or any(len(row) != self.dim for row in m):
-                raise ValidationError("matrix of wrong shape")
-        ident = _identity(self.dim)
-        if mats[0] != ident:
+    def __init__(self, group: FiniteGroup, dim: int, matrices):
+        """From dense matrices, one dim x dim tuple-of-tuples per group element."""
+        if len(matrices) != group.order:
+            raise ValidationError(f"need {group.order} matrices, got {len(matrices)}")
+        self._set_rows(group, dim, tuple(_sparse(m, dim) for m in matrices))
+
+    @classmethod
+    def _from_rows(cls, group: FiniteGroup, dim: int, rows: tuple) -> "MatrixRep":
+        rep = cls.__new__(cls)
+        rep._set_rows(group, dim, rows)
+        return rep
+
+    def _set_rows(self, group, dim, rows):
+        """Hold ``rows`` once they pass the check in the class docstring."""
+        self.group, self.dim, self.rows, self._dense = group, dim, rows, None
+        if rows[0] != _identity(dim):
             raise ValidationError("identity element must map to the identity matrix")
         # on generators only: see FiniteGroup.spanning_tree
-        mul = self.group.mul
-        for s in self.group.spanning_tree()[0]:
-            for a in range(n):
-                if _mat_mul(mats[a], mats[s]) != mats[mul[a][s]]:
+        mul = group.mul
+        for s in group.spanning_tree()[0]:
+            for a in range(group.order):
+                if _mat_mul(rows[a], rows[s]) != rows[mul[a][s]]:
                     raise ValidationError(
                         f"matrices do not respect multiplication at pair ({a}, {s})"
                     )
+
+    @property
+    def matrices(self) -> tuple:
+        """One dense dim x dim tuple-of-tuples per group element."""
+        if self._dense is None:
+            self._dense = tuple(
+                tuple(tuple(dict(row).get(j, ZERO) for j in range(self.dim)) for row in m)
+                for m in self.rows
+            )
+        return self._dense
 
     def matrix(self, g: int):
         return self.matrices[g]
 
 
-def _identity(d):
+def _sparse(m, dim: int) -> tuple:
+    """Sparse rows of a dense dim x dim matrix."""
+    if len(m) != dim or any(len(row) != dim for row in m):
+        raise ValidationError("matrix of wrong shape")
     return tuple(
-        tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)
+        tuple((j, v) for j, v in enumerate(map(_as_cyclo, row)) if v) for row in m
     )
+
+
+def _identity(d):
+    return tuple(((i, ONE),) for i in range(d))
 
 
 def _mat_mul(a, b):
-    d = len(a)
+    """Product of two matrices in sparse rows, over nonzero entries only."""
     out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = ZERO
-            for k in range(d):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        acc = {}
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple((j, v) for j, v in sorted(acc.items()) if v))
     return tuple(out)
-
-
-def _mat_scale(m, c):
-    return tuple(tuple(c * v for v in row) for row in m)
-
-
-def _mat_add(a, b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def regular_rep(group: FiniteGroup) -> MatrixRep:
     """Permutation matrices of left translation on the group itself."""
-    n = group.order
-    mats = []
-    for g in range(n):
-        col = [group.mul[g][x] for x in range(n)]
-        mats.append(
-            tuple(
-                tuple(ONE if col[j] == i else ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
-    return MatrixRep(group, n, tuple(mats))
+    mul, inv = group.mul, group.inv
+    rows = tuple(
+        tuple(((mul[inv[g]][i], ONE),) for i in range(group.order))
+        for g in range(group.order)
+    )
+    return MatrixRep._from_rows(group, group.order, rows)
 
 
 def permutation_rep(gset: FiniteGSet) -> MatrixRep:
     """Permutation matrices of a G-set (matrix of g sends e_x to e_{g.x})."""
-    mats = []
-    for g in range(gset.group.order):
-        image = [gset.act[x][g] for x in range(gset.size)]
-        mats.append(
-            tuple(
-                tuple(ONE if image[j] == i else ZERO for j in range(gset.size))
-                for i in range(gset.size)
-            )
-        )
-    return MatrixRep(gset.group, gset.size, tuple(mats))
+    inv = gset.group.inv
+    rows = tuple(
+        tuple(((gset.act[i][inv[g]], ONE),) for i in range(gset.size))
+        for g in range(gset.group.order)
+    )
+    return MatrixRep._from_rows(gset.group, gset.size, rows)
 
 
 def one_dim_rep(group: FiniteGroup, values) -> MatrixRep:
     """A 1-dimensional representation from per-element scalar values."""
-    mats = tuple(((_as_cyclo(v),),) for v in values)
-    return MatrixRep(group, 1, mats)
+    return MatrixRep(group, 1, tuple(((v,),) for v in values))
 
 
 def rep_from_generator_images(group: FiniteGroup, images: dict) -> MatrixRep:
     """Extend matrices given on a generating set to the whole group."""
-    images = {g: tuple(tuple(_as_cyclo(v) for v in row) for row in m)
-              for g, m in images.items()}
+    if not images:
+        raise ValidationError("need the image of at least one generator")
     dim = len(next(iter(images.values())))
-    mats = extend_along_generators(
-        group, images, _identity(dim), _mat_mul,
+    sparse = {}
+    for g, m in images.items():
+        if type(g) is not int or not 0 <= g < group.order:
+            raise ValidationError(f"image key {g!r} is not an element of the group")
+        sparse[g] = _sparse(m, dim)
+    rows = extend_along_generators(
+        group, sparse, _identity(dim), _mat_mul,
         "images do not cover a generating set",
     )
-    return MatrixRep(group, dim, tuple(mats))
+    return MatrixRep._from_rows(group, dim, tuple(rows))
 
 
 def character_of(rep: MatrixRep) -> ClassFunction:
     """Trace at each class representative; genuine by construction."""
-    table = conjugacy_classes(rep.group)
-    vals = []
-    for r in table.representatives:
-        m = rep.matrices[r]
-        tr = ZERO
-        for i in range(rep.dim):
-            tr = tr + m[i][i]
-        vals.append(tr)
-    return ClassFunction(rep.group, tuple(vals), True)
+    vals = tuple(
+        sum((v for i, row in enumerate(rep.rows[r]) for j, v in row if j == i), ZERO)
+        for r in conjugacy_classes(rep.group).representatives
+    )
+    return ClassFunction(rep.group, vals, True)
 
 
 def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
@@ -271,17 +273,22 @@ def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
     (1/r) sum_a zeta^(-a) rep(h)^a onto the zeta-eigenspace is assembled
     exactly and its rank certified by exact elimination.
     """
+    if type(h) is not int or not 0 <= h < rep.group.order:
+        raise ValidationError(f"{h!r} is not an element of the group")
+    zeta = _as_cyclo(zeta)
     r = rep.group.element_order(h)
     if zeta**r != 1:
         raise ValidationError(f"{zeta!r} is not an {r}-th root of unity")
     zeta_inv = zeta.inverse()
-    acc = power = _identity(rep.dim)
-    scalar = ONE  # zeta^(-a)
-    for _ in range(1, r):
-        power = _mat_mul(power, rep.matrices[h])
+    proj = [[ZERO] * rep.dim for _ in range(rep.dim)]
+    power = _identity(rep.dim)  # rep(h)^a
+    scalar = _as_cyclo(Fraction(1, r))  # zeta^(-a) / r
+    for _ in range(r):
+        for out, row in zip(proj, power):
+            for j, v in row:
+                out[j] = out[j] + scalar * v
+        power = _mat_mul(power, rep.rows[h])
         scalar = scalar * zeta_inv
-        acc = _mat_add(acc, _mat_scale(power, scalar))
-    proj = _mat_scale(acc, Fraction(1, r))
     return exact_rank(proj)
 
 

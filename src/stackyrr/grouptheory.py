@@ -26,7 +26,7 @@ class FiniteGroup:
     """Immutable finite group on indices 0..order-1, identity at 0."""
 
     __slots__ = ("order", "mul", "inv", "generators", "perms", "_classes",
-                 "_conj", "_commutes", "_tree", "_sub_groups")
+                 "_conj", "_commutes", "_brute_masks", "_tree", "_sub_groups")
 
     def __init__(self, mul: tuple[tuple[int, ...], ...], *, generators=None,
                  perms=None, _validated=False):
@@ -40,6 +40,7 @@ class FiniteGroup:
         self._classes = None
         self._conj = None
         self._commutes = None
+        self._brute_masks = None  # read only by _commuting_brute
         self._tree = None
         self._sub_groups = {}
 
@@ -600,12 +601,15 @@ def commuting_masks(group: FiniteGroup, mask: int, m: int):
 def _commuting_brute(group: FiniteGroup, m: int) -> int:
     # The deliberately plain oracle: scan all |G|^m tuples and check every
     # pair, reading nothing but the table (not the group's cached commute
-    # masks, classes or centralizers, which the other routes use).  Each
-    # (m-1)-prefix is checked pair by pair, and its |G| extensions at once:
-    # the last entry must lie in the AND of the prefix masks.
+    # masks, classes or centralizers, which the other routes use; its own
+    # masks, built from the table, sit in a slot no other route reads).
+    # Each (m-1)-prefix is checked pair by pair, and its |G| extensions at
+    # once: the last entry must lie in the AND of the prefix masks.
     if m == 0:
         return 1
-    masks = _commute_masks(group.mul)
+    if group._brute_masks is None:
+        group._brute_masks = _commute_masks(group.mul)
+    masks = group._brute_masks
     full = (1 << group.order) - 1
     total = 0
     for prefix in product(range(group.order), repeat=m - 1):

@@ -27,7 +27,7 @@ from stackyrr.chartheory import (
     structure_bundle,
     trivial_character,
 )
-from stackyrr.cyclonum import CyclotomicNumber, root_of_unity
+from stackyrr.cyclonum import ONE, ZERO, CyclotomicNumber, root_of_unity
 from stackyrr.errors import ConsistencyError, ValidationError
 from stackyrr.groupoidstack import (
     InertiaSet,
@@ -38,16 +38,20 @@ from stackyrr.groupoidstack import (
     orbits,
     trivial_gset,
 )
-from stackyrr.grouptheory import conjugacy_classes, subgroup_conjugacy_reps
+from stackyrr.exactlinalg import exact_rank
+from stackyrr.grouptheory import (
+    conjugacy_classes,
+    extend_along_generators,
+    subgroup_conjugacy_reps,
+)
 from stackyrr.smallgroups import (
     alternating,
     cyclic,
     dicyclic,
     dihedral,
+    group_catalog,
     symmetric,
 )
-
-ONE = CyclotomicNumber.from_rational(1)
 
 
 def perm_sign(p):
@@ -433,3 +437,163 @@ def test_rep_corrupted_at_a_non_generator_is_rejected():
     mats[a] = mats[b]
     with pytest.raises(ValidationError, match="multiplication"):
         MatrixRep(s3, 6, tuple(mats))
+
+
+@pytest.mark.parametrize("images, message", [
+    ({}, "at least one generator"),
+    ({99: [[1]]}, "not an element"),
+    ({1: [[1, 0]], 2: [[1, 0]]}, "wrong shape"),
+], ids=["empty", "key-out-of-range", "not-square"])
+def test_malformed_generator_images_are_validation_errors(images, message):
+    with pytest.raises(ValidationError, match=message):
+        rep_from_generator_images(symmetric(3), images)
+
+
+def test_eigencomponent_dim_rejects_an_element_out_of_range():
+    with pytest.raises(ValidationError, match="not an element"):
+        eigencomponent_dim(regular_rep(cyclic(3)), 3, ONE)
+
+
+def test_eigencomponent_dim_takes_a_rational_root():
+    reg = regular_rep(cyclic(2))
+    assert eigencomponent_dim(reg, 1, 1) == 1
+    assert eigencomponent_dim(reg, 1, Fraction(-1)) == 1
+    assert eigencomponent_dim(reg, 0, 1) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MatrixRep(cyclic(1), 1, ((("1",),),)),
+    lambda: ClassFunction(cyclic(2), (True, 1)),
+    lambda: trivial_character(cyclic(2)) * True,
+    lambda: one_dim_rep(cyclic(2), [1, -1.0]),
+    lambda: eigencomponent_dim(regular_rep(cyclic(2)), 1, True),
+], ids=["str-matrix-entry", "bool-class-value", "bool-multiplier", "float-one-dim-value",
+       "bool-root"])
+def test_entries_are_never_coerced(build):
+    with pytest.raises(ValidationError, match="is not an int, a Fraction or a cyclotomic"):
+        build()
+
+
+# -- dense references: MatrixRep's product and check before sparse rows -------
+
+
+def _dense_identity(d):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
+
+
+def _dense_mat_mul(a, b):
+    d = len(a)
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = ZERO
+            for k in range(d):
+                if a[i][k] and b[k][j]:
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_is_rep(group, mats):
+    """M(1) = I and M(a s) = M(a) M(s) for every a and spanning-tree generator s."""
+    return mats[0] == _dense_identity(len(mats[0])) and all(
+        _dense_mat_mul(mats[a], mats[s]) == mats[group.mul[a][s]]
+        for s in group.spanning_tree()[0] for a in range(group.order)
+    )
+
+
+def _dense_permutation_matrices(group, size, image):
+    """Per element g, the matrix sending e_x to e_image(g, x)."""
+    return tuple(
+        tuple(tuple(ONE if image(g, x) == i else ZERO for x in range(size))
+              for i in range(size))
+        for g in range(group.order)
+    )
+
+
+def _dense_eigen_dims(mats, h, r):
+    """Rank of (1/r) sum_a zeta^(-a) M(h)^a for each r-th root zeta_r^k."""
+    powers = [_dense_identity(len(mats[h]))]
+    for _ in range(1, r):
+        powers.append(_dense_mat_mul(powers[-1], mats[h]))
+    dims = []
+    for k in range(r):
+        zeta_inv = root_of_unity(r, k).inverse()
+        acc, scalar = powers[0], ONE
+        for power in powers[1:]:
+            scalar = scalar * zeta_inv
+            acc = tuple(tuple(x + scalar * y for x, y in zip(ra, rb))
+                        for ra, rb in zip(acc, power))
+        dims.append(exact_rank([[v * Fraction(1, r) for v in row] for row in acc]))
+    return dims
+
+
+def _accepted(group, mats):
+    try:
+        MatrixRep(group, len(mats[0]), mats)
+    except ValidationError:
+        return False
+    return True
+
+
+def _check_against_dense(rep, mats):
+    """Compare rep with the dense reference; return the corrupted copies' outcomes."""
+    group = rep.group
+    assert rep.matrices == mats and _dense_is_rep(group, mats) and _accepted(group, mats)
+    traces = tuple(sum((mats[r][i][i] for i in range(rep.dim)), ZERO)
+                   for r in conjugacy_classes(group).representatives)
+    assert character_of(rep).values == traces
+    for h in range(group.order):
+        r = group.element_order(h)
+        dims = [eigencomponent_dim(rep, h, root_of_unity(r, k)) for k in range(r)]
+        assert dims == _dense_eigen_dims(mats, h, r), h
+    outcomes = set()
+    gens = group.spanning_tree()[0]
+    for a in range(1, group.order):
+        if a in gens:
+            continue
+        negated = tuple(tuple(-v for v in row) for row in mats[a])
+        for corrupt in (mats[0], negated):
+            bad = mats[:a] + (corrupt,) + mats[a + 1:]
+            outcome = _accepted(group, bad)
+            assert outcome == _dense_is_rep(group, bad), a
+            outcomes.add(outcome)
+    return outcomes
+
+
+def test_sparse_reps_match_the_dense_reference():
+    outcomes = set()
+    for _, g in group_catalog(8):
+        cases = [(regular_rep(g),
+                  _dense_permutation_matrices(g, g.order, lambda s, x: g.mul[s][x]))]
+        for sub in subgroup_conjugacy_reps(g):
+            base = coset_gset(g, sub)
+            cases.append((permutation_rep(base), _dense_permutation_matrices(
+                g, base.size, lambda s, x, base=base: base.act[x][s])))
+        for rep, mats in cases:
+            outcomes |= _check_against_dense(rep, mats)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("basis, coords, values", [
+    # the standard representation, on the sum-zero plane
+    (((1, -1, 0), (0, 1, -1)), lambda w: (w[0], -w[2]), [2, 0, -1]),
+    # the natural one, in the basis e2, e1, e0 + e2
+    (((0, 0, 1), (0, 1, 0), (1, 0, 1)), lambda w: (w[2] - w[0], w[1], w[0]), [3, 1, 0]),
+], ids=["standard", "natural"])
+def test_non_monomial_reps_of_s3_match_the_dense_reference(basis, coords, values):
+    s3 = symmetric(3)
+    images = {}
+    for g in s3.generators:
+        p = s3.perms[g]
+        moved = [coords([v[p.index(i)] for i in range(3)]) for v in basis]
+        images[g] = tuple(tuple(CyclotomicNumber.from_rational(c) for c in row)
+                          for row in zip(*moved))
+    rep = rep_from_generator_images(s3, images)
+    assert any(len(row) > 1 for m in rep.rows for row in m)
+    mats = tuple(extend_along_generators(s3, images, _dense_identity(len(basis)),
+                                         _dense_mat_mul, ""))
+    assert _check_against_dense(rep, mats) == {False}
+    assert [v.integer_value() for v in character_of(rep).values] == values

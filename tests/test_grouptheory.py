@@ -340,6 +340,16 @@ def test_brute_count_reads_only_the_table(monkeypatch):
     assert count_commuting_tuples(s6, 2, "brute") == 7920  # k(S6) * |S6| = 11 * 720
 
 
+def test_brute_count_builds_its_masks_once_per_group(monkeypatch):
+    s4 = FiniteGroup(symmetric(4).mul, _validated=True)
+    build = grouptheory._commute_masks
+    calls = []
+    monkeypatch.setattr(grouptheory, "_commute_masks", lambda mul: calls.append(mul) or build(mul))
+    counts = [count_commuting_tuples(s4, m, "brute") for m in range(1, 4)]
+    assert counts == [count_commuting_tuples(symmetric(4), m) for m in range(1, 4)]
+    assert calls == [s4.mul]
+
+
 def test_recursive_count_reads_no_commute_masks(monkeypatch):
     groups = _INDEPENDENCE_GROUPS
     expected = {(name, m): count_commuting_tuples(g, m, "brute")
