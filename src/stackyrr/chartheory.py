@@ -17,7 +17,7 @@ the basis used for rank computations is the indicator basis on classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 from .cyclonum import ONE, ZERO, CyclotomicNumber
@@ -41,71 +41,65 @@ def _as_cyclo(v) -> CyclotomicNumber:
     raise ValidationError(f"entry {v!r} is not an int, a Fraction or a cyclotomic number")
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """A function on conjugacy classes, flagged when known to be a character.
 
     ``values[i]`` is the value on class i of ``conjugacy_classes(group)``.
     With ``genuine=True`` the constructor certifies at least that the
-    invariants dimension is a non-negative integer.
+    invariants dimension is a non-negative integer.  Sums, products,
+    restrictions and inductions of characters are characters by
+    construction and are built by `_from_values`, without that check.
     """
 
-    group: FiniteGroup
-    values: tuple[CyclotomicNumber, ...]
-    genuine: bool = False
+    __slots__ = ("group", "values", "genuine")
 
-    def __post_init__(self):
-        table = conjugacy_classes(self.group)
-        if len(self.values) != table.count:
-            raise ValidationError(
-                f"expected {table.count} class values, got {len(self.values)}"
-            )
-        object.__setattr__(self, "values", tuple(_as_cyclo(v) for v in self.values))
-        if self.genuine:
-            dim = invariants_dim(ClassFunction(self.group, self.values, False))
+    def __init__(self, group: FiniteGroup, values: tuple, genuine: bool = False):
+        table = conjugacy_classes(group)
+        if len(values) != table.count:
+            raise ValidationError(f"expected {table.count} class values, got {len(values)}")
+        self.group, self.values, self.genuine = group, tuple(map(_as_cyclo, values)), False
+        if genuine:
+            dim = invariants_dim(self)
             if not dim.is_rational or dim.rational_value().denominator != 1 \
                     or dim.rational_value() < 0:
                 raise ValidationError(
                     f"flagged genuine but invariants dimension is {dim!r}"
                 )
+            self.genuine = True
+
+    @classmethod
+    def _from_values(cls, group: FiniteGroup, values: tuple, genuine: bool) -> "ClassFunction":
+        """One cyclotomic value per class of ``group``, taken unchecked."""
+        chi = cls.__new__(cls)
+        chi.group, chi.values, chi.genuine = group, values, genuine
+        return chi
 
     def __call__(self, element: int) -> CyclotomicNumber:
         table = conjugacy_classes(self.group)
         return self.values[table.class_of[element]]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(
-            self.group,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-            self.genuine and other.genuine,
-        )
+        return self._pointwise(operator.add, other, self.genuine and other.genuine)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return self._pointwise(operator.sub, other, False)
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            self._same_group(other)
-            return ClassFunction(
-                self.group,
-                tuple(a * b for a, b in zip(self.values, other.values)),
-                self.genuine and other.genuine,
-            )
+            return self._pointwise(operator.mul, other, self.genuine and other.genuine)
         scalar = _as_cyclo(other)
-        return ClassFunction(
+        return ClassFunction._from_values(
             self.group, tuple(v * scalar for v in self.values),
             self.genuine and isinstance(other, int) and other >= 0,
         )
 
     __rmul__ = __mul__
 
-    def _same_group(self, other):
+    def _pointwise(self, op, other: "ClassFunction", genuine: bool) -> "ClassFunction":
         if other.group is not self.group:
             raise ValidationError("class functions live on different groups")
+        return ClassFunction._from_values(self.group, tuple(map(op, self.values, other.values)),
+                                          genuine)
 
 
 def trivial_character(group: FiniteGroup) -> ClassFunction:
@@ -295,23 +289,21 @@ def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
 # -- bundles and the trace map ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class VirtualEqBundle:
     """One virtual character per orbit, on the stabilizer of its representative."""
 
-    base: FiniteGSet
-    orbit_characters: tuple[ClassFunction, ...]
+    __slots__ = ("base", "orbit_characters")
 
-    def __post_init__(self):
-        dec = orbits(self.base)
-        if len(self.orbit_characters) != dec.count:
+    def __init__(self, base: FiniteGSet, orbit_characters: tuple[ClassFunction, ...]):
+        dec = orbits(base)
+        if len(orbit_characters) != dec.count:
             raise ValidationError(
-                f"need one character per orbit ({dec.count}), got "
-                f"{len(self.orbit_characters)}"
+                f"need one character per orbit ({dec.count}), got {len(orbit_characters)}"
             )
+        self.base, self.orbit_characters = base, orbit_characters
         for i, rep in enumerate(dec.representatives):
-            stab_group, _ = self.base.stabilizer(rep).as_group()
-            chi = self.orbit_characters[i]
+            stab_group, _ = base.stabilizer(rep).as_group()
+            chi = orbit_characters[i]
             if chi.group is not stab_group and chi.group.mul != stab_group.mul:
                 raise ValidationError(
                     f"character {i} lives on the wrong group for orbit {i}"
@@ -335,16 +327,15 @@ def structure_bundle(base: FiniteGSet) -> VirtualEqBundle:
     return VirtualEqBundle(base, tuple(chars))
 
 
-@dataclass(frozen=True)
 class InertiaFunction:
-    """An H-invariant cyclotomic function on the fixed-point pairs."""
+    """An H-invariant cyclotomic function on the fixed-point pairs, one value per orbit."""
 
-    inertia_set: InertiaSet
-    values: tuple[CyclotomicNumber, ...]  # one per inertia orbit
+    __slots__ = ("inertia_set", "values")
 
-    def __post_init__(self):
-        if len(self.values) != orbits(self.inertia_set).count:
+    def __init__(self, inertia_set: InertiaSet, values: tuple[CyclotomicNumber, ...]):
+        if len(values) != orbits(inertia_set).count:
             raise ValidationError("need one value per inertia orbit")
+        self.inertia_set, self.values = inertia_set, values
 
     def value_at_pair(self, pair) -> CyclotomicNumber:
         dec = orbits(self.inertia_set)
@@ -474,7 +465,7 @@ def restrict(group: FiniteGroup, sub: Subgroup, chi: ClassFunction) -> ClassFunc
     stab_group, elems = sub.as_group()
     table = conjugacy_classes(stab_group)
     vals = tuple(chi(elems[r]) for r in table.representatives)
-    return ClassFunction(stab_group, vals, chi.genuine)
+    return ClassFunction._from_values(stab_group, vals, chi.genuine)
 
 
 def induce(group: FiniteGroup, sub: Subgroup, chi: ClassFunction,
@@ -507,7 +498,7 @@ def induce(group: FiniteGroup, sub: Subgroup, chi: ClassFunction,
     if scaled:
         index = group.order // sub.order
         vals = [v * index for v in vals]
-    return ClassFunction(group, tuple(vals), chi.genuine)
+    return ClassFunction._from_values(group, tuple(vals), chi.genuine)
 
 
 def pushforward_to_point(bundle: VirtualEqBundle) -> CyclotomicNumber:

@@ -30,7 +30,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import limits
 from .chartheory import devissage_summary
@@ -77,17 +76,15 @@ def report_schema_version() -> str:
     return SCHEMA_VERSION
 
 
-@dataclass
 class JobSpec:
     """A parsed, validated unit of work."""
 
-    command: str
-    inputs: dict = field(default_factory=dict)
-    m_max: int = 3
-    oracle: bool = False
-    variant: str = "top"
-    output_path: str | None = None
-    fmt: str = "json"
+    __slots__ = ("command", "inputs", "m_max", "oracle", "variant", "output_path", "fmt")
+
+    def __init__(self, command: str, inputs: dict | None = None, m_max: int = 3, oracle=False,
+                 variant="top", output_path: str | None = None, fmt="json"):
+        self.command, self.inputs, self.m_max = command, {} if inputs is None else inputs, m_max
+        self.oracle, self.variant, self.output_path, self.fmt = oracle, variant, output_path, fmt
 
 
 def _load_spec(arg: str):
@@ -359,20 +356,21 @@ _INPUT_HELP = {
 }
 
 
-@dataclass(frozen=True)
 class Command:
     """One subcommand: its help line, its inputs and its implementation.
 
     ``inputs`` maps each input kind the command reads to REQUIRED, OPTIONAL
     or ANY; at least one of the ANY kinds must be given.  The parser, the
     job spec and the input check in `run` are all derived from this row.
+    ``depth`` and ``variant`` say whether it takes --max-m and --variant.
     """
 
-    help: str
-    inputs: dict
-    impl: Callable[[JobSpec], dict]
-    depth: bool = False  # takes --max-m
-    variant: bool = False  # takes --variant
+    __slots__ = ("help", "inputs", "impl", "depth", "variant")
+
+    def __init__(self, help: str, inputs: dict, impl: Callable[[JobSpec], dict],
+                 depth: bool = False, variant: bool = False):
+        self.help, self.inputs, self.impl, self.depth, self.variant = (
+            help, inputs, impl, depth, variant)
 
 
 _COMMANDS = {

@@ -170,7 +170,7 @@ class CyclotomicNumber:
     common to all of them.  ``coeffs`` gives the same coefficients as
     Fractions.  Do not call the class directly; use :func:`canonicalize`,
     :func:`root_of_unity` or ``from_rational``.  Arithmetic operators accept
-    ``int`` and ``Fraction`` operands.
+    ``int`` (not ``bool``) and ``Fraction`` operands.
     """
 
     __slots__ = ("conductor", "nums", "den", "_coeffs")
@@ -185,7 +185,9 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
-        return _coerce(q if isinstance(q, (int, Fraction)) else Fraction(q))
+        if type(q) is int or isinstance(q, Fraction):  # bool, str and float are not taken
+            return CyclotomicNumber(1, (q.numerator,), q.denominator)
+        raise ValidationError(f"{q!r} is not an int or a Fraction")
 
     # -- predicates and conversions -----------------------------------
 
@@ -399,7 +401,7 @@ class CyclotomicNumber:
 def _coerce(x):
     if isinstance(x, CyclotomicNumber):
         return x
-    if isinstance(x, (int, Fraction)):
+    if type(x) is int or isinstance(x, Fraction):  # not a bool
         return CyclotomicNumber(1, (x.numerator,), x.denominator)
     return NotImplemented
 

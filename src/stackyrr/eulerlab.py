@@ -26,7 +26,6 @@ refinement of the stratification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
@@ -115,15 +114,22 @@ def ladder_check(gset: FiniteGSet, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class EulerReport:
-    """The full Euler bookkeeping of one quotient, with the ladder verified."""
+    """The full Euler bookkeeping of one quotient, with the ladder verified.
 
-    chi_top: int
-    chi_orb: Fraction
-    chi_phy: int
-    series: tuple[Fraction, ...]
-    ladder_verified: bool  # always True: a broken ladder raises instead
+    ``ladder_verified`` is always True: a broken ladder raises instead.
+    """
+
+    __slots__ = ("chi_top", "chi_orb", "chi_phy", "series", "ladder_verified")
+
+    def __init__(self, chi_top: int, chi_orb: Fraction, chi_phy: int,
+                 series: tuple[Fraction, ...], ladder_verified: bool):
+        self.chi_top, self.chi_orb, self.chi_phy = chi_top, chi_orb, chi_phy
+        self.series, self.ladder_verified = series, ladder_verified
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"EulerReport({fields})"
 
 
 def euler_report(gset: FiniteGSet, m_max: int = 3) -> EulerReport:
@@ -142,27 +148,21 @@ def euler_report(gset: FiniteGSet, m_max: int = 3) -> EulerReport:
 # -- weighted Euler characteristics and determinants -------------------------
 
 
-@dataclass(frozen=True)
 class GSetStrata:
     """A partition of a G-set into invariant blocks with one weight each."""
 
-    gset: FiniteGSet
-    blocks: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
+    __slots__ = ("gset", "blocks", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks)
-        )
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
+    def __init__(self, gset: FiniteGSet, blocks: tuple[tuple[int, ...], ...], weights: tuple):
+        self.gset = gset
+        self.blocks = tuple(tuple(sorted(b)) for b in blocks)
+        self.weights = tuple(Fraction(w) for w in weights)
         if len(self.blocks) != len(self.weights):
             raise ValidationError("one weight per block required")
         flat = sorted(p for b in self.blocks for p in b)
-        if flat != list(range(self.gset.size)):
+        if flat != list(range(gset.size)):
             raise ValidationError("blocks must partition the points")
-        dec = orbits(self.gset)
+        dec = orbits(gset)
         for i, block in enumerate(self.blocks):
             block_set = set(block)
             for o in {dec.orbit_of[p] for p in block}:
@@ -217,7 +217,6 @@ class GSetStrata:
         return out
 
 
-@dataclass(frozen=True)
 class CurveStrata:
     """Points (each its own stratum) plus the open complement, weighted.
 
@@ -225,24 +224,19 @@ class CurveStrata:
     along each stratum for the orbifold-weighted sums to make sense.
     """
 
-    curve: OrbifoldCurve
-    open_weight: Fraction
-    point_weights: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("curve", "open_weight", "point_weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "open_weight", Fraction(self.open_weight))
-        for l, _ in self.point_weights:
+    def __init__(self, curve: OrbifoldCurve, open_weight: Fraction, point_weights: tuple):
+        self.curve = curve
+        self.open_weight = Fraction(open_weight)
+        for l, _ in point_weights:
             if not isinstance(l, str):
                 raise ValidationError(f"point label must be a string, got {l!r}")
-        object.__setattr__(
-            self,
-            "point_weights",
-            tuple(sorted((l, Fraction(w)) for l, w in self.point_weights)),
-        )
+        self.point_weights = tuple(sorted((l, Fraction(w)) for l, w in point_weights))
         labels = [l for l, _ in self.point_weights]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate point labels in stratification")
-        for label, _ in self.curve.stacky_points:
+        for label, _ in curve.stacky_points:
             if label not in set(labels):
                 raise ValidationError(
                     f"stacky point {label!r} must be its own stratum"
@@ -301,7 +295,6 @@ def _strata_parts(strata):
     raise ValidationError(f"unknown strata object {strata!r}")
 
 
-@dataclass(frozen=True)
 class FormalProduct:
     """An element of Q* tensor Q: factors base^exponent with bases deduplicated.
 
@@ -309,7 +302,10 @@ class FormalProduct:
     exponents stay formal because q^(1/r) is usually irrational.
     """
 
-    factors: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Fraction, Fraction], ...]):
+        self.factors = factors
 
     @staticmethod
     def from_pairs(pairs) -> "FormalProduct":

@@ -27,7 +27,6 @@ above it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import compress
 
 from . import limits
@@ -119,13 +118,14 @@ class FiniteGSet:
         return f"FiniteGSet(order={self.group.order}, points={self.size})"
 
 
-@dataclass(frozen=True)
 class OrbitDecomposition:
-    orbits: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    stabilizer_orders: tuple[int, ...]
-    orbit_of: tuple[int, ...]
-    transporter: tuple[int, ...]  # per point: g with point = g.representative
+    """The orbits of a G-set; ``transporter[x]`` is a g with x = g.representative."""
+
+    __slots__ = ("orbits", "representatives", "stabilizer_orders", "orbit_of", "transporter")
+
+    def __init__(self, orbits, representatives, stabilizer_orders, orbit_of, transporter):
+        self.orbits, self.representatives, self.orbit_of = orbits, representatives, orbit_of
+        self.stabilizer_orders, self.transporter = stabilizer_orders, transporter
 
     @property
     def count(self) -> int:
@@ -374,14 +374,15 @@ def flattening_bijection(nested: InertiaSet, flat: TowerLevel) -> "EquivariantMa
     return equivariant_map(nested, flat, point_map, identity_rho)
 
 
-@dataclass(frozen=True)
 class EquivariantMap:
     """A checked morphism of G-sets over a group homomorphism."""
 
-    source: FiniteGSet
-    target: FiniteGSet
-    point_map: tuple[int, ...]
-    elem_map: tuple[int, ...]
+    __slots__ = ("source", "target", "point_map", "elem_map")
+
+    def __init__(self, source: FiniteGSet, target: FiniteGSet,
+                 point_map: tuple[int, ...], elem_map: tuple[int, ...]):
+        self.source, self.target = source, target
+        self.point_map, self.elem_map = point_map, elem_map
 
     def is_bijective(self) -> bool:
         return (

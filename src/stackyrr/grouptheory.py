@@ -14,7 +14,6 @@ against the AND of per-element commute bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from operator import eq
 
@@ -304,7 +303,6 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """A validated subgroup: its sorted element set and generators for it.
 
@@ -321,15 +319,14 @@ class Subgroup:
     no part in ``==`` or ``hash``.
     """
 
-    parent: FiniteGroup
-    elements: tuple[int, ...]
-    generators: tuple[int, ...] = field(default=None, compare=False)
+    __slots__ = ("parent", "elements", "generators")
 
-    def __post_init__(self):
-        elems = self.elements
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...], generators=None):
+        self.parent, self.elements = parent, elements
+        elems = elements
         if not isinstance(elems, tuple):
             raise ValidationError(f"subgroup elements must be a tuple, got {elems!r}")
-        n = self.parent.order
+        n = parent.order
         for e in elems:
             if not _is_index(e):
                 raise ValidationError(f"subgroup element {e!r} is not an integer")
@@ -342,7 +339,7 @@ class Subgroup:
         if not elems or elems[0] != 0:
             raise ValidationError("subgroup must contain the identity (index 0)")
         eset = set(elems)
-        gens = self.generators
+        gens = generators
         if gens is not None:
             gens = tuple(gens)
             for s in gens:
@@ -350,7 +347,15 @@ class Subgroup:
                     raise ValidationError(
                         f"generator {s!r} is not an element of the subgroup"
                     )
-        object.__setattr__(self, "generators", _span(self.parent.mul, eset, gens))
+        self.generators = _span(parent.mul, eset, gens)
+
+    def __eq__(self, other):
+        if type(other) is not Subgroup:
+            return NotImplemented
+        return (self.parent, self.elements) == (other.parent, other.elements)
+
+    def __hash__(self):
+        return hash((self.parent, self.elements))
 
     @property
     def order(self) -> int:
@@ -491,15 +496,14 @@ def subgroup_conjugacy_reps(parent: FiniteGroup) -> list[Subgroup]:
 # -- conjugacy structure ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConjClassTable:
     """Conjugacy classes of a group; representatives are minimal indices."""
 
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    class_sizes: tuple[int, ...]
-    centralizer_orders: tuple[int, ...]
-    class_of: tuple[int, ...]
+    __slots__ = ("classes", "representatives", "class_sizes", "centralizer_orders", "class_of")
+
+    def __init__(self, classes, representatives, class_sizes, centralizer_orders, class_of):
+        self.classes, self.representatives, self.class_sizes = classes, representatives, class_sizes
+        self.centralizer_orders, self.class_of = centralizer_orders, class_of
 
     @property
     def count(self) -> int:

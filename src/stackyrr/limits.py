@@ -12,27 +12,47 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, replace
 
 from .errors import ValidationError
 
+_DEFAULTS = {
+    "conductor": 1000,  # largest cyclotomic conductor an operation may reach
+    "group_order": 10080,  # largest group group_from_permutations will close
+    "tuples": 10**8,  # most commuting tuples an enumeration may visit
+    "points": 10**6,  # largest iterated fixed-point set that may be built
+}
 
-@dataclass(frozen=True)
+
 class Limits:
-    """Upper bounds that make the headline computations fail loudly."""
+    """Upper bounds that make the headline computations fail loudly.
 
-    conductor: int = 1000  # largest cyclotomic conductor an operation may reach
-    group_order: int = 10080  # largest group group_from_permutations will close
-    tuples: int = 10**8  # most commuting tuples an enumeration may visit
-    points: int = 10**6  # largest iterated fixed-point set that may be built
+    Immutable, and equal to any `Limits` with the same caps.
+    """
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    __slots__ = tuple(_DEFAULTS)
+
+    def __init__(self, **caps):
+        if unknown := sorted(caps.keys() - _DEFAULTS.keys()):
+            raise ValidationError(f"Limits has no field {unknown[0]!r}")
+        for name, default in _DEFAULTS.items():
+            value = caps.get(name, default)
             if type(value) is not int or value < 1:  # bool is not a cap
-                raise ValidationError(
-                    f"Limits.{f.name} must be a positive int, got {value!r}"
-                )
+                raise ValidationError(f"Limits.{name} must be a positive int, got {value!r}")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Limits is immutable; set {name} with limits.using")
+
+    __delattr__ = __setattr__
+
+    def _caps(self) -> dict:
+        return {name: getattr(self, name) for name in _DEFAULTS}
+
+    def __eq__(self, other):
+        return self._caps() == other._caps() if type(other) is Limits else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._caps().values()))
 
 
 _CURRENT = ContextVar("stackyrr_limits", default=Limits())
@@ -46,7 +66,7 @@ def current() -> Limits:
 @contextmanager
 def using(**caps):
     """Run the block with the given `Limits` fields replaced, then restore."""
-    token = _CURRENT.set(replace(_CURRENT.get(), **caps))
+    token = _CURRENT.set(Limits(**{**_CURRENT.get()._caps(), **caps}))
     try:
         yield _CURRENT.get()
     finally:

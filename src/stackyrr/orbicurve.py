@@ -16,7 +16,6 @@ insists the two coincide on everything it can generate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError, agree
@@ -24,19 +23,19 @@ from .errors import ConsistencyError, ValidationError, agree
 ANCHOR_LABEL = "@coarse"
 
 
-@dataclass(frozen=True)
 class OrbifoldCurve:
-    """Coarse genus plus stacky points (label, order) with distinct labels."""
+    """Coarse genus plus stacky points (label, order) with distinct labels.
 
-    genus: int
-    stacky_points: tuple[tuple[str, int], ...] = ()
+    Two curves with the same genus and points are equal.
+    """
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValidationError(f"genus must be >= 0, got {self.genus}")
-        object.__setattr__(
-            self, "stacky_points", tuple((l, r) for l, r in self.stacky_points)
-        )
+    __slots__ = ("genus", "stacky_points")
+
+    def __init__(self, genus: int, stacky_points: tuple[tuple[str, int], ...] = ()):
+        if genus < 0:
+            raise ValidationError(f"genus must be >= 0, got {genus}")
+        self.genus = genus
+        self.stacky_points = tuple((l, r) for l, r in stacky_points)
         labels = [l for l, _ in self.stacky_points]
         for l in labels:
             if not isinstance(l, str):
@@ -58,32 +57,39 @@ class OrbifoldCurve:
     def is_stacky(self, label: str) -> bool:
         return self.order_at(label) > 1
 
+    def __eq__(self, other):
+        if type(other) is not OrbifoldCurve:
+            return NotImplemented
+        return (self.genus, self.stacky_points) == (other.genus, other.stacky_points)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.genus, self.stacky_points))
+
+
 class FracDivisor:
     """Finite formal sum of labeled points with controlled denominators."""
 
-    curve: OrbifoldCurve
-    support: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("curve", "support")
 
-    def __post_init__(self):
+    def __init__(self, curve: OrbifoldCurve, support: tuple[tuple[str, Fraction], ...]):
+        self.curve = curve
         cleaned = []
         seen = set()
-        for label, coeff in self.support:
+        for label, coeff in support:
             if not isinstance(label, str):
                 raise ValidationError(f"divisor label must be a string, got {label!r}")
             coeff = Fraction(coeff)
             if label in seen:
                 raise ValidationError(f"label {label!r} listed twice")
             seen.add(label)
-            r = self.curve.order_at(label)
+            r = curve.order_at(label)
             if (coeff * r).denominator != 1:
                 raise ValidationError(
                     f"coefficient {coeff} at {label!r} is not a multiple of 1/{r}"
                 )
             if coeff:
                 cleaned.append((label, coeff))
-        object.__setattr__(self, "support", tuple(sorted(cleaned)))
+        self.support = tuple(sorted(cleaned))
 
     @staticmethod
     def from_pairs(curve: OrbifoldCurve, pairs) -> "FracDivisor":

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stackyrr import chartheory
 from stackyrr.chartheory import (
     ClassFunction,
     MatrixRep,
@@ -149,6 +150,33 @@ def test_genuine_flag_certification():
     z3 = cyclic(3)
     with pytest.raises((ValidationError, ConsistencyError)):
         ClassFunction(z3, (Fraction(1, 2), 0, 0), True)
+
+
+@pytest.mark.parametrize("values", [(Fraction(1, 2), 0, 0), (-3, 0, 0), (1, 1, 0)],
+                         ids=["half", "negative", "non-integral"])
+def test_a_hand_built_character_is_still_certified(values):
+    with pytest.raises(ValidationError, match="flagged genuine but invariants dimension"):
+        ClassFunction(cyclic(3), values, True)
+
+
+def test_characters_built_from_characters_are_not_recertified(monkeypatch):
+    s3 = symmetric(3)
+    nat = natural_gset(s3)
+    sub = nat.stabilizer(0)
+    chi, triv = permutation_character(nat), trivial_character(s3)
+    calls = []
+    real = chartheory.invariants_dim
+    monkeypatch.setattr(chartheory, "invariants_dim", lambda c: calls.append(c) or real(c))
+    results = [chi + triv, chi * triv, 2 * chi, chi - triv, restrict(s3, sub, chi),
+               induce(s3, sub, restrict(s3, sub, chi)),
+               induce(s3, sub, trivial_character(sub.as_group()[0]), scaled=True)]
+    assert len(calls) == 1  # the trivial character of the subgroup, built by hand
+    assert [r.genuine for r in results] == [True, True, True, False, True, True, True]
+    for r in results:
+        assert all(isinstance(v, CyclotomicNumber) for v in r.values)
+        assert len(r.values) == conjugacy_classes(r.group).count
+        dim = real(r)  # still a non-negative integer when flagged
+        assert not r.genuine or (dim.is_rational and dim.rational_value().denominator == 1)
 
 
 def test_devissage_phi_structure_sheaf():

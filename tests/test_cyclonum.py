@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic: canonical forms, field axioms, closed sums."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from stackyrr import limits
 from stackyrr.cyclonum import (
     CyclotomicNumber,
+    _coerce,
     _descents,
     _divisors,
     _express_in_subfield,
@@ -278,6 +280,24 @@ def test_rationals_hash_like_the_numbers_they_equal():
         x = CyclotomicNumber.from_rational(q)
         assert x == q and hash(x) == hash(q)
         assert {q: "found"}[x] == "found"
+
+
+@pytest.mark.parametrize("q", [True, False, "1/2", 0.5, 1.0, None, root_of_unity(1)],
+                         ids=["true", "false", "str", "float", "integral-float", "none",
+                              "cyclotomic"])
+def test_from_rational_takes_only_ints_and_fractions(q):
+    with pytest.raises(ValidationError, match="is not an int or a Fraction"):
+        CyclotomicNumber.from_rational(q)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_arithmetic_does_not_take_a_bool(op):
+    assert _coerce(True) is NotImplemented and _coerce(False) is NotImplemented
+    z3 = root_of_unity(3)
+    for left, right in ((z3, True), (True, z3), (ONE, True), (False, ONE)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert ONE != True  # noqa: E712
 
 
 def test_big_integer_serialization():

@@ -22,6 +22,10 @@ from stackyrr.cli import main
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "cli_reports.json").read_text(encoding="utf-8")
 )
+# ``golden/cli_help.json``: the --help text of the parser and of every
+# subcommand at an 80-column terminal, as printed while the command rows
+# were still dataclasses.
+HELP = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(autouse=True)
@@ -37,3 +41,13 @@ def test_cli_report_matches_golden(argv):
         status = main(argv.split())
     assert status == GOLDEN[argv]["status"]
     assert buf.getvalue() == GOLDEN[argv]["stdout"]
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_cli_help_matches_golden(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == 0
+    assert buf.getvalue() == HELP[argv]

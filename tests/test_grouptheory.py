@@ -507,6 +507,19 @@ def test_subgroup_checks_its_generators():
     assert len({Subgroup(s3, tuple(range(6)), (1, 2)), subgroup(s3, range(6))}) == 1
 
 
+def test_subgroup_equality_is_parent_and_elements():
+    s3, z6 = symmetric(3), cyclic(6)
+    c = next(g for g in range(6) if s3.element_order(g) == 3)
+    a3 = subgroup(s3, (0, c, s3.mul[c][c]))
+    other_generator = Subgroup(s3, a3.elements, (s3.mul[c][c],))
+    assert other_generator.generators != a3.generators
+    assert a3 == other_generator and hash(a3) == hash(other_generator)
+    assert a3 != subgroup(s3, range(6))
+    # the same indices in another group are another subgroup
+    assert Subgroup(s3, (0,)) != Subgroup(z6, (0,))
+    assert a3 != a3.elements
+
+
 @lru_cache(maxsize=None)
 def _catalog():
     return group_catalog()

@@ -168,3 +168,17 @@ def test_structure_sheaf_chi():
     for g in range(5):
         c = OrbifoldCurve(g, (("p", 2),))
         assert euler_char_rr(zero_divisor(c)) == 1 - g
+
+
+def test_curves_compare_by_value():
+    assert curve_23() == OrbifoldCurve(0, [("p2", 2), ("p3", 3)])
+    assert hash(curve_23()) == hash(OrbifoldCurve(0, (("p2", 2), ("p3", 3))))
+    assert curve_23() != OrbifoldCurve(1, (("p2", 2), ("p3", 3)))
+    assert curve_23() != curve_237()
+    assert curve_23() != (0, (("p2", 2), ("p3", 3)))
+    # divisors on equal curves add
+    d = FracDivisor.from_pairs(curve_23(), [("p2", Fraction(1, 2))])
+    e = FracDivisor.from_pairs(curve_23(), [("p3", Fraction(1, 3))])
+    assert (d + e).support == (("p2", Fraction(1, 2)), ("p3", Fraction(1, 3)))
+    with pytest.raises(ValidationError, match="different curves"):
+        d + FracDivisor.from_pairs(curve_237(), [])
