@@ -46,8 +46,9 @@ class ClassFunction:
 
     ``values[i]`` is the value on class i of ``conjugacy_classes(group)``.
     With ``genuine=True`` the constructor certifies at least that the
-    invariants dimension is a non-negative integer.  Sums, products,
-    restrictions and inductions of characters are characters by
+    invariants dimension is a non-negative integer.  The trivial, regular,
+    permutation and matrix-trace characters, and sums, products,
+    restrictions and inductions of characters, are characters by
     construction and are built by `_from_values`, without that check.
     """
 
@@ -103,12 +104,12 @@ class ClassFunction:
 
 
 def trivial_character(group: FiniteGroup) -> ClassFunction:
-    return ClassFunction(group, (ONE,) * conjugacy_classes(group).count, True)
+    return ClassFunction._from_values(group, (ONE,) * conjugacy_classes(group).count, True)
 
 
 def regular_character(group: FiniteGroup) -> ClassFunction:
     vals = [_as_cyclo(group.order)] + [ZERO] * (conjugacy_classes(group).count - 1)
-    return ClassFunction(group, tuple(vals), True)
+    return ClassFunction._from_values(group, tuple(vals), True)
 
 
 def permutation_character(gset: FiniteGSet) -> ClassFunction:
@@ -118,7 +119,7 @@ def permutation_character(gset: FiniteGSet) -> ClassFunction:
     for rep in table.representatives:
         fixed = sum(1 for x in range(gset.size) if gset.act[x][rep] == x)
         vals.append(_as_cyclo(fixed))
-    return ClassFunction(gset.group, tuple(vals), True)
+    return ClassFunction._from_values(gset.group, tuple(vals), True)
 
 
 def coset_character(group: FiniteGroup, sub: Subgroup) -> ClassFunction:
@@ -257,7 +258,7 @@ def character_of(rep: MatrixRep) -> ClassFunction:
         sum((v for i, row in enumerate(rep.rows[r]) for j, v in row if j == i), ZERO)
         for r in conjugacy_classes(rep.group).representatives
     )
-    return ClassFunction(rep.group, vals, True)
+    return ClassFunction._from_values(rep.group, vals, True)
 
 
 def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:

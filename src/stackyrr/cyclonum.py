@@ -15,7 +15,12 @@ Gal(Q(zeta_n)/Q(zeta_d)) is cyclic, so one test per prime decides it.  When
 p^2 divides n, Phi_n(x) = Phi_d(x^p) and the value lies in Q(zeta_d) exactly
 when only the coefficients of z^(p*j) are nonzero; otherwise the value must
 be fixed by one generator sigma_k of that group, applied to the integer
-numerators.  The first prime that passes sets n = d and the search repeats.
+numerators.  Its coordinates over Q(zeta_d) are then read off the split
+Q(zeta_n) = Q(zeta_d)(zeta_q), q = n/d coprime to d: with a = q^-1 mod d and
+b = d^-1 mod q, z_n = z_d^a * z_q^b, so z_n^i is z_d^(i*a) * z_q^(i*b), and
+the coordinate of 1 in the basis 1, z_q, ..., z_q^(phi(q)-1) is the value in
+Q(zeta_d), still in integers over the same denominator.  No linear system is
+solved.  The first prime that passes sets n = d and the search repeats.
 The conductors whose field holds a value are closed under gcd, so this greedy
 descent ends at the minimal one, and a prime that fails once fails at every
 level below, so it is never tested again.
@@ -24,9 +29,13 @@ A value is held as integers: its conductor, the numerators of its
 coefficients and one positive common denominator, with no factor common to
 all of them, so the form stays unique.  Sums, products, the descent and the
 inverse (a fraction-free extended Euclid, see `_field_inverse`) all run on
-these integers, and a conductor-1 operand never leaves Q.  The read-only
-``coeffs`` view gives the coefficients as `fractions.Fraction` values, the
-package's rational scalar.
+these integers, and a conductor-1 operand never leaves Q.  One integer
+pseudo-division, `_poly_divmod`, serves both that Euclid and
+`cyclotomic_polynomial`, so the module does no linear algebra.  The
+read-only ``coeffs`` view gives the coefficients as `fractions.Fraction`
+values, the package's rational scalar.  The public functions take orders,
+conductors and exponents as ints (not bools), and coefficients as ints and
+Fractions; anything else is a `ValidationError`.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from functools import lru_cache
 
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .exactlinalg import forward_eliminate
 
 Rational = Fraction
 
@@ -45,8 +53,8 @@ Rational = Fraction
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise ValidationError(f"euler_phi needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"euler_phi needs an int n >= 1, got {n!r}")
     result = n
     m = n
     p = 2
@@ -78,8 +86,9 @@ def _divisors(n: int) -> tuple[int, ...]:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first.
 
-    Computed by exact integer polynomial division of x^n - 1 by the
-    (monic) Phi_d for the proper divisors d of n.
+    Computed by exact integer polynomial division (`_poly_divmod`, whose
+    scale is 1 for the monic Phi_d) of x^n - 1 by Phi_d for the proper
+    divisors d of n.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -88,11 +97,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(6)
     (1, -1, 1)
     """
-    if n < 1:
-        raise ValidationError(f"invalid conductor {n}; conductors are >= 1")
+    _conductor(n)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n)[:-1]:
-        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+        poly, rem, _ = _poly_divmod(poly, cyclotomic_polynomial(d))
         if rem:
             raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1 exactly")
     return tuple(poly)
@@ -120,18 +128,6 @@ def _reductions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                 row[i] -= overflow * modulus[i]
         rows.append(tuple((i, t) for i, t in enumerate(row) if t))
     return tuple(rows)
-
-
-def _power_row(n: int, j: int) -> list[int]:
-    """x^j reduced modulo Phi_n as a dense integer vector, 0 <= j < n."""
-    phi = euler_phi(n)
-    row = [0] * phi
-    if j < phi:
-        row[j] = 1
-    else:
-        for i, t in _reductions(n)[j - phi]:
-            row[i] = t
-    return row
 
 
 def _substitute(n: int, coeffs, k: int) -> list:
@@ -322,6 +318,8 @@ class CyclotomicNumber:
         return other * self.inverse()
 
     def __pow__(self, k: int) -> "CyclotomicNumber":
+        if type(k) is not int:  # nor a bool
+            return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
         result = ONE
@@ -383,19 +381,43 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_dict(data: dict) -> "CyclotomicNumber":
-        if set(data) != {"conductor", "coeffs"}:
+        if not isinstance(data, dict) or set(data) != {"conductor", "coeffs"}:
             raise ValidationError(
-                f"cyclotomic value must have exactly 'conductor' and 'coeffs', got {sorted(data)}"
+                "cyclotomic value must have exactly 'conductor' and 'coeffs', "
+                f"got {sorted(data) if isinstance(data, dict) else data!r}"
             )
-        n = data["conductor"]
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"invalid conductor {n!r}")
-        coeffs = tuple(Fraction(int(num), int(den)) for num, den in data["coeffs"])
-        if len(coeffs) != euler_phi(n):
+        n, pairs = _conductor(data["conductor"]), data["coeffs"]
+        if not isinstance(pairs, (list, tuple)) or len(pairs) != euler_phi(n):
             raise ValidationError(
-                f"expected {euler_phi(n)} coefficients for conductor {n}, got {len(coeffs)}"
+                f"expected a list of {euler_phi(n)} coefficients for conductor {n}, got {pairs!r}"
             )
-        return canonicalize(n, coeffs)
+        return canonicalize(n, [_fraction_of_pair(pair) for pair in pairs])
+
+
+def _fraction_of_pair(pair) -> Fraction:
+    """[numerator, denominator], each an ASCII decimal string or an int (not a bool)."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+        type(x) is int or type(x) is str and x.isascii() and x.removeprefix("-").isdigit()
+        for x in pair
+    ):
+        try:
+            return Fraction(int(pair[0]), int(pair[1]))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"coefficient {pair!r} is not a [numerator, denominator] pair of integers")
+
+
+def _conductor(n) -> int:
+    """n itself when it is an int (not a bool) >= 1."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"invalid conductor {n!r}; conductors are >= 1")
+    return n
+
+
+def _exponent(k) -> int:
+    if type(k) is not int:
+        raise ValidationError(f"exponent {k!r} is not an int")
+    return k
 
 
 def _coerce(x):
@@ -432,7 +454,7 @@ def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
     """Reduce a raw (conductor, coefficient vector) to the canonical form.
 
     The vector may have any length (it is reduced modulo Phi first) and
-    holds ints, Fractions or anything ``Fraction`` accepts.  The result has
+    holds ints (not bools) and Fractions only.  The result has
     the minimal conductor containing the value, which is never congruent to
     2 mod 4.  Applied to an existing CyclotomicNumber this is the identity,
     since every value is kept canonical.
@@ -441,11 +463,11 @@ def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
         if isinstance(conductor, CyclotomicNumber):
             return conductor
         raise ValidationError("canonicalize needs (conductor, coeffs) or a value")
-    if conductor < 1:
-        raise ValidationError(f"invalid conductor {conductor}; conductors are >= 1")
-    nums, den = _scale_to_int(
-        [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-    )
+    _conductor(conductor)
+    if not isinstance(coeffs, (list, tuple)) \
+            or not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
+        raise ValidationError(f"coefficients {coeffs!r} are not a list of ints and Fractions")
+    nums, den = _scale_to_int(coeffs)
     return _canonical(conductor, nums, den)
 
 
@@ -475,13 +497,11 @@ def _canonical(n: int, nums: list[int], den: int) -> CyclotomicNumber:
             else:
                 if _substitute(n, nums, k) != nums:
                     continue
-                sub = _express_in_subfield(n, nums, d)
-                if sub is None:
+                sub, *rest = _over_subfield(n, d, nums)
+                if any(map(any, rest)):
                     raise ConsistencyError(
                         f"value fixed by sigma_{k} on Q(zeta_{n}) is not in Q(zeta_{d})"
                     )
-                sub, scale = _scale_to_int(sub)
-                den *= scale
             floor, n, nums = p, d, sub
             break
         else:
@@ -529,56 +549,35 @@ def _fold_even(n: int, coeffs):
     return m, _substitute(m, signed, (m + 1) // 2)
 
 
-@lru_cache(maxsize=256)
-def _subfield_solver(n: int, d: int):
-    """(rows, inverse, scale) for writing elements of Q(zeta_n) over Q(zeta_d).
+@lru_cache(maxsize=None)
+def _crt_positions(n: int, d: int) -> tuple[int, ...]:
+    """j*d + e for z_n^i = z_d^e * z_q^j, i < phi(n), with q = n/d coprime to d.
 
-    B is the phi(n) x phi(d) integer matrix whose column j is z^(j*n/d);
-    ``rows`` are the first phi(d) independent rows of B, and
-    inverse / scale is the inverse of B restricted to them, with
-    ``inverse`` an integer matrix.
+    z_n = z_d^a * z_q^b for a = q^-1 mod d and b = d^-1 mod q, since
+    q*a + d*b = 1 mod n (z_d = z_n^q and z_q = z_n^d).
     """
-    phi_d = euler_phi(d)
-    basis = [_power_row(n, j * (n // d) % n) for j in range(phi_d)]
-    # The pivot columns of B's transpose are its first independent rows.
-    rows = forward_eliminate([list(col) for col in basis], euler_phi(n))
-    if len(rows) != phi_d:
-        raise ConsistencyError(f"power basis of Q(zeta_{d}) is dependent in Q(zeta_{n})")
-    # Gauss-Jordan on [B[rows] | I] with integer row operations only.
-    m = [
-        [col[r] for col in basis] + [int(i == j) for j in range(phi_d)]
-        for i, r in enumerate(rows)
-    ]
-    for c in range(phi_d):
-        p = next(i for i in range(c, phi_d) if m[i][c])
-        m[c], m[p] = m[p], m[c]
-        pivot_row, a = m[c], m[c][c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != c:
-                g = math.gcd(a, f)
-                u, v = a // g, f // g
-                m[i] = [x * u - y * v for x, y in zip(row, pivot_row)]
-    # Row i now reads m[i][i] * e_i | m[i][i] * (row i of the inverse).
-    m = [[x // g for x in row] for row, g in zip(m, (math.gcd(*row) for row in m))]
-    scale = math.lcm(*(m[i][i] for i in range(phi_d)))
-    inverse = tuple(
-        tuple(x * (scale // row[i]) for x in row[phi_d:]) for i, row in enumerate(m)
-    )
-    return tuple(rows), inverse, scale
+    q = n // d
+    a, b = pow(q, -1, d), pow(d, -1, q)
+    return tuple(i * b % q * d + i * a % d for i in range(euler_phi(n)))
 
 
-def _express_in_subfield(n: int, coeffs, d: int):
-    # coeffs = sum_j c_j * (z^(j*n/d) mod Phi_n): solve on the independent
-    # rows, then substitute the answer back; None when it does not hold.
-    rows, inverse, scale = _subfield_solver(n, d)
-    picked = [coeffs[r] for r in rows]
-    sol = [sum(a * c for a, c in zip(row, picked) if a) for row in inverse]
-    if scale != 1:
-        sol = [Fraction(x, scale) for x in sol]
-    if _substitute(n, sol, n // d) != list(coeffs):
-        return None
-    return sol
+def _over_subfield(n: int, d: int, nums) -> list[list[int]]:
+    """The coordinates of sum_i nums[i] * z_n^i over the basis
+    1, z_q, ..., z_q^(phi(q)-1) of Q(zeta_n) over Q(zeta_d), q = n/d coprime
+    to d, each in the power basis of Q(zeta_d).  Integer input, integer output.
+    """
+    q = n // d
+    flat = [0] * n
+    for pos, c in zip(_crt_positions(n, d), nums):
+        if c:
+            flat[pos] += c
+    parts = [flat[j * d:(j + 1) * d] for j in range(q)]
+    phi_q = euler_phi(q)
+    # z_q^j for j >= phi(q) folded modulo Phi_q, which stays irreducible over Q(zeta_d)
+    for row, high in zip(_reductions(q), parts[phi_q:]):
+        for i, t in row:
+            parts[i] = [x + t * y for x, y in zip(parts[i], high)]
+    return [_substitute(d, part, 1) for part in parts[:phi_q]]
 
 
 # -- named operations ------------------------------------------------------
@@ -598,8 +597,8 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     >>> root_of_unity(4, 1) ** 2 == -1
     True
     """
-    if n < 1:
-        raise ValidationError(f"invalid conductor {n}; conductors are >= 1")
+    _conductor(n)
+    _exponent(k)
     cap = limits.current().conductor
     if n > cap:
         raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
@@ -611,7 +610,7 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
         k, sign = k * ((n + 1) // 2) % n, -1  # k is odd
     if n == 1:
         return CyclotomicNumber(1, (sign,), 1)
-    return CyclotomicNumber(n, tuple(sign * t for t in _power_row(n, k)), 1)
+    return CyclotomicNumber(n, tuple(sign * t for t in _substitute(n, (0, 1), k)), 1)
 
 
 def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
@@ -620,7 +619,7 @@ def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
     ``n`` must be a multiple of the conductor of ``a``.  Used by tests to
     build non-canonical representations on purpose.
     """
-    if n % a.conductor:
+    if _conductor(n) % a.conductor:
         raise ValidationError(
             f"cannot lift conductor {a.conductor} into conductor {n}"
         )
@@ -630,7 +629,7 @@ def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
 def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
     """Apply the automorphism zeta -> zeta^k; k must be coprime to the conductor."""
     n = a.conductor
-    if math.gcd(k, n) != 1:
+    if math.gcd(_exponent(k), n) != 1:
         raise ValidationError(
             f"k={k} is not coprime to the conductor {n}; not an automorphism"
         )
@@ -646,43 +645,24 @@ def _field_inverse(n: int, nums) -> tuple[list[int], int]:
 
     The extended Euclid of Phi_n and nums as a primitive polynomial
     remainder sequence (Collins 1967; Brown-Traub 1971), all in integers.
-    Each step pseudo-divides r0 by r1, cancelling the top term of r0 with
-    r0 <- (b/g)*r0 - (t/g)*x^i*r1 for b the leading coefficient of r1, t
-    that of r0 and g = gcd(b, t), and applies the same operations to the
-    cofactor s0, so s*a = r modulo Phi_n throughout.  The content common to
-    the remainder and its cofactor is then divided out.  Phi_n is
-    irreducible, so the sequence ends at a nonzero constant.
+    Each step pseudo-divides r0 by r1, c*r0 = q*r1 + r, and takes the
+    cofactor c*s0 - q*s1 along, so s*a = r modulo Phi_n throughout.  The
+    content common to the remainder and its cofactor is then divided out.
+    Phi_n is irreducible, so the sequence ends at a nonzero constant.
     """
     r0, s0 = list(cyclotomic_polynomial(n)), [0]
     r1, s1 = list(nums), [1]
     while not r1[-1]:
         r1.pop()
     while len(r1) > 1:
-        lead = r1[-1]
-        r, s = r0, s0
-        while len(r) >= len(r1):
-            t = r[-1]
-            shift = len(r) - len(r1)
-            if t:
-                g = math.gcd(t, lead)
-                u, v = lead // g, t // g
-                # r <- u*r - v*x^shift*r1, whose top entry cancels
-                r = [u * x for x in r[:shift]] + [
-                    u * x - v * y for x, y in zip(r[shift:-1], r1)
-                ]
-                if len(s) < len(s1) + shift:
-                    s = s + [0] * (len(s1) + shift - len(s))
-                s = (
-                    [u * x for x in s[:shift]]
-                    + [u * x - v * y for x, y in zip(s[shift:], s1)]
-                    + [u * x for x in s[shift + len(s1):]]
-                )
-            else:
-                r = r[:-1]
-        while r and not r[-1]:
-            r.pop()
+        q, r, c = _poly_divmod(r0, r1)
         if not r:
             raise ConsistencyError(f"Phi_{n} is irreducible, yet shares a factor with {nums}")
+        s = [c * x for x in s0] + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1):
+                    s[i + j] -= x * y
         g = math.gcd(*r, *s)
         if g != 1:
             r = [x // g for x in r]
@@ -694,24 +674,34 @@ def _field_inverse(n: int, nums) -> tuple[list[int], int]:
 
 
 def _poly_divmod(num, den):
-    """Quotient and remainder of num by a monic den, constant terms first.
+    """Integer pseudo-division: (q, r, c) with c*num = q*den + r, constant terms first.
 
-    A monic divisor needs no division, so integer polynomials stay integer.
-    The remainder has its trailing zeros stripped (empty when exact).
+    Each step cancels the top term t of the running remainder against the
+    leading coefficient b of den, scaling by b/gcd(b, t) first, so every
+    entry stays an integer and c is the product of those scales; for a
+    monic den, c = 1 and q, r are the ordinary quotient and remainder.  The
+    remainder has its trailing zeros stripped (empty when exact).
     """
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * max(len(num) - dd, 0)
-    for i in range(len(out) - 1, -1, -1):
-        q = num[i + dd]
-        if q:
-            out[i] = q
-            for j, c in enumerate(den):
-                if c:
-                    num[i + j] -= q * c
-    while num and not num[-1]:
-        num.pop()
-    return out, num
+    r = list(num)
+    low, lead = den[:-1], den[-1]
+    q = [0] * max(len(r) - len(low), 0)
+    c = 1
+    for i in range(len(q) - 1, -1, -1):
+        t = r.pop()
+        if t:
+            g = math.gcd(t, lead)
+            u, v = lead // g, t // g
+            if u != 1:
+                c *= u
+                r = [u * x for x in r]
+                q = [u * x for x in q]
+            q[i] = v
+            for j, y in enumerate(low):
+                if y:
+                    r[i + j] -= v * y
+    while r and not r[-1]:
+        r.pop()
+    return q, r, c
 
 
 # -- the closed-form unit sum behind one-dimensional Riemann-Roch ---------
@@ -743,12 +733,7 @@ def stacky_todd_sum(r: int, k: int) -> Fraction:
     >>> stacky_todd_sum(3, 0)
     Fraction(1, 1)
     """
-    if r < 2:
-        raise ValidationError(f"order r must be >= 2, got {r}")
-    if not 0 <= k <= r - 1:
-        raise ValidationError(
-            f"weight k={k} outside [0, {r - 1}]; reduce modulo r first"
-        )
+    _todd_arguments(r, k)
     total = ZERO
     for a in range(1, r):
         total = total + root_of_unity(r, a * k) * _unit_inverse(r, (r - a) % r)
@@ -757,10 +742,14 @@ def stacky_todd_sum(r: int, k: int) -> Fraction:
 
 def stacky_todd_closed_form(r: int, k: int) -> Fraction:
     """(r-1)/2 - k, the closed form of :func:`stacky_todd_sum`."""
-    if r < 2:
-        raise ValidationError(f"order r must be >= 2, got {r}")
-    if not 0 <= k <= r - 1:
-        raise ValidationError(
-            f"weight k={k} outside [0, {r - 1}]; reduce modulo r first"
-        )
+    _todd_arguments(r, k)
     return Fraction(r - 1, 2) - k
+
+
+def _todd_arguments(r, k) -> None:
+    if type(r) is not int or r < 2:
+        raise ValidationError(f"order r must be an int >= 2, got {r!r}")
+    if type(k) is not int or not 0 <= k <= r - 1:
+        raise ValidationError(
+            f"weight k={k!r} outside [0, {r - 1}]; reduce modulo r first"
+        )

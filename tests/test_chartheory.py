@@ -170,13 +170,31 @@ def test_characters_built_from_characters_are_not_recertified(monkeypatch):
     results = [chi + triv, chi * triv, 2 * chi, chi - triv, restrict(s3, sub, chi),
                induce(s3, sub, restrict(s3, sub, chi)),
                induce(s3, sub, trivial_character(sub.as_group()[0]), scaled=True)]
-    assert len(calls) == 1  # the trivial character of the subgroup, built by hand
+    assert calls == []  # the subgroup's trivial character is genuine by construction too
     assert [r.genuine for r in results] == [True, True, True, False, True, True, True]
     for r in results:
         assert all(isinstance(v, CyclotomicNumber) for v in r.values)
         assert len(r.values) == conjugacy_classes(r.group).count
         dim = real(r)  # still a non-negative integer when flagged
         assert not r.genuine or (dim.is_rational and dim.rational_value().denominator == 1)
+
+
+def test_characters_built_by_construction_are_not_recertified(monkeypatch):
+    s3 = symmetric(3)
+    calls = []
+    real = chartheory.invariants_dim
+    monkeypatch.setattr(chartheory, "invariants_dim", lambda c: calls.append(c) or real(c))
+    built = [trivial_character(s3), regular_character(s3), permutation_character(natural_gset(s3)),
+             coset_character(s3, natural_gset(s3).stabilizer(0)), character_of(regular_rep(s3))]
+    assert calls == []
+    for chi in built:
+        assert chi.genuine and all(isinstance(v, CyclotomicNumber) for v in chi.values)
+        dim = real(chi)
+        assert dim.is_rational and dim.rational_value().denominator == 1 and dim.rational_value() >= 0
+    # a character flagged genuine by its caller is still certified
+    with pytest.raises(ValidationError, match="flagged genuine but invariants dimension"):
+        ClassFunction(cyclic(3), (1, 1, 0), True)
+    assert len(calls) == 1
 
 
 def test_devissage_phi_structure_sheaf():

@@ -15,7 +15,6 @@ from stackyrr.cyclonum import (
     _coerce,
     _descents,
     _divisors,
-    _express_in_subfield,
     _fold_even,
     _poly_divmod,
     _scale_to_int,
@@ -313,6 +312,51 @@ def test_pow_and_inverse():
     assert (1 + z5) ** 3 == (1 + z5) * (1 + z5) * (1 + z5)
 
 
+Z3, Z5 = root_of_unity(3), root_of_unity(5)
+
+
+def _raises(error, call, *args):
+    return pytest.param(error, call, args, id=f"{call.__name__}{args!r}")
+
+
+@pytest.mark.parametrize("error, call, args", [
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": 1, "coeffs": [[1.5, 2]]}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": True, "coeffs": [[1, 1]]}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": 1, "coeffs": 5}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": 1, "coeffs": [["1"]]}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": 1, "coeffs": [["1", "0"]]}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": 1, "coeffs": [["1_0", "3"]]}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, {"conductor": 1, "coeffs": [[" 7", "2"]]}),
+    _raises(ValidationError, CyclotomicNumber.from_dict, [["conductor", 1]]),
+    _raises(ValidationError, canonicalize, 3, [0.5, 0]),
+    _raises(ValidationError, canonicalize, 3, ["1/3", 0]),
+    _raises(ValidationError, canonicalize, 3, [True, 0]),
+    _raises(ValidationError, canonicalize, True, [1]),
+    _raises(ValidationError, canonicalize, 3.0, [1, 0]),
+    _raises(ValidationError, canonicalize, 3, 5),
+    _raises(ValidationError, root_of_unity, True),
+    _raises(ValidationError, root_of_unity, 4.0),
+    _raises(ValidationError, root_of_unity, 4, 1.0),
+    _raises(ValidationError, galois_conjugate, Z5, True),
+    _raises(ValidationError, stacky_todd_sum, 3, True),
+    _raises(ValidationError, stacky_todd_sum, 3.0, 1),
+    _raises(ValidationError, stacky_todd_closed_form, 3, True),
+    # 4 and 1 are cached already, and an equal float or bool must not hit that cache
+    _raises(ValidationError, euler_phi, 4.0),
+    _raises(ValidationError, euler_phi, True),
+    _raises(ValidationError, cyclotomic_polynomial, True),
+    _raises(ValidationError, lift_coeffs, Z3, 6.0),
+    _raises(TypeError, operator.pow, Z3, True),
+    _raises(TypeError, operator.pow, Z3, 1.5),
+])
+def test_malformed_input_is_rejected(error, call, args):
+    assert euler_phi(4) == 2 and cyclotomic_polynomial(1) == (-1, 1)
+    with pytest.raises(error):
+        call(*args)
+    if error is TypeError:  # the operator declines, so Python raises
+        assert Z3.__pow__(*args[1:]) is NotImplemented
+
+
 def reference_canonical_form(n, coeffs):
     """The ascending-divisor route: (conductor, coeffs) of the minimal field.
 
@@ -334,10 +378,33 @@ def reference_canonical_form(n, coeffs):
             for k in range(1 + d, n, d)
             if math.gcd(k, n) == 1
         ):
-            sub = _express_in_subfield(n, coeffs, d)
+            sub = _solve_in_subfield(n, coeffs, d)
             assert sub is not None
             return reference_canonical_form(d, sub)
     return n, tuple(coeffs)
+
+
+def _solve_in_subfield(n, coeffs, d):
+    """The c with sum_j c[j] * z_n^(j*n/d) = coeffs, by Gauss-Jordan on Fractions.
+
+    The phi(d) columns z_n^(j*n/d) are independent, so column j pivots in
+    row j; the system is solvable exactly when the rows below are zero on
+    the right-hand side as well (None otherwise).
+    """
+    phi_d = euler_phi(d)
+    columns = [_substitute(n, [0] * j + [1], n // d) for j in range(phi_d)]
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(c)] for i, c in enumerate(coeffs)]
+    for j in range(phi_d):
+        p = next(i for i in range(j, len(rows)) if rows[i][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        pivot = rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, row in enumerate(rows):
+            f = row[j]
+            if f and i != j:
+                rows[i] = [x - f * y if y else x for x, y in zip(row, pivot)]
+    if any(row[-1] for row in rows[phi_d:]):
+        return None
+    return [row[-1] for row in rows[:phi_d]]
 
 
 def _random_vector(rng, length):
@@ -408,6 +475,18 @@ def reference_inverse(n, coeffs):
     and the last remainder is 1, making the cofactor s the inverse itself.
     """
 
+    def divmod_monic(a, b):
+        a, top = list(a), len(b) - 1
+        q = [Fraction(0)] * max(len(a) - top, 0)
+        for i in reversed(range(len(q))):
+            q[i] = t = a[i + top]
+            for j, y in enumerate(b):
+                a[i + j] -= t * y
+        rem = a[:top]
+        while rem and not rem[-1]:
+            rem.pop()
+        return q, rem
+
     def mul(a, b):
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -434,7 +513,7 @@ def reference_inverse(n, coeffs):
         s1 = [c * inv for c in s1]
         if len(r1) == 1:
             return s1
-        q, rem = _poly_divmod(r0, r1)
+        q, rem = divmod_monic(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, sub(s0, mul(q, s1))
 
@@ -458,6 +537,33 @@ def test_inverse_matches_the_fraction_euclid():
         assert (inv.conductor, inv.coeffs) == (ref.conductor, ref.coeffs), n
         assert inv.conductor == x.conductor
         assert x * inv == 1
+
+
+def _trimmed(poly):
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def test_pseudo_division_satisfies_c_num_equals_q_den_plus_r():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 14))]
+        den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        den.append(rng.choice((-6, -4, -1, 1, 2, 3, 5, 12)))
+        q, r, c = _poly_divmod(num, den)
+        assert c and all(type(x) is int for x in (*q, *r, c))
+        assert len(r) < len(den) and r == _trimmed(r)
+        rhs = [0] * (len(q) + len(den) + len(r))
+        for i, x in enumerate(q):
+            for j, y in enumerate(den):
+                rhs[i + j] += x * y
+        for i, x in enumerate(r):
+            rhs[i] += x
+        assert _trimmed(c * x for x in num) == _trimmed(rhs), (num, den)
+        if den[-1] == 1:  # a monic divisor needs no scale
+            assert c == 1
 
 
 def raw_power(n, k):

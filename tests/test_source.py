@@ -53,3 +53,24 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_one_elimination_routine_and_no_linear_algebra_in_cyclonum():
+    # subfield coordinates are read off the CRT split, so cyclonum solves no
+    # system; exactlinalg.exact_rank is the package's only elimination
+    cyclonum = ast.parse((SRC / "cyclonum.py").read_text())
+    imported = [
+        node.lineno
+        for node in ast.walk(cyclonum)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exactlinalg")
+        or isinstance(node, ast.Import) and any(a.name.endswith("exactlinalg") for a in node.names)
+    ]
+    assert imported == []
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in {"_subfield_solver", "_express_in_subfield", "forward_eliminate"}
+    ]
+    assert defined == []
