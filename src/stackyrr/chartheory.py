@@ -114,19 +114,33 @@ def regular_character(group: FiniteGroup) -> ClassFunction:
 
 def permutation_character(gset: FiniteGSet) -> ClassFunction:
     """g -> number of fixed points of g; the character of the point module."""
-    table = conjugacy_classes(gset.group)
-    vals = []
-    for rep in table.representatives:
-        fixed = sum(1 for x in range(gset.size) if gset.act[x][rep] == x)
-        vals.append(_as_cyclo(fixed))
-    return ClassFunction._from_values(gset.group, tuple(vals), True)
+    act = gset.act
+    vals = tuple(
+        _as_cyclo(sum(1 for x, row in enumerate(act) if row[rep] == x))
+        for rep in conjugacy_classes(gset.group).representatives
+    )
+    return ClassFunction._from_values(gset.group, vals, True)
 
 
 def coset_character(group: FiniteGroup, sub: Subgroup) -> ClassFunction:
-    """Character of the coset module; equals inducing the trivial character."""
-    from .groupoidstack import coset_gset
+    """Character of the coset module; equals inducing the trivial character.
 
-    return permutation_character(coset_gset(group, sub))
+    Read off the class fusion, with no coset G-set: g fixes the coset xH
+    when x^-1 g x lies in H, so the value at g is |C_G(g)| * |g^G & H| / |H|.
+    """
+    if sub.parent is not group:
+        raise ValidationError("subgroup belongs to a different group")
+    table = conjugacy_classes(group)
+    meets = [0] * table.count
+    for h in sub.elements:
+        meets[table.class_of[h]] += 1
+    vals = []
+    for cent, meet in zip(table.centralizer_orders, meets):
+        fixed, rest = divmod(cent * meet, sub.order)
+        if rest:
+            raise ConsistencyError(f"{cent * meet}/{sub.order} cosets fixed")
+        vals.append(_as_cyclo(fixed))
+    return ClassFunction._from_values(group, tuple(vals), True)
 
 
 # -- matrix representations -------------------------------------------------
@@ -199,9 +213,17 @@ def _identity(d):
 
 
 def _mat_mul(a, b):
-    """Product of two matrices in sparse rows, over nonzero entries only."""
+    """Product of two matrices in sparse rows, over nonzero entries only.
+
+    A row with one entry (k, x) is row k of ``b`` scaled by x, and is row k
+    itself when x is ONE, as in every row of a permutation matrix.
+    """
     out = []
     for row in a:
+        if len(row) == 1:
+            k, x = row[0]
+            out.append(b[k] if x is ONE else tuple((j, x * y) for j, y in b[k]))
+            continue
         acc = {}
         for k, x in row:
             for j, y in b[k]:
@@ -222,9 +244,9 @@ def regular_rep(group: FiniteGroup) -> MatrixRep:
 
 def permutation_rep(gset: FiniteGSet) -> MatrixRep:
     """Permutation matrices of a G-set (matrix of g sends e_x to e_{g.x})."""
-    inv = gset.group.inv
+    act, inv = gset.act, gset.group.inv
     rows = tuple(
-        tuple(((gset.act[i][inv[g]], ONE),) for i in range(gset.size))
+        tuple(((row[inv[g]], ONE),) for row in act)
         for g in range(gset.group.order)
     )
     return MatrixRep._from_rows(gset.group, gset.size, rows)

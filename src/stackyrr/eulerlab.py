@@ -62,13 +62,24 @@ def chi_m(gset: FiniteGSet, m: int) -> Fraction:
     Stab(x) with :func:`commuting_masks`, count the extensions of each as
     the popcount of its mask, sum and divide by |G|.  Recursive route: sum
     over orbits of the centralizer recursion on the stabilizer.  Exact
-    agreement is mandatory; the enumeration is subject to ``Limits.tuples``.
+    agreement is mandatory.  The recursive count is taken first, so a count
+    over ``Limits.tuples`` raises before the walk starts; the walk checks
+    its running count against the cap too.
     """
     check_depth(m, "m")
     cap = limits.current().tuples
     group = gset.group
     if m == 0:
         return chi_orb_gset(gset)
+
+    dec = orbits(gset)
+    recursive_count = 0
+    for o, rep in enumerate(dec.representatives):
+        stab_group, _ = gset.stabilizer(rep).as_group()
+        n_m = count_commuting_tuples(stab_group, m, "recursive")
+        recursive_count += len(dec.orbits[o]) * n_m
+    if recursive_count > cap:
+        raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
 
     direct_count = 0
     for x in range(gset.size):
@@ -78,22 +89,19 @@ def chi_m(gset: FiniteGSet, m: int) -> Fraction:
             if direct_count > cap:
                 raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
 
-    dec = orbits(gset)
-    recursive_count = 0
-    for o, rep in enumerate(dec.representatives):
-        stab_group, _ = gset.stabilizer(rep).as_group()
-        n_m = count_commuting_tuples(stab_group, m, "recursive")
-        recursive_count += len(dec.orbits[o]) * n_m
-
     count = agree(f"commuting {m}-tuples, by enumeration and by recursion",
                   direct_count, recursive_count)
     return Fraction(count, group.order)
 
 
 def euler_series(gset: FiniteGSet, m_max: int) -> list[Fraction]:
-    """[chi_0, ..., chi_m_max]; chi_0 is chi_orb of the base itself."""
+    """[chi_0, ..., chi_m_max]; chi_0 is chi_orb of the base itself.
+
+    Computed from m_max down: tuple counts never fall as m grows, so a
+    series over ``Limits.tuples`` raises before any term is worked out.
+    """
     check_depth(m_max, "m_max")
-    return [chi_m(gset, m) for m in range(m_max + 1)]
+    return [chi_m(gset, m) for m in range(m_max, -1, -1)][::-1]
 
 
 def ladder_check(gset: FiniteGSet, m: int) -> bool:

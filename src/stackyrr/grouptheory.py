@@ -439,13 +439,14 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
     for cls in classes:  # grows while it is walked
         rep = min(cls)
         in_rep = set(rep)
-        normalizer = [g for g in range(parent.order)
-                      if all(conj[g][k] in in_rep for k in cls[rep])]
+        # conjugation rows of the normalizer: those keeping rep's generators in rep
+        normalizer = [row for row in conj
+                      if in_rep.issuperset(map(row.__getitem__, cls[rep]))]
         done = set()
         for z in zuppos:
             if z in in_rep or zuppo_of[z] in done:
                 continue
-            done.update(zuppo_of[conj[g][z]] for g in normalizer)
+            done.update([zuppo_of[row[z]] for row in normalizer])
             reached, seen, gens = list(rep), set(in_rep), list(cls[rep])
             _close(mul, reached, seen, gens, z)
             elems = tuple(sorted(reached))
@@ -456,7 +457,7 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
             for h in queue:
                 for s in moves:
                     row = conj[s]
-                    image = tuple(sorted(row[x] for x in h))
+                    image = tuple(sorted(map(row.__getitem__, h)))
                     if image not in orbit:
                         orbit[image] = tuple(row[x] for x in orbit[h])
                         queue.append(image)

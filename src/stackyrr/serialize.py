@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclonum import CyclotomicNumber
+from .cyclonum import CyclotomicNumber, _fraction_of_pair
 from .errors import ValidationError
 from .eulerlab import CurveStrata, FormalProduct, GSetStrata
 from .groupoidstack import (
@@ -51,6 +51,7 @@ def fraction_to_json(q: Fraction):
 
 
 def fraction_from_json(value, where: str) -> Fraction:
+    """An int (not a bool), or [num, den], each an int or an ASCII decimal string."""
     if isinstance(value, bool):
         raise ValidationError(f"{where}: booleans are not numbers")
     if isinstance(value, int):
@@ -59,15 +60,14 @@ def fraction_from_json(value, where: str) -> Fraction:
         raise ValidationError(
             f"{where}: floats are not accepted; use [\"num\", \"den\"] strings"
         )
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(s, (str, int)) for s in value)
-    ):
+    if isinstance(value, list):
         try:
-            return Fraction(int(value[0]), int(value[1]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: bad rational {value!r}: {exc}") from None
+            return _fraction_of_pair(value)
+        except ValidationError:
+            raise ValidationError(
+                f"{where}: bad rational {value!r}; expected [num, den], "
+                "each an int or an ASCII decimal string"
+            ) from None
     raise ValidationError(f"{where}: expected integer or [num, den], got {value!r}")
 
 

@@ -41,6 +41,8 @@ from stackyrr.groupoidstack import (
 )
 from stackyrr.exactlinalg import exact_rank
 from stackyrr.grouptheory import (
+    FiniteGroup,
+    Subgroup,
     conjugacy_classes,
     extend_along_generators,
     subgroup_conjugacy_reps,
@@ -411,6 +413,26 @@ def test_induce_restrict():
     assert scaled.values == tuple(3 * v for v in ind.values)
 
 
+def test_coset_characters_equal_induced_trivial_and_fixed_coset_counts():
+    for name, g in group_catalog(12):
+        for sub in subgroup_conjugacy_reps(g):
+            chi = coset_character(g, sub)
+            assert chi.group is g and chi.genuine
+            assert chi.values == induce(g, sub, trivial_character(sub.as_group()[0])).values
+            assert chi.values == permutation_character(coset_gset(g, sub)).values, \
+                (name, sub.elements)
+
+
+def test_coset_character_needs_a_subgroup_of_the_group():
+    s3 = symmetric(3)
+    sub = natural_gset(s3).stabilizer(0)
+    copy = FiniteGroup(s3.mul, generators=s3.generators, _validated=True)
+    with pytest.raises(ValidationError, match="different group"):
+        coset_character(s3, Subgroup(copy, sub.elements))
+    assert coset_character(copy, Subgroup(copy, sub.elements)).values \
+        == coset_character(s3, sub).values
+
+
 def test_restrict_to_trivial_subgroup():
     s3 = symmetric(3)
     chi = permutation_character(natural_gset(s3))
@@ -643,3 +665,19 @@ def test_non_monomial_reps_of_s3_match_the_dense_reference(basis, coords, values
                                          _dense_mat_mul, ""))
     assert _check_against_dense(rep, mats) == {False}
     assert [v.integer_value() for v in character_of(rep).values] == values
+
+
+@pytest.mark.parametrize("n, scalar", [
+    (4, CyclotomicNumber.from_rational(-1)),
+    (6, root_of_unity(3, 1)),
+], ids=["signed", "cube-root"])
+def test_monomial_reps_with_scalars_match_the_dense_reference(n, scalar):
+    # the generator goes to [[0, scalar], [1, 0]], whose square is scalar * I
+    group = cyclic(n)
+    images = {group.generators[0]: ((ZERO, scalar), (ONE, ZERO))}
+    rep = rep_from_generator_images(group, images)
+    assert any(v is not ONE for m in rep.rows for row in m for _, v in row)
+    assert all(len(row) == 1 for m in rep.rows for row in m)
+    mats = tuple(extend_along_generators(group, images, _dense_identity(2),
+                                         _dense_mat_mul, ""))
+    _check_against_dense(rep, mats)

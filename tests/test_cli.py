@@ -1,6 +1,7 @@
 """The batch front-end: exit statuses, determinism, schema discipline."""
 
 import json
+import time
 
 import pytest
 
@@ -286,6 +287,25 @@ def test_strict_json_scalars(tmp_path, capsys, argv_files, fragment):
     assert status == EXIT_VALIDATION
     error = json.loads(out)["error"]
     assert error["kind"] == "validation" and fragment in error["message"]
+
+
+def test_weights_pair_with_underscore_digits_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"open": ["1_0", "1"], "points": {"p2": 7, "p3": 11}}))
+    status, out, _ = run_cli(capsys, "weighted", "--curve", "p23", "--weights", str(path))
+    assert status == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"].startswith("weights.open: bad rational")
+
+
+@pytest.mark.parametrize("command", ["series", "euler"])
+def test_tuple_cap_trips_before_the_walk(capsys, monkeypatch, command):
+    # 2^40 commuting 40-tuples in Z2: the recursive count is over the cap at once
+    monkeypatch.delenv("STACKYRR_TUPLE_CAP", raising=False)
+    start = time.perf_counter()
+    status, out, _ = run_cli(capsys, command, "--gset", "pt-z2", "--max-m", "40")
+    assert time.perf_counter() - start < 2
+    assert status == EXIT_RESOURCE
+    assert f"Limits.tuples = {limits.Limits().tuples}" in json.loads(out)["error"]["message"]
 
 
 def test_main_keeps_the_callers_limits(capsys, monkeypatch):

@@ -34,6 +34,14 @@ def test_fraction_round_trip():
         fraction_from_json(["1", "0"], "t")
 
 
+@pytest.mark.parametrize("pair", [[True, 2], ["1_0", "3"], [" 7 ", "2"], ["\u0661\u0662", "1"]],
+                         ids=["bool", "underscore", "spaces", "arabic-indic-digits"])
+def test_fraction_pairs_are_ints_or_ascii_decimal_strings(pair):
+    with pytest.raises(ValidationError, match=r"^weights\.open: bad rational"):
+        fraction_from_json(pair, "weights.open")
+    assert fraction_from_json(["-12", 8], "t") == Fraction(-3, 2)
+
+
 def test_cyclo_round_trip():
     z = root_of_unity(12, 5) + 3
     assert CyclotomicNumber.from_dict(cyclo_to_json(z)) == z
