@@ -98,6 +98,8 @@ def _load_spec(arg: str):
         raise ValidationError(f"{arg}: invalid JSON at {exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{arg}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer over the digit limit
+        raise ValidationError(f"{arg}: invalid JSON: {exc}") from None
     except OSError as exc:
         raise ValidationError(f"{arg}: cannot read ({exc.strerror})") from None
 
@@ -205,7 +207,7 @@ def _cmd_series(spec: JobSpec) -> dict:
     series = euler_series(gset, spec.m_max)
     result = {"series": series, "m_max": spec.m_max}
     if spec.oracle:
-        # a third route beside chi_m's walk and recursion: per orbit,
+        # a third route beside chi_m's mask count and recursion: per orbit,
         # |orbit| times a brute-force count over the stabilizer (Limits.tuples)
         counts = [int(v * gset.group.order) for v in series]
         dec = orbits(gset)

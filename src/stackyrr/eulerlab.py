@@ -13,10 +13,10 @@ Writing I^m for the m-th iterated inertia, these satisfy the exact ladder
 
 and chi_orb(I^m) = (number of commuting m-tuples with a common fixed
 point)/|H| gives a generating series worth tabulating.  Every quantity here
-is computed by at least two genuinely different routes (the bitmask walk of
-`grouptheory.commuting_masks` vs. the centralizer recursion, direct
-construction vs. repeated inertia) and the routes are required to agree
-exactly.
+is computed by at least two genuinely different routes (the count over
+extension masks of `grouptheory.commuting_tuple_counts`, per point, vs.
+the centralizer recursion, per orbit; direct construction vs. repeated
+inertia) and the routes are required to agree exactly.
 
 Weighted variants: a constructible integer (or nonzero rational) weight on
 a stratified base produces weighted Euler characteristics (sums) and Euler
@@ -26,12 +26,13 @@ refinement of the stratification.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, agree, check_depth
 from .groupoidstack import FiniteGSet, inertia, iterated_inertia, orbit_count, orbits
-from .grouptheory import commuting_masks, count_commuting_tuples
+from .grouptheory import _commuting_recursive, commuting_tuple_counts
 from .orbicurve import OrbifoldCurve
 
 
@@ -56,52 +57,44 @@ def chi_phy_gset(gset: FiniteGSet) -> int:
 
 
 def chi_m(gset: FiniteGSet, m: int) -> Fraction:
-    """chi_orb of the m-th iterated inertia, computed two ways.
-
-    Direct route: per point x, walk the pairwise commuting (m-1)-tuples in
-    Stab(x) with :func:`commuting_masks`, count the extensions of each as
-    the popcount of its mask, sum and divide by |G|.  Recursive route: sum
-    over orbits of the centralizer recursion on the stabilizer.  Exact
-    agreement is mandatory.  The recursive count is taken first, so a count
-    over ``Limits.tuples`` raises before the walk starts; the walk checks
-    its running count against the cap too.
-    """
+    """chi_orb of I^m, term m of :func:`euler_series`: both tuple counts run once, up to m."""
     check_depth(m, "m")
-    cap = limits.current().tuples
-    group = gset.group
-    if m == 0:
-        return chi_orb_gset(gset)
-
-    dec = orbits(gset)
-    recursive_count = 0
-    for o, rep in enumerate(dec.representatives):
-        stab_group, _ = gset.stabilizer(rep).as_group()
-        n_m = count_commuting_tuples(stab_group, m, "recursive")
-        recursive_count += len(dec.orbits[o]) * n_m
-    if recursive_count > cap:
-        raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
-
-    direct_count = 0
-    for x in range(gset.size):
-        stab = sum(1 << h for h in gset.stabilizer_elements(x))
-        for extensions in commuting_masks(group, stab, m):
-            direct_count += extensions.bit_count()
-            if direct_count > cap:
-                raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
-
-    count = agree(f"commuting {m}-tuples, by enumeration and by recursion",
-                  direct_count, recursive_count)
-    return Fraction(count, group.order)
+    return Fraction(_tuple_counts(gset, m)[m], gset.group.order) if m else chi_orb_gset(gset)
 
 
 def euler_series(gset: FiniteGSet, m_max: int) -> list[Fraction]:
-    """[chi_0, ..., chi_m_max]; chi_0 is chi_orb of the base itself.
+    """[chi_0, ..., chi_m_max]: chi_0 = chi_orb, chi_m = N_m/|G| with N_m the commuting
+    m-tuples with a common fixed point, all from one pass of :func:`_tuple_counts`."""
+    check_depth(m_max, "m_max")
+    order = gset.group.order
+    return [chi_orb_gset(gset)] + [Fraction(n, order) for n in _tuple_counts(gset, m_max)[1:]]
 
-    Computed from m_max down: tuple counts never fall as m grows, so a
+
+def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
+    """[N_0..N_m_max], each N_m counted two ways; exact agreement is mandatory.
+
+    Recursive route: per orbit, |orbit| times the centralizer recursion on
+    the stabilizer, which returns N_0..N_m_max at once.  Direct route:
+    :func:`commuting_tuple_counts` over the points' stabilizer masks.  The
+    recursive count comes first and counts never fall as m grows, so a
     series over ``Limits.tuples`` raises before any term is worked out.
     """
-    check_depth(m_max, "m_max")
-    return [chi_m(gset, m) for m in range(m_max, -1, -1)][::-1]
+    group, dec = gset.group, orbits(gset)
+    memo = {}  # keyed on element sets of one group, so shared by the orbits
+    recursive = [0] * (m_max + 1)
+    for members, rep in zip(dec.orbits, dec.representatives):
+        stab = tuple(gset.stabilizer_elements(rep))
+        for m, n in enumerate(_commuting_recursive(group, stab, m_max, memo)):
+            recursive[m] += len(members) * n
+    cap = limits.current().tuples
+    if m_max and recursive[m_max] > cap:
+        raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
+    stabs = Counter(sum(1 << h for h, y in enumerate(row) if y == x)
+                    for x, row in enumerate(gset.act))
+    direct = commuting_tuple_counts(group, stabs, m_max)
+    for m in range(1, m_max + 1):
+        agree(f"commuting {m}-tuples, by enumeration and by recursion", direct[m], recursive[m])
+    return direct
 
 
 def ladder_check(gset: FiniteGSet, m: int) -> bool:

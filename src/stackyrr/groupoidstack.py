@@ -27,11 +27,10 @@ above it.
 from __future__ import annotations
 
 import weakref
-from itertools import compress
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
-from .grouptheory import FiniteGroup, Subgroup, commuting_masks, subgroup
+from .grouptheory import FiniteGroup, Subgroup, _set_bits, subgroup
 
 
 class FiniteGSet:
@@ -276,9 +275,9 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     """The children of every point of ``below``, with their generator columns.
 
     At depth 1 the children of x are its stabilizer elements.  Deeper, the
-    children of p = (q, h) are the children of q that commute with h, found
-    by `commuting_masks` at m = 2.  Both lists come out sorted, so the
-    points are in lexicographic order.
+    children of p = (q, h) are the children of q that commute with h: the
+    AND of their mask with h's commute mask, for each h lowest first.  Both
+    lists come out sorted, so the points are in lexicographic order.
     """
     group = below.group
     n = group.order
@@ -286,11 +285,12 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     if depth == 1:
         rows = (below.stabilizer_elements(x) for x in range(below.size))
     else:
-        starts, siblings = below.offsets, below.last
-        sibling_masks = (sum(1 << h for h in siblings[a:b]) for a, b in zip(starts, starts[1:]))
+        starts, siblings, masks = below.offsets, below.last, group.commute_masks()
+        sibling_rows = (siblings[a:b] for a, b in zip(starts, starts[1:]))
+        child_masks = (mask & masks[h] for row in sibling_rows
+                       for mask in [sum(1 << h for h in row)] for h in row)
         listed = {}  # each child mask holds h itself, so no listed row is empty
-        rows = (listed.get(c) or listed.setdefault(c, _set_bits(c))
-                for mask in sibling_masks for c in commuting_masks(group, mask, 2))
+        rows = (listed.get(c) or listed.setdefault(c, _set_bits(c)) for c in child_masks)
     for p, children in enumerate(rows):
         last.extend(children)
         parent.extend([p] * len(children))
@@ -306,14 +306,6 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
         conj_s = conj[s]
         cols.append([pos[below_col[p] * n + conj_s[h]] for p, h in zip(parent, last)])
     return TowerLevel(below, depth, offsets, last, pos, cols)
-
-
-_SELECT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first: its binary digits select positions."""
-    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_SELECT)))
 
 
 def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:

@@ -14,7 +14,7 @@ against the AND of per-element commute bitmasks.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from operator import eq
 
 from . import limits
@@ -568,7 +568,7 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
     oracle for everything built on top of them.
     """
     check_depth(m, "tuple length")
-    if algorithm in ("recursive", "centralizer-recursive"):
+    if algorithm == "recursive":
         return _commuting_recursive(group, tuple(range(group.order)), m, {})[m]
     if algorithm == "brute":
         cap = limits.current().tuples
@@ -580,27 +580,39 @@ def count_commuting_tuples(group: FiniteGroup, m: int, algorithm: str = "recursi
     raise ValidationError(f"unknown algorithm {algorithm!r}")
 
 
-def commuting_masks(group: FiniteGroup, mask: int, m: int):
-    """Walk the m-tuples of pairwise commuting elements drawn from ``mask``.
+def commuting_tuple_counts(group: FiniteGroup, masks: dict[int, int], m: int) -> list[int]:
+    """[N_0..N_m], N_k the weighted k-tuples of pairwise commuting elements
+    drawn from each mask (bit h set for element h) of ``{mask: weight}``.
 
-    ``mask`` has bit h set for element h.  Once per pairwise commuting
-    (m-1)-tuple drawn from it, in lexicographic order, yields the mask of
-    its extensions: the members of ``mask`` commuting with all its entries.
+    A (k-1)-tuple counts only through its extension mask (the members of its
+    mask commuting with all its entries), which many tuples share.  So a
+    level holds {extension mask: weight}: a step sends the weight of ``mask``
+    to ``mask & commute_masks[h]`` for each bit h of ``mask``, and N_k sums
+    weight * popcount over level k - 1.  The work grows with the number of
+    distinct masks, not with the count.
     """
-    if check_depth(m, "tuple length") < 1:
-        raise ValidationError(f"tuple length must be >= 1, got {m}")
-    masks = group.commute_masks()
-    stack = [(mask, m - 1)]
-    while stack:
-        common, k = stack.pop()
-        if k == 0:
-            yield common
-            continue
-        rest = common
-        while rest:  # highest bit first, so the lowest is walked first
-            h = rest.bit_length() - 1
-            rest ^= 1 << h
-            stack.append((common & masks[h], k - 1))
+    check_depth(m, "tuple length")
+    commutes = group.commute_masks()
+    level = masks
+    counts = [sum(level.values())]
+    for k in range(1, m + 1):
+        counts.append(sum(w * mask.bit_count() for mask, w in level.items()))
+        if k < m:
+            above = {}
+            for mask, w in level.items():
+                for h in _set_bits(mask):
+                    c = mask & commutes[h]
+                    above[c] = above.get(c, 0) + w
+            level = above
+    return counts
+
+
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first: its binary digits select positions."""
+    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_SELECT)))
 
 
 def _commuting_brute(group: FiniteGroup, m: int) -> int:

@@ -18,7 +18,7 @@ from .errors import ValidationError
 _DEFAULTS = {
     "conductor": 1000,  # largest cyclotomic conductor an operation may reach
     "group_order": 10080,  # largest group group_from_permutations will close
-    "tuples": 10**8,  # most commuting tuples an enumeration may visit
+    "tuples": 10**8,  # largest commuting-tuple count (|G|^m for a brute scan)
     "points": 10**6,  # largest iterated fixed-point set that may be built
 }
 

@@ -121,6 +121,20 @@ def test_bad_json_file_is_validation_error(tmp_path, capsys):
     assert_validation_document(*result, "curve.json", "invalid JSON")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 100_000, "recursion depth"),
+    ("9" * 5001, "digits"),  # over the integer-string digit limit (4300 by default)
+], ids=["deep-nesting", "long-integer"])
+def test_json_the_decoder_cannot_hold_is_validation_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "gset.json"
+    path.write_text(text)
+    status, out, err = run_cli(capsys, "inertia", "--gset", str(path))
+    assert status == EXIT_VALIDATION and err == ""
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith(f"{path}: invalid JSON") and reason in error["message"]
+
+
 def test_directory_input_is_validation_error(tmp_path, capsys):
     result = run_cli(capsys, "rr", "--curve", str(tmp_path), "--divisor", "zero")
     assert_validation_document(*result, str(tmp_path), "cannot read")
@@ -306,6 +320,19 @@ def test_tuple_cap_trips_before_the_walk(capsys, monkeypatch, command):
     assert time.perf_counter() - start < 2
     assert status == EXIT_RESOURCE
     assert f"Limits.tuples = {limits.Limits().tuples}" in json.loads(out)["error"]["message"]
+
+
+def test_deep_series_counts_masks_not_tuples(capsys, monkeypatch):
+    # S3 has 3 * 2^m + 3^m - 3 commuting m-tuples, 43 million at m = 16;
+    # they are counted over a few distinct extension masks, not one by one
+    monkeypatch.delenv("STACKYRR_TUPLE_CAP", raising=False)
+    start = time.perf_counter()
+    status, out, _ = run_cli(capsys, "series", "--gset", "pt-s3", "--max-m", "16")
+    assert time.perf_counter() - start < 2
+    assert status == EXIT_OK
+    series = [["1", "6"]] + [(3 * 2**m + 3**m - 3) // 6 for m in range(1, 17)]
+    doc = {"command": "series", "result": {"m_max": 16, "series": series}, "schema": "1"}
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_main_keeps_the_callers_limits(capsys, monkeypatch):

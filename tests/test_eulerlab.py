@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackyrr import limits
 from stackyrr.errors import ResourceLimitError, ValidationError
@@ -29,7 +32,7 @@ from stackyrr.groupoidstack import (
     trivial_gset,
 )
 from stackyrr.grouptheory import (
-    commuting_masks,
+    commuting_tuple_counts,
     conjugacy_classes,
     count_commuting_tuples,
     subgroup_conjugacy_reps,
@@ -77,9 +80,9 @@ def test_chi_m_matches_hom_counts_on_point():
             assert chi_m(pt, m) == expected
 
 
-def test_chi_m_walk_matches_brute_counts_on_cosets():
+def test_chi_m_matches_brute_counts_on_cosets():
     # chi_m * |G| counts the commuting m-tuples of every stabilizer, so the
-    # walker behind chi_m must match the brute-force scan point by point
+    # mask count behind chi_m must match the brute-force scan point by point
     for _, g in group_catalog(16):
         for sub in subgroup_conjugacy_reps(g):
             x = coset_gset(g, sub)
@@ -87,6 +90,25 @@ def test_chi_m_walk_matches_brute_counts_on_cosets():
             for m in range(1, 4):
                 brute = sum(count_commuting_tuples(s, m, "brute") for s in stabs)
                 assert chi_m(x, m) * g.order == brute
+
+
+@lru_cache(maxsize=None)
+def _catalog_with_classes():
+    return tuple((g, tuple(subgroup_conjugacy_reps(g))) for _, g in group_catalog(16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_three_tuple_counts_agree_on_random_coset_unions(data):
+    g, classes = data.draw(st.sampled_from(_catalog_with_classes()))
+    subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    x = disjoint_union(*(coset_gset(g, sub) for sub in subs))
+    m = data.draw(st.integers(1, 5))
+    direct = chi_m(x, m) * g.order
+    # one orbit per coset space, each of |G:H| points with a stabilizer conjugate to H
+    brute = sum(g.order // sub.order * count_commuting_tuples(sub.as_group()[0], m, "brute")
+                for sub in subs)
+    assert direct == brute == euler_series(x, 5)[m] * g.order
 
 
 def test_chi_m_tuple_cap():
@@ -108,7 +130,7 @@ _S3_NATURAL = natural_gset(symmetric(3))
 
 DEPTH_ENTRY_POINTS = {
     "iterated_inertia": lambda m: iterated_inertia(_S3_NATURAL, m),
-    "commuting_masks": lambda m: next(commuting_masks(symmetric(3), 0b111111, m)),
+    "commuting_tuple_counts": lambda m: commuting_tuple_counts(symmetric(3), {0b111111: 1}, m),
     "count_commuting_tuples": lambda m: count_commuting_tuples(symmetric(3), m),
     "chi_m": lambda m: chi_m(_S3_NATURAL, m),
     "euler_series": lambda m: euler_series(_S3_NATURAL, m),

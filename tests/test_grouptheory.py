@@ -16,7 +16,7 @@ from stackyrr.grouptheory import (
     Subgroup,
     all_subgroups,
     centralizer,
-    commuting_masks,
+    commuting_tuple_counts,
     conjugacy_classes,
     count_commuting_tuples,
     direct_product,
@@ -190,24 +190,23 @@ def test_commuting_tuples_at_large_m_are_exact():
             assert count_commuting_tuples(g, 5000) == g.order**5000, name
 
 
-def test_commuting_masks_walk_every_tuple_in_order():
+def test_commuting_tuple_counts_match_every_tuple():
     def commute(t):
         return all(g.mul[a][b] == g.mul[b][a] for a in t for b in t)
 
     for g in (symmetric(4), dihedral(4), dicyclic(2)):
+        masks, total = {}, [0] * 4
         for sub in subgroup_conjugacy_reps(g):
             elems = sub.elements
             mask = sum(1 << h for h in elems)
-            for m in range(1, 4):
-                walked = list(commuting_masks(g, mask, m))
-                brute = [
-                    sum(1 << h for h in elems if commute(prefix + (h,)))
-                    for prefix in product(elems, repeat=m - 1)
-                    if commute(prefix)
-                ]
-                assert walked == brute
+            brute = [sum(1 for t in product(elems, repeat=m) if commute(t)) for m in range(4)]
+            assert commuting_tuple_counts(g, {mask: 1}, 3) == brute
+            masks[mask] = len(masks) + 1
+            total = [t + masks[mask] * n for t, n in zip(total, brute)]
+        # weights multiply, and the masks of one dict add
+        assert commuting_tuple_counts(g, masks, 3) == total
     with pytest.raises(ValidationError):
-        next(commuting_masks(cyclic(2), 0b11, 0))
+        commuting_tuple_counts(cyclic(2), {0b11: 1}, -1)
 
 
 def test_commuting_tuple_brute_cap():
@@ -323,7 +322,7 @@ def _refuse(*args, **kwargs):
 
 def _refuse_commute_masks(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "commute_masks", _refuse)
-    monkeypatch.setattr(grouptheory, "commuting_masks", _refuse)
+    monkeypatch.setattr(grouptheory, "commuting_tuple_counts", _refuse)
 
 
 def test_brute_count_reads_only_the_table(monkeypatch):
