@@ -34,7 +34,7 @@ print("S3 on 3 points: chi_top =", chi_top_gset(nat),
 # The inertia set is all pairs (point, stabilizing element): here the three
 # identity pairs plus one transposition per point, in two orbits.
 iner = inertia(nat)
-print("inertia points:", iner.pairs)
+print("inertia points:", iner.labels)
 print("inertia orbits:", orbits(iner).count)
 
 # Iterating inertia = tuples of commuting stabilizing elements.  Building

@@ -31,7 +31,7 @@ pt = trivial_gset(z2, 1)
 stab, _ = pt.stabilizer(0).as_group()
 sign = ClassFunction(stab, (1, -1), genuine=True)
 phi = devissage_phi(VirtualEqBundle(pt, (sign,)))
-for pair in phi.inertia_set.pairs:
+for pair in phi.inertia_set.labels:
     print("trace of sign at", pair, "=", phi.value_at_pair(pair))
 
 # Its global sections: none.  Both computations below agree exactly (the

@@ -39,8 +39,8 @@ from .grouptheory import (
 from .groupoidstack import (
     EquivariantMap,
     FiniteGSet,
-    InertiaSet,
     OrbitDecomposition,
+    TowerLevel,
     coset_gset,
     disjoint_union,
     equivariant_map,

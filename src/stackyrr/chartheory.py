@@ -23,7 +23,7 @@ from fractions import Fraction
 from .cyclonum import ONE, ZERO, CyclotomicNumber
 from .errors import ConsistencyError, ValidationError, agree
 from .exactlinalg import exact_rank
-from .groupoidstack import FiniteGSet, InertiaSet, inertia, orbits
+from .groupoidstack import FiniteGSet, TowerLevel, inertia, orbits
 from .grouptheory import (
     FiniteGroup,
     Subgroup,
@@ -355,14 +355,17 @@ class InertiaFunction:
 
     __slots__ = ("inertia_set", "values")
 
-    def __init__(self, inertia_set: InertiaSet, values: tuple[CyclotomicNumber, ...]):
+    def __init__(self, inertia_set: TowerLevel, values: tuple[CyclotomicNumber, ...]):
         if len(values) != orbits(inertia_set).count:
             raise ValidationError("need one value per inertia orbit")
         self.inertia_set, self.values = inertia_set, values
 
     def value_at_pair(self, pair) -> CyclotomicNumber:
-        dec = orbits(self.inertia_set)
-        return self.values[dec.orbit_of[self.inertia_set.label_index[pair]]]
+        try:
+            i = self.inertia_set.label_index[pair]
+        except (KeyError, TypeError):  # TypeError: an unhashable pair
+            raise ValidationError(f"{pair!r} is not a fixed-point pair of the inertia set") from None
+        return self.values[orbits(self.inertia_set).orbit_of[i]]
 
     def __mul__(self, other: "InertiaFunction") -> "InertiaFunction":
         if other.inertia_set is not self.inertia_set:
@@ -373,7 +376,7 @@ class InertiaFunction:
         )
 
 
-def _trace_cells(iner: InertiaSet) -> tuple[list[tuple[int, int]], list[int]]:
+def _trace_cells(iner: TowerLevel) -> tuple[list[tuple[int, int]], list[int]]:
     """The (base orbit, stabilizer class) cell of each inertia orbit.
 
     A pair (x, h) with x = g.rep is transported to g^-1 h g in Stab(rep)
@@ -382,7 +385,7 @@ def _trace_cells(iner: InertiaSet) -> tuple[list[tuple[int, int]], list[int]]:
     down the conjugation bookkeeping.  Also returns the class count of each
     base orbit's stabilizer.
     """
-    base = iner.base
+    base = iner.below
     dec = orbits(base)
     mul, inv = base.group.mul, base.group.inv
     stabs = []  # per base orbit: parent element -> class in Stab(rep)
@@ -393,10 +396,11 @@ def _trace_cells(iner: InertiaSet) -> tuple[list[tuple[int, int]], list[int]]:
         stabs.append({e: table.class_of[i] for i, e in enumerate(elems)})
         counts.append(table.count)
     cells = []
+    pairs = iner.labels
     for orbit in orbits(iner).orbits:
         found = set()
         for i in orbit:
-            x, h = iner.pairs[i]
+            x, h = pairs[i]
             o = dec.orbit_of[x]
             g = dec.transporter[x]
             moved = mul[mul[inv[g]][h]][g]
@@ -413,14 +417,14 @@ def _trace_cells(iner: InertiaSet) -> tuple[list[tuple[int, int]], list[int]]:
     return cells, counts
 
 
-def devissage_phi(bundle: VirtualEqBundle, inertia_set: InertiaSet | None = None) -> InertiaFunction:
+def devissage_phi(bundle: VirtualEqBundle, inertia_set: TowerLevel | None = None) -> InertiaFunction:
     """The trace map: bundle -> function on inertia orbits.
 
     The value at the orbit of (x, h) is the transported character value
     chi_{V_x}(h), read off the orbit's cell (see :func:`_trace_cells`).
     """
     iner = inertia_set if inertia_set is not None else inertia(bundle.base)
-    if iner.base is not bundle.base:
+    if iner.below is not bundle.base:
         raise ValidationError("inertia set does not belong to the bundle's base")
     cells, _ = _trace_cells(iner)
     return InertiaFunction(iner, tuple(bundle.orbit_characters[o].values[c] for o, c in cells))

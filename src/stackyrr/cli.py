@@ -35,6 +35,7 @@ from . import limits
 from .chartheory import devissage_summary
 from .errors import ConsistencyError, ResourceLimitError, ValidationError, agree
 from .eulerlab import (
+    CurveStrata,
     _strata_parts,
     euler_determinant,
     euler_report,
@@ -152,8 +153,8 @@ def _cmd_inertia(spec: JobSpec) -> dict:
         "group_order": gset.group.order,
         "inertia_points": iner.size,
         "inertia_orbits": dec.count,
-        "pairs": [list(p) for p in iner.pairs],
-        "orbit_representatives": [list(iner.pairs[r]) for r in dec.representatives],
+        "pairs": [list(p) for p in iner.labels],
+        "orbit_representatives": [list(iner.labels[r]) for r in dec.representatives],
     }
     if spec.oracle:
         by_points = sum(len(gset.stabilizer_elements(x)) for x in range(gset.size))
@@ -272,11 +273,9 @@ def _cmd_weighted(spec: JobSpec) -> dict:
     if spec.inputs.get("curve") is not None:
         curve = curve_from_json(spec.inputs["curve"])
         strata = curve_strata_from_json(spec.inputs["weights"], curve)
-        refined = strata.refine("@refined")
     else:
         gset = gset_from_json(spec.inputs["gset"])
         strata = gset_strata_from_json(spec.inputs["weights"], gset)
-        refined = strata.refine()
     chi = weighted_chi(strata, spec.variant)
     result = {"variant": spec.variant, "chi": chi}
     if all(w for w, _, _ in _strata_parts(strata)):
@@ -285,6 +284,12 @@ def _cmd_weighted(spec: JobSpec) -> dict:
         if det.is_integral:
             result["determinant_value"] = det.value()
     if spec.oracle:
+        if isinstance(strata, CurveStrata):
+            # a label longer than every label in use is not yet a stratum
+            longest = max((len(label) for label, _ in strata.point_weights), default=0)
+            refined = strata.refine("@" * (longest + 1))
+        else:
+            refined = strata.refine()
         refined_chi = weighted_chi(refined, spec.variant)
         agree("weighted chi, before and after refinement", chi, refined_chi)
         result["oracle"] = {"refined_chi": refined_chi, "agrees": True}

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, agree, check_depth
-from .groupoidstack import FiniteGSet, inertia, iterated_inertia, orbit_count, orbits
+from .groupoidstack import FiniteGSet, TowerLevel, inertia, iterated_inertia, orbit_count, orbits
 from .grouptheory import _commuting_recursive, commuting_tuple_counts
 from .orbicurve import OrbifoldCurve
 
@@ -106,13 +106,15 @@ def ladder_check(gset: FiniteGSet, m: int) -> bool:
     so the call reads as an assertion.
     """
     check_depth(m, "m")
-    level_m = iterated_inertia(gset, m)
-    level_m1 = iterated_inertia(gset, m + 1)
-    phy = chi_phy_gset(level_m)
-    top = chi_top_gset(level_m1)
-    orb = chi_m(gset, m + 2)
-    agree(f"Euler ladder at m={m}: chi_phy, chi_top, chi_orb", phy, top, orb)
+    level = iterated_inertia(gset, m + 1)
+    _ladder_rung(level, m, chi_m(gset, m + 2))
     return True
+
+
+def _ladder_rung(level: TowerLevel, m: int, orb: Fraction) -> int:
+    """chi_phy(I^m), once it equals chi_top(I^(m+1)) and ``orb``; ``level`` is I^(m+1)."""
+    return agree(f"Euler ladder at m={m}: chi_phy, chi_top, chi_orb",
+                 chi_phy_gset(level.below), chi_top_gset(level), orb)
 
 
 class EulerReport:
@@ -134,14 +136,22 @@ class EulerReport:
 
 
 def euler_report(gset: FiniteGSet, m_max: int = 3) -> EulerReport:
-    series = euler_series(gset, m_max)
+    """chi_top, chi_orb, chi_phy, the series to ``m_max`` and every ladder rung.
+
+    One tuple count, to depth max(m_max, 2), gives the series and each
+    rung's chi_orb; the rungs climb one tower, holding its last level.
+    """
+    check_depth(m_max, "m_max")
+    chis = euler_series(gset, max(m_max, 2))
+    phys = []
     for m in range(max(1, m_max - 1)):
-        ladder_check(gset, m)
+        level = iterated_inertia(gset, m + 1)
+        phys.append(_ladder_rung(level, m, chis[m + 2]))
     return EulerReport(
         chi_top=chi_top_gset(gset),
-        chi_orb=chi_orb_gset(gset),
-        chi_phy=chi_phy_gset(gset),
-        series=tuple(series),
+        chi_orb=chis[0],
+        chi_phy=phys[0],
+        series=tuple(chis[:m_max + 1]),
         ladder_verified=True,
     )
 

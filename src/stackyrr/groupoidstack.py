@@ -19,14 +19,18 @@ k in compressed rows (offsets into one array of new group coordinates),
 and a generator's column is read off by offset, with no label tuples.
 Each level holds its level below strongly and the one above only weakly,
 so a tower lives exactly as long as its top level is referenced.  Labels
-are built from the parent chain on first use.  `flattening_bijection`
-checks that ``inertia`` of a level really is, equivariantly, the level
-above it.
+live on tower levels only, built from the parent chain on first use.
+``inertia(B)`` is a fresh level 1 of the tower on B, built by the same
+`_level_above` but never the one the tower keeps, and
+`flattening_bijection` checks that ``inertia`` of a level really is,
+equivariantly, the level above it.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
+from itertools import chain, repeat
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
@@ -44,27 +48,17 @@ class FiniteGSet:
     induction on word length is the whole composition rule.
     """
 
-    __slots__ = ("group", "size", "cols", "_labels", "_label_index", "_act", "_orbits",
-                 "_up", "__weakref__")
+    __slots__ = ("group", "size", "cols", "_act", "_orbits", "_up", "__weakref__")
 
-    def __init__(self, group: FiniteGroup, size: int, cols, *, labels=None, validate=True):
+    def __init__(self, group: FiniteGroup, size: int, cols, *, validate=True):
         self.group = group
         self.size = size
         self.cols = tuple(tuple(col) for col in cols)
-        self._labels = tuple(labels) if labels is not None else None
-        if self._labels is not None and len(self._labels) != size:
-            raise ValidationError(f"{len(self._labels)} labels for {size} points")
-        self._label_index = None
         self._act = None
         self._orbits = None
         self._up = None  # weakref to level 1 of the inertia tower built on this set
         if validate:
             self._validate()
-
-    @property
-    def labels(self) -> tuple | None:
-        """One label per point, or None."""
-        return self._labels
 
     @property
     def act(self) -> tuple[tuple[int, ...], ...]:
@@ -76,13 +70,6 @@ class FiniteGSet:
                 images[b] = tuple(map(self.cols[i].__getitem__, images[a]))
             self._act = tuple(zip(*images)) if self.size else ()
         return self._act
-
-    @property
-    def label_index(self) -> dict | None:
-        """Label -> point, built on first use and cached; None without labels."""
-        if self._label_index is None and self.labels:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._label_index
 
     def _validate(self):
         # callers have checked that every column maps 0..size-1 into itself
@@ -201,37 +188,6 @@ def orbit_count(gset: FiniteGSet) -> int:
     return count
 
 
-class InertiaSet(FiniteGSet):
-    """The G-set of pairs (x, h) with h.x = x, ordered lexicographically."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: FiniteGSet, cols, pairs):
-        self.base = base
-        super().__init__(base.group, len(pairs), cols, labels=pairs, validate=False)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.labels
-
-
-def inertia(gset: FiniteGSet) -> InertiaSet:
-    """Fixed-point pairs (x, h) under g.(x, h) = (g.x, g h g^-1).
-
-    Writes one column per generator: |pairs| * #gens index lookups.
-    """
-    group = gset.group
-    n = group.order
-    pairs = [(x, h) for x in range(gset.size) for h in gset.stabilizer_elements(x)]
-    index = {x * n + h: i for i, (x, h) in enumerate(pairs)}
-    conj = group.conj_table()
-    cols = [
-        [index[col[x] * n + conj[s][h]] for (x, h) in pairs]
-        for s, col in zip(group.spanning_tree()[0], gset.cols)
-    ]
-    return InertiaSet(gset, cols, pairs)
-
-
 class TowerLevel(FiniteGSet):
     """Level ``depth`` >= 1 of an inertia tower: the children of ``below``.
 
@@ -244,7 +200,7 @@ class TowerLevel(FiniteGSet):
     its tower in a reference cycle.
     """
 
-    __slots__ = ("below", "depth", "offsets", "last", "pos", "_next")
+    __slots__ = ("below", "depth", "offsets", "last", "pos", "_next", "_labels", "_label_index")
 
     def __init__(self, below: FiniteGSet, depth: int, offsets, last, pos, cols):
         super().__init__(below.group, len(last), cols, validate=False)
@@ -254,21 +210,26 @@ class TowerLevel(FiniteGSet):
         self.last = last
         self.pos = pos
         self._next = None
+        self._labels = None
+        self._label_index = None
 
     @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
         """Tuples (x, h_1..h_depth), x a point of the tower's base; built once."""
         if self._labels is None:
-            heads = (
-                [(x,) for x in range(self.below.size)] if self.depth == 1 else self.below.labels
-            )
-            offsets, last = self.offsets, self.last
-            self._labels = tuple(
-                head + (h,)
-                for p, head in enumerate(heads)
-                for h in last[offsets[p]:offsets[p + 1]]
-            )
+            heads = self.below.labels if self.depth > 1 else zip(range(self.below.size))
+            # each parent's label, repeated once per child, plus the child's coordinate
+            counts = map(operator.sub, self.offsets[1:], self.offsets)
+            per_child = chain.from_iterable(map(repeat, heads, counts))
+            self._labels = tuple(map(operator.add, per_child, zip(self.last)))
         return self._labels
+
+    @property
+    def label_index(self) -> dict:
+        """Label -> point, built on first use and cached."""
+        if self._label_index is None:
+            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._label_index
 
 
 def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
@@ -308,6 +269,16 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     return TowerLevel(below, depth, offsets, last, pos, cols)
 
 
+def inertia(gset: FiniteGSet) -> TowerLevel:
+    """Fixed-point pairs (x, h) under g.(x, h) = (g.x, g h g^-1).
+
+    A fresh level 1 of the tower on ``gset``, never the one
+    :func:`iterated_inertia` keeps, so the two can be checked against each
+    other; its labels are the pairs.  Held to ``Limits.points``.
+    """
+    return _level_above(gset, 1, limits.current().points)
+
+
 def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
     """Tuples (x, h_1..h_m), h_i pairwise commuting and fixing x.
 
@@ -338,32 +309,27 @@ def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
     return level
 
 
-def flattening_bijection(nested: InertiaSet, flat: TowerLevel) -> "EquivariantMap":
+def flattening_bijection(nested: TowerLevel, flat: TowerLevel) -> "EquivariantMap":
     """The relabeling inertia(I^m) -> I^(m+1), checked for equivariance.
 
     ``nested`` is the inertia of a G-set B (a tower level or the base
-    itself) and ``flat`` must be the tower level built directly on B.  The
-    pair (x, h) maps to the child ``flat.pos[x*|G| + h]``; a pair with no
-    child, or a ``flat`` that is not the level above B, raises
-    `ValidationError`.  The map is then checked on generators by
-    :func:`equivariant_map`.
+    itself), a depth-1 level, and ``flat`` must be a tower level built
+    directly on B.  The pair (x, h) maps to the child
+    ``flat.pos[x*|G| + h]``; a pair with no child, or a ``flat`` that is not
+    a level above B, raises `ValidationError`.  The map is then checked on
+    generators by :func:`equivariant_map`.
     """
-    if not (
-        isinstance(nested, InertiaSet)
-        and isinstance(flat, TowerLevel)
-        and flat.below is nested.base
-    ):
+    if not (isinstance(nested, TowerLevel) and nested.depth == 1):
+        raise ValidationError("nested set is not the inertia of a G-set")
+    if not (isinstance(flat, TowerLevel) and flat.below is nested.below):
         raise ValidationError("target is not the tower level directly above the nested set's base")
-    n = nested.group.order
-    pos = flat.pos
-    point_map = []
-    for x, h in nested.pairs:
-        i = pos[x * n + h]
-        if i < 0:
-            raise ValidationError(f"pair {(x, h)} missing from the direct construction")
-        point_map.append(i)
-    identity_rho = tuple(range(n))
-    return equivariant_map(nested, flat, point_map, identity_rho)
+    # both position arrays are indexed by x*|G| + h, and nested's points
+    # come in increasing order of that index
+    point_map = [i for j, i in zip(nested.pos, flat.pos) if j >= 0]
+    if -1 in point_map:
+        pair = nested.labels[point_map.index(-1)]
+        raise ValidationError(f"pair {pair} missing from the direct construction")
+    return equivariant_map(nested, flat, point_map, range(nested.group.order))
 
 
 class EquivariantMap:
@@ -476,7 +442,7 @@ def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
     return FiniteGSet(group, offset, cols, validate=False)
 
 
-def gset_from_table(group: FiniteGroup, act, *, labels=None) -> FiniteGSet:
+def gset_from_table(group: FiniteGroup, act) -> FiniteGSet:
     """A user-supplied action table, fully validated.
 
     The generator columns are read off the table and validated as an
@@ -493,7 +459,7 @@ def gset_from_table(group: FiniteGroup, act, *, labels=None) -> FiniteGSet:
         if row[0] != x:
             raise ValidationError(f"identity moves point {x}")
     cols = [[row[s] for row in rows] for s in group.spanning_tree()[0]]
-    gset = FiniteGSet(group, len(rows), cols, labels=labels)
+    gset = FiniteGSet(group, len(rows), cols)
     if gset.act != rows:
         x = next(x for x in range(len(rows)) if rows[x] != gset.act[x])
         g = next(g for g in range(n) if rows[x][g] != gset.act[x][g])

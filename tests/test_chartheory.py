@@ -1,6 +1,7 @@
 """Characters, eigenspace dimensions, the trace map, and pushforwards."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from stackyrr.chartheory import (
 from stackyrr.cyclonum import ONE, ZERO, CyclotomicNumber, root_of_unity
 from stackyrr.errors import ConsistencyError, ValidationError
 from stackyrr.groupoidstack import (
-    InertiaSet,
+    TowerLevel,
     coset_gset,
     disjoint_union,
     inertia,
@@ -212,7 +213,7 @@ def test_devissage_phi_sign_on_pt_z2():
     stab_group, _ = pt.stabilizer(0).as_group()
     sign = ClassFunction(stab_group, (1, -1), True)
     phi = devissage_phi(VirtualEqBundle(pt, (sign,)))
-    pairs = phi.inertia_set.pairs
+    pairs = phi.inertia_set.labels
     assert pairs == ((0, 0), (0, 1))
     assert phi.value_at_pair((0, 0)) == 1
     assert phi.value_at_pair((0, 1)) == -1
@@ -226,9 +227,19 @@ def test_devissage_phi_sign_on_s3_natural():
     phi = devissage_phi(VirtualEqBundle(nat, (sign,)))
     # two inertia orbits: identity section and the transposition section
     iner = phi.inertia_set
-    for pair in iner.pairs:
+    for pair in iner.labels:
         expect = 1 if pair[1] == 0 else -1
         assert phi.value_at_pair(pair) == expect
+
+
+def test_value_at_pair_rejects_a_pair_outside_the_inertia_set():
+    phi = devissage_phi(structure_bundle(natural_gset(symmetric(3))))
+    fixed = set(phi.inertia_set.labels)
+    assert (0, 5) not in fixed and (0, 0) in fixed
+    for pair in ((0, 5), [0, 0], (3, 0), "00"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(pair))} is not a fixed-point"):
+            phi.value_at_pair(pair)
+    assert phi.value_at_pair((0, 0)) == 1
 
 
 def test_devissage_phi_multiplicative():
@@ -343,7 +354,7 @@ def test_trace_map_rejects_an_orbit_spanning_two_cells():
     # the generator swaps (0, e) and (0, s): one orbit, two classes of Stab(0)
     z2 = cyclic(2)
     pt = trivial_gset(z2, 1)
-    fake = InertiaSet(pt, [[1, 0]], ((0, 0), (0, 1)))
+    fake = TowerLevel(pt, 1, offsets=[0, 2], last=[0, 1], pos=[0, 1], cols=[[1, 0]])
     with pytest.raises(ConsistencyError, match="not constant on an inertia orbit"):
         devissage_phi(structure_bundle(pt), fake)
 

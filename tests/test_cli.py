@@ -217,6 +217,22 @@ def test_weighted_gset(tmp_path, capsys):
     assert doc["result"]["chi"] == 1  # 2 * chi_orb = 2 * (1/2)
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+def test_weighted_curve_with_a_point_named_like_the_refinement(tmp_path, capsys, oracle):
+    # the refinement carves out a point whose label is not yet a stratum
+    curve, weights = tmp_path / "curve.json", tmp_path / "weights.json"
+    curve.write_text(json.dumps({"genus": 0, "stacky": [{"label": "a", "order": 2}]}))
+    weights.write_text(json.dumps({"open": 2, "points": {"@refined": 3, "a": 1}}))
+    status, out, _ = run_cli(capsys, "weighted", "--curve", str(curve), "--weights",
+                             str(weights), *oracle)
+    assert status == EXIT_OK, out
+    result = load_report(out)["result"]
+    assert result["chi"] == 4  # 3 + 1 + 2 * (2 - 2)
+    assert ("oracle" in result) == bool(oracle)
+    if oracle:
+        assert result["oracle"] == {"refined_chi": 4, "agrees": True}
+
+
 def test_load_report_rejects_unknown_schema():
     with pytest.raises(ValidationError):
         load_report(json.dumps({"schema": "99", "command": "euler", "result": {}}))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackyrr import limits
+from stackyrr import eulerlab, groupoidstack, limits
 from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.eulerlab import (
     CurveStrata,
@@ -176,6 +176,32 @@ def test_euler_report():
     assert rep.series == (Fraction(1, 6), 1, 3, 8)
     assert rep.ladder_verified
     assert rep.series[0] == rep.chi_orb
+
+
+@pytest.mark.parametrize("m_max, depth", [(0, 2), (1, 2), (2, 2), (3, 3), (4, 4)])
+def test_euler_report_counts_once_and_climbs_one_tower(monkeypatch, m_max, depth):
+    counted, built = [], []
+
+    def counts(gset, m):
+        counted.append(m)
+        return real_counts(gset, m)
+
+    def level_above(below, d, cap):
+        built.append(d)
+        return real_level_above(below, d, cap)
+
+    real_counts, real_level_above = eulerlab._tuple_counts, groupoidstack._level_above
+    monkeypatch.setattr(eulerlab, "_tuple_counts", counts)
+    monkeypatch.setattr(groupoidstack, "_level_above", level_above)
+    x = natural_gset(symmetric(3))
+    rep = euler_report(x, m_max)
+    assert counted == [depth]
+    # per rung m: level m+1 of the tower, then the inertia of level m
+    assert built == [d for m in range(max(1, m_max - 1)) for d in (m + 1, 1)]
+    monkeypatch.undo()
+    assert rep.series == tuple(euler_series(x, m_max))
+    assert (rep.chi_top, rep.chi_orb, rep.chi_phy) == (
+        chi_top_gset(x), chi_orb_gset(x), chi_phy_gset(x))
 
 
 def mixed_gset():

@@ -19,6 +19,7 @@ from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.eulerlab import ladder_check
 from stackyrr.exactlinalg import exact_rank
 from stackyrr.groupoidstack import (
+    TowerLevel,
     coset_gset,
     disjoint_union,
     equivariant_map,
@@ -72,20 +73,12 @@ def test_action_table_validation():
         gset_from_table(z2, [(0, 0), (1, 1), (2, 0)])  # incompatible row
 
 
-@pytest.mark.parametrize("labels", [["a"], ["a", "b"], ["a", "b", "c", "d"], []])
-def test_one_label_per_point(labels):
-    act = s3_natural().act
-    with pytest.raises(ValidationError, match=f"{len(labels)} labels for 3 points"):
-        gset_from_table(symmetric(3), act, labels=labels)
-    assert gset_from_table(symmetric(3), act, labels="abc").labels == ("a", "b", "c")
-
-
 def test_inertia_examples():
     free = z2_swap()
     iner = inertia(free)
     assert iner.size == 2
     assert orbits(iner).count == 1
-    assert all(h == 0 for (_, h) in iner.pairs)
+    assert all(h == 0 for (_, h) in iner.labels)
 
     pt = trivial_gset(cyclic(2), 1)
     iner = inertia(pt)
@@ -195,6 +188,14 @@ def test_iterated_inertia_point_cap():
     pt = trivial_gset(symmetric(3), 1)
     with limits.using(points=50), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
         iterated_inertia(pt, 4)
+
+
+def test_inertia_point_cap():
+    # the six pairs of S3-natural: a fresh level 1, held to the cap in force
+    with limits.using(points=5), pytest.raises(ResourceLimitError, match=r"Limits\.points = 5"):
+        inertia(natural_gset(symmetric(3)))
+    with limits.using(points=6):
+        assert inertia(natural_gset(symmetric(3))).size == 6
 
 
 def test_point_cap_trips_exactly_above_the_top_level_size():
@@ -348,7 +349,7 @@ def test_trivial_group_builds_validates_and_takes_inertia():
     assert x.cols == () and x.act == ((0,), (1,), (2,))
     assert x.act == trivial_gset(g, 3).act
     iner = inertia(x)
-    assert iner.pairs == ((0, 0), (1, 0), (2, 0))
+    assert iner.labels == ((0, 0), (1, 0), (2, 0))
     assert orbit_count(iner) == orbits(iner).count == 3
     assert iterated_inertia(x, 3).size == 3
     with pytest.raises(ValidationError):
@@ -447,10 +448,32 @@ def test_flattening_needs_the_level_directly_above():
     x = natural_gset(symmetric(3))
     twin = natural_gset(symmetric(3))
     nested = inertia(x)
-    for wrong in (iterated_inertia(x, 2), iterated_inertia(twin, 1), x, inertia(x)):
+    for wrong in (iterated_inertia(x, 2), iterated_inertia(twin, 1), x, inertia(twin)):
         with pytest.raises(ValidationError, match="directly above"):
             flattening_bijection(nested, wrong)
-    assert flattening_bijection(nested, iterated_inertia(x, 1)).is_bijective()
+    # a second fresh inertia of x is a level directly above x, too
+    for right in (iterated_inertia(x, 1), inertia(x)):
+        assert flattening_bijection(nested, right).is_bijective()
+    for not_inertia in (iterated_inertia(x, 2), x):
+        with pytest.raises(ValidationError, match="not the inertia of a G-set"):
+            flattening_bijection(not_inertia, iterated_inertia(x, 1))
+
+
+def test_flattening_names_a_pair_the_target_lacks():
+    pt = trivial_gset(cyclic(2), 1)
+    short = TowerLevel(pt, 1, offsets=[0, 1], last=[0], pos=[0, -1], cols=[[0]])
+    with pytest.raises(ValidationError, match=r"pair \(0, 1\) missing from the direct"):
+        flattening_bijection(inertia(pt), short)
+
+
+def test_inertia_is_a_fresh_level_one_of_the_tower():
+    x = natural_gset(symmetric(3))
+    level1 = iterated_inertia(x, 1)
+    nested = inertia(x)
+    assert isinstance(nested, TowerLevel) and nested.depth == 1 and nested.below is x
+    assert nested is not level1 and nested is not inertia(x)
+    assert (nested.labels, nested.cols) == (level1.labels, level1.cols)
+    assert iterated_inertia(x, 1) is level1
 
 
 @lru_cache(maxsize=None)

@@ -74,3 +74,24 @@ def test_one_elimination_routine_and_no_linear_algebra_in_cyclonum():
         and node.name in {"_subfield_solver", "_express_in_subfield", "forward_eliminate"}
     ]
     assert defined == []
+
+
+def test_one_builder_for_fixed_point_sets():
+    # `inertia` and every tower level come from `_level_above`; no other
+    # function constructs a `TowerLevel` or defines its own inertia class
+    built, classes = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "_level_above":
+                built += [
+                    f"{path.name}:{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "TowerLevel"
+                ]
+        classes += [
+            f"{path.name}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "InertiaSet"
+        ]
+    assert built == [] and classes == []
