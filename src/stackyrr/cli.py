@@ -301,11 +301,11 @@ def _cmd_report(spec: JobSpec) -> dict:
     if spec.inputs.get("gset") is not None:
         gset = gset_from_json(spec.inputs["gset"])
         table = conjugacy_classes(gset.group)
+        iner = iterated_inertia(gset, 1)  # held, so the ladder's rung 0 reuses it
         rep = euler_report(gset, spec.m_max)
         summary = devissage_summary(gset)
         if spec.oracle:
             _agree_full_rank(summary)
-        iner = inertia(gset)
         result["gset"] = {
             "group_order": gset.group.order,
             "group_classes": table.count,

@@ -261,10 +261,9 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     pos = [-1] * (below.size * n)
     for i, (p, h) in enumerate(zip(parent, last)):
         pos[p * n + h] = i
-    conj = group.conj_table()
     cols = []
     for s, below_col in zip(group.spanning_tree()[0], below.cols):
-        conj_s = conj[s]
+        conj_s = group.conj_row(s)
         cols.append([pos[below_col[p] * n + conj_s[h]] for p, h in zip(parent, last)])
     return TowerLevel(below, depth, offsets, last, pos, cols)
 

@@ -6,16 +6,18 @@ order is reproducible) or from explicit multiplication tables.  Everything
 downstream -- conjugacy classes, centralizers, subgroup lattices,
 commuting-tuple counts -- is plain table arithmetic, which is the right
 trade at the scale this package works at (orders in the hundreds, not
-millions).  The two kernels that touch all |G|^2 products work a whole row
-at a time: the closure builds each row from an earlier one read through a
-generator's row, and the brute commuting count tests a tuple's last entry
-against the AND of per-element commute bitmasks.
+millions).  The kernels work a whole row at a time: the closure builds each
+row from an earlier one read through a generator's row, the brute commuting
+count tests a tuple's last entry against the AND of per-element commute
+bitmasks, and conjugation by g is a row h -> g h g^-1 built on first use.
+Conjugacy classes and the inertia tower read only the generators' rows; the
+subgroup lattice's normalizer test alone reads every row.
 """
 
 from __future__ import annotations
 
 from itertools import compress, product
-from operator import eq
+from operator import eq, itemgetter
 
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError, check_depth
@@ -37,7 +39,7 @@ class FiniteGroup:
         self.generators = tuple(generators) if generators else None
         self.perms = tuple(perms) if perms else None
         self._classes = None
-        self._conj = None
+        self._conj = {}
         self._commutes = None
         self._brute_masks = None  # read only by _commuting_brute
         self._tree = None
@@ -47,14 +49,13 @@ class FiniteGroup:
         """g * h * g^-1."""
         return self.mul[self.mul[g][h]][self.inv[g]]
 
-    def conj_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._conj is None:
-            mul, inv = self.mul, self.inv
-            self._conj = tuple(
-                tuple(mul[mul[g][h]][inv[g]] for h in range(self.order))
-                for g in range(self.order)
-            )
-        return self._conj
+    def conj_row(self, g: int) -> tuple[int, ...]:
+        """The row h -> g * h * g^-1, built on first use and kept per element."""
+        row = self._conj.get(g)
+        if row is None:
+            right = tuple(map(itemgetter(self.inv[g]), self.mul))  # x -> x * g^-1
+            row = self._conj[g] = tuple(map(right.__getitem__, self.mul[g]))
+        return row
 
     def commute_masks(self) -> tuple[int, ...]:
         """Per element g, a bitmask with bit h set when g*h == h*g."""
@@ -431,7 +432,8 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
     from a member's sorted elements to generators of that member (the
     extended ones, conjugated along the orbit).
     """
-    mul, conj = parent.mul, parent.conj_table()
+    mul = parent.mul
+    conj = [parent.conj_row(g) for g in range(parent.order)]
     moves = parent.spanning_tree()[0]
     zuppos, zuppo_of = _zuppos(parent)
     classes = [{(0,): ()}]
@@ -515,13 +517,17 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
     if group._classes is not None:
         return group._classes
     n = group.order
-    conj = group.conj_table()
+    rows = [group.conj_row(s) for s in group.spanning_tree()[0]]
     class_of = [-1] * n
     classes = []
     for h in range(n):
         if class_of[h] >= 0:
             continue
-        orbit = sorted({conj[g][h] for g in range(n)})
+        orbit, frontier = {h}, {h}
+        while frontier:  # conjugation by generators generates the conjugation action
+            frontier = {row[x] for row in rows for x in frontier} - orbit
+            orbit |= frontier
+        orbit = sorted(orbit)
         idx = len(classes)
         for x in orbit:
             class_of[x] = idx

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from stackyrr import cli, limits
+from stackyrr import cli, groupoidstack, limits
 from stackyrr.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -464,3 +464,22 @@ def test_report_oracle_checks_the_divisor_and_the_trace_map(capsys, monkeypatch)
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_ORACLE
     assert "trace-map rank" in json.loads(out)["error"]["message"]
+
+
+def test_report_builds_the_base_inertia_three_times(capsys, monkeypatch):
+    # the tower's level 1 (held, so rung 0 reuses it), the nested route of
+    # rung 0 and the trace map's own: three independent routes
+    built = []
+    real = groupoidstack._level_above
+
+    def level_above(below, depth, cap):
+        if depth == 1 and below.size == 3:
+            built.append(below)
+        return real(below, depth, cap)
+
+    monkeypatch.setattr(groupoidstack, "_level_above", level_above)
+    status, out, _ = run_cli(capsys, "report", "--gset", "s3-natural", "--curve", "p237",
+                             "--divisor", "canonical")
+    assert status == EXIT_OK
+    assert json.loads(out)["result"]["gset"]["inertia"] == {"points": 6, "orbits": 2}
+    assert len(built) == 3 and len({id(b) for b in built}) == 1

@@ -16,7 +16,7 @@ from stackyrr.chartheory import (
     pushforward_to_point,
 )
 from stackyrr.errors import ResourceLimitError, ValidationError
-from stackyrr.eulerlab import ladder_check
+from stackyrr.eulerlab import euler_report, ladder_check
 from stackyrr.exactlinalg import exact_rank
 from stackyrr.groupoidstack import (
     TowerLevel,
@@ -387,14 +387,14 @@ def _reference_level(gset, m):
         return code
 
     index = {encode(p): i for i, p in enumerate(points)}
-    conj = group.conj_table()
     cols = []
     for s, base_col in zip(group.spanning_tree()[0], gset.cols):
+        conj_s = [group.conj(s, h) for h in range(n)]
         col = []
         for p in points:
             code = base_col[p[0]]
             for h in p[1:]:
-                code = code * n + conj[s][h]
+                code = code * n + conj_s[h]
             col.append(index[code])
         cols.append(tuple(col))
     return len(points), tuple(points), tuple(cols)
@@ -414,6 +414,17 @@ def test_tower_matches_the_sort_and_encode_reference_on_the_catalog():
                 _assert_tower_matches_reference(coset_gset(g, sub), 4)
                 checked += 1
     assert checked > 100
+
+
+def test_classes_inertia_and_euler_read_only_the_generators_conjugation_rows():
+    # the routes of `classes`, `inertia` and `euler --max-m 2` on natural S6
+    x = natural_gset(symmetric(6))
+    group = x.group
+    assert conjugacy_classes(group).count == 11
+    iner = inertia(x)
+    assert (iner.size, orbits(iner).count, len(iner.labels)) == (720, 7, 720)
+    assert euler_report(x, 2).chi_phy == 7
+    assert 0 < len(group._conj) <= len(group.spanning_tree()[0])
 
 
 def test_tower_levels_are_reused_while_referenced():

@@ -129,6 +129,45 @@ def test_class_size_times_centralizer_is_order():
         assert t.representatives == tuple(c[0] for c in t.classes)
 
 
+def _classes_by_every_conjugation(g):
+    """Orbits of each h under h -> x h x^-1 for every x, read off the table."""
+    classes, seen = [], set()
+    for h in range(g.order):
+        if h not in seen:
+            orbit = tuple(sorted({g.conj(x, h) for x in range(g.order)}))
+            seen.update(orbit)
+            classes.append(orbit)
+    return tuple(classes)
+
+
+def _relabeled(generators, relabel):
+    """The same permutations with the points renamed by ``relabel``."""
+    back = [relabel.index(i) for i in range(len(relabel))]
+    return [tuple(relabel[p[back[i]]] for i in range(len(p))) for p in generators]
+
+
+def _conjugation_groups():
+    groups = list(group_catalog(16))
+    groups += [(f"{name} from its table", group_from_table(g.mul)) for name, g in group_catalog(16)]
+    five, six = [2, 4, 0, 3, 1], [5, 2, 0, 4, 1, 3]
+    groups += [
+        ("S5", group_from_permutations(_relabeled([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], five))),
+        ("A5", group_from_permutations(_relabeled([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], five))),
+        ("S6", group_from_permutations(_relabeled([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], six))),
+        ("trivial", trivial_group()),
+    ]
+    return groups
+
+
+def test_classes_match_the_orbits_under_every_conjugation():
+    for name, g in _conjugation_groups():
+        assert conjugacy_classes(g).classes == _classes_by_every_conjugation(g), name
+        # the classes were closed under the spanning-tree generators' rows alone
+        assert set(g._conj) <= set(g.spanning_tree()[0]), name
+        for x in range(g.order):
+            assert g.conj_row(x) == tuple(g.conj(x, h) for h in range(g.order)), (name, x)
+
+
 def test_centralizer_examples():
     s3 = symmetric(3)
     assert centralizer(s3, [0]).order == 6
@@ -330,7 +369,7 @@ def test_brute_count_reads_only_the_table(monkeypatch):
     expected = {(name, m): count_commuting_tuples(g, m) for name, g in groups for m in range(4)}
     s6 = symmetric(6)
     _refuse_commute_masks(monkeypatch)
-    monkeypatch.setattr(FiniteGroup, "conj_table", _refuse)
+    monkeypatch.setattr(FiniteGroup, "conj_row", _refuse)
     monkeypatch.setattr(grouptheory, "conjugacy_classes", _refuse)
     monkeypatch.setattr(grouptheory, "centralizer", _refuse)
     for name, g in groups:
