@@ -361,11 +361,13 @@ class InertiaFunction:
         self.inertia_set, self.values = inertia_set, values
 
     def value_at_pair(self, pair) -> CyclotomicNumber:
-        try:
-            i = self.inertia_set.label_index[pair]
-        except (KeyError, TypeError):  # TypeError: an unhashable pair
-            raise ValidationError(f"{pair!r} is not a fixed-point pair of the inertia set") from None
-        return self.values[orbits(self.inertia_set).orbit_of[i]]
+        iner = self.inertia_set
+        n = iner.group.order
+        if (isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
+                and 0 <= pair[0] < iner.below.size and 0 <= pair[1] < n
+                and (i := iner.pos[pair[0] * n + pair[1]]) >= 0):
+            return self.values[orbits(iner).orbit_of[i]]
+        raise ValidationError(f"{pair!r} is not a fixed-point pair of the inertia set")
 
     def __mul__(self, other: "InertiaFunction") -> "InertiaFunction":
         if other.inertia_set is not self.inertia_set:

@@ -527,28 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def jobspec_from_args(args) -> JobSpec:
-    inputs = {}
-    for kind in _COMMANDS[args.command].inputs:
-        value = getattr(args, kind)
-        if value is not None:
-            inputs[kind] = _load_spec(value)
-    return JobSpec(
-        command=args.command,
-        inputs=inputs,
-        m_max=getattr(args, "max_m", 3),
-        oracle=args.oracle,
-        variant=getattr(args, "variant", "top"),
-        output_path=args.output,
-        fmt=args.format,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = JobSpec(args.command, output_path=args.output, fmt=args.format)
+    spec = JobSpec(args.command, m_max=getattr(args, "max_m", 3), oracle=args.oracle,
+                   variant=getattr(args, "variant", "top"), output_path=args.output,
+                   fmt=args.format)
     try:
-        spec = jobspec_from_args(args)
+        for kind in _COMMANDS[args.command].inputs:
+            if getattr(args, kind) is not None:
+                spec.inputs[kind] = _load_spec(getattr(args, kind))
         caps = _env_caps()
     except ValidationError as exc:
         status, text = EXIT_VALIDATION, _render_error(spec, "validation", str(exc))

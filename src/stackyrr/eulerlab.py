@@ -77,16 +77,20 @@ def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
     the stabilizer, which returns N_0..N_m_max at once.  Direct route:
     :func:`commuting_tuple_counts` over the points' stabilizer masks.  The
     recursive count comes first and counts never fall as m grows, so a
-    series over ``Limits.tuples`` raises before any term is worked out.
+    series over ``Limits.tuples`` raises before any term is worked out.  A
+    nontrivial stabilizer holds a cyclic subgroup of order >= 2, so N_m >=
+    2^m, and a series with 2^m_max over the cap is refused before it counts.
     """
     group, dec = gset.group, orbits(gset)
+    cap = limits.current().tuples
+    if m_max >= cap.bit_length() and max(dec.stabilizer_orders, default=1) > 1:
+        raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
     memo = {}  # keyed on element sets of one group, so shared by the orbits
     recursive = [0] * (m_max + 1)
     for members, rep in zip(dec.orbits, dec.representatives):
         stab = tuple(gset.stabilizer_elements(rep))
         for m, n in enumerate(_commuting_recursive(group, stab, m_max, memo)):
             recursive[m] += len(members) * n
-    cap = limits.current().tuples
     if m_max and recursive[m_max] > cap:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
     stabs = Counter(sum(1 << h for h, y in enumerate(row) if y == x)
@@ -139,12 +143,17 @@ def euler_report(gset: FiniteGSet, m_max: int = 3) -> EulerReport:
     """chi_top, chi_orb, chi_phy, the series to ``m_max`` and every ladder rung.
 
     One tuple count, to depth max(m_max, 2), gives the series and each
-    rung's chi_orb; the rungs climb one tower, holding its last level.
+    rung's chi_orb; the rungs climb one tower, holding its last level.  The
+    series gives |I^k| = chi_k·|G|, so a top level over ``Limits.points``
+    is refused before any level is built.
     """
     check_depth(m_max, "m_max")
     chis = euler_series(gset, max(m_max, 2))
+    top, cap = max(1, m_max - 1), limits.current().points
+    if chis[top] * gset.group.order > cap:
+        raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
     phys = []
-    for m in range(max(1, m_max - 1)):
+    for m in range(top):
         level = iterated_inertia(gset, m + 1)
         phys.append(_ladder_rung(level, m, chis[m + 2]))
     return EulerReport(

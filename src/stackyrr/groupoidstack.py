@@ -19,11 +19,13 @@ k in compressed rows (offsets into one array of new group coordinates),
 and a generator's column is read off by offset, with no label tuples.
 Each level holds its level below strongly and the one above only weakly,
 so a tower lives exactly as long as its top level is referenced.  Labels
-live on tower levels only, built from the parent chain on first use.
+live on tower levels only, built from the parent chain on first use; a
+child (p, h) is found through ``pos[p*|G| + h]``, not through its label.
 ``inertia(B)`` is a fresh level 1 of the tower on B, built by the same
 `_level_above` but never the one the tower keeps, and
 `flattening_bijection` checks that ``inertia`` of a level really is,
-equivariantly, the level above it.
+equivariantly, the level above it, by comparing the two levels' position
+arrays and generator columns.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class TowerLevel(FiniteGSet):
     its tower in a reference cycle.
     """
 
-    __slots__ = ("below", "depth", "offsets", "last", "pos", "_next", "_labels", "_label_index")
+    __slots__ = ("below", "depth", "offsets", "last", "pos", "_next", "_labels")
 
     def __init__(self, below: FiniteGSet, depth: int, offsets, last, pos, cols):
         super().__init__(below.group, len(last), cols, validate=False)
@@ -211,7 +213,6 @@ class TowerLevel(FiniteGSet):
         self.pos = pos
         self._next = None
         self._labels = None
-        self._label_index = None
 
     @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
@@ -223,13 +224,6 @@ class TowerLevel(FiniteGSet):
             per_child = chain.from_iterable(map(repeat, heads, counts))
             self._labels = tuple(map(operator.add, per_child, zip(self.last)))
         return self._labels
-
-    @property
-    def label_index(self) -> dict:
-        """Label -> point, built on first use and cached."""
-        if self._label_index is None:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._label_index
 
 
 def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
@@ -313,22 +307,31 @@ def flattening_bijection(nested: TowerLevel, flat: TowerLevel) -> "EquivariantMa
 
     ``nested`` is the inertia of a G-set B (a tower level or the base
     itself), a depth-1 level, and ``flat`` must be a tower level built
-    directly on B.  The pair (x, h) maps to the child
-    ``flat.pos[x*|G| + h]``; a pair with no child, or a ``flat`` that is not
-    a level above B, raises `ValidationError`.  The map is then checked on
-    generators by :func:`equivariant_map`.
+    directly on B.  Both index the pair (x, h) as ``pos[x*|G| + h]``, so the
+    map is the identity exactly when the two position arrays and the two
+    sets of generator columns are equal; otherwise `ValidationError` names
+    the first pair one side lacks (or places differently), or the first
+    generator and point whose images differ.
     """
     if not (isinstance(nested, TowerLevel) and nested.depth == 1):
         raise ValidationError("nested set is not the inertia of a G-set")
     if not (isinstance(flat, TowerLevel) and flat.below is nested.below):
         raise ValidationError("target is not the tower level directly above the nested set's base")
-    # both position arrays are indexed by x*|G| + h, and nested's points
-    # come in increasing order of that index
-    point_map = [i for j, i in zip(nested.pos, flat.pos) if j >= 0]
-    if -1 in point_map:
-        pair = nested.labels[point_map.index(-1)]
-        raise ValidationError(f"pair {pair} missing from the direct construction")
-    return equivariant_map(nested, flat, point_map, range(nested.group.order))
+    group = nested.group
+    if nested.pos != flat.pos:  # also true of equal entries in a list and a tuple
+        for k, (j, i) in enumerate(zip(nested.pos, flat.pos)):
+            if j != i:
+                pair = divmod(k, group.order)
+                if min(i, j) >= 0:
+                    raise ValidationError(f"pair {pair} is point {j} of the nested set "
+                                          f"but {i} of the direct one")
+                side = "direct" if i < 0 else "nested"
+                raise ValidationError(f"pair {pair} missing from the {side} construction")
+    for s, a, b in zip(group.spanning_tree()[0], nested.cols, flat.cols):
+        if a != b:
+            x = next((x for x, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
+            raise ValidationError(f"not equivariant: witness (g={s}, x={x})")
+    return EquivariantMap(nested, flat, tuple(range(nested.size)), tuple(range(group.order)))
 
 
 class EquivariantMap:
@@ -444,8 +447,10 @@ def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
 def gset_from_table(group: FiniteGroup, act) -> FiniteGSet:
     """A user-supplied action table, fully validated.
 
-    The generator columns are read off the table and validated as an
-    action; the table must then equal the action they generate.
+    The rows become the G-set's ``act`` and its generator columns are read
+    off them.  The identity row checked here, with the composition rule
+    checked on every point, element and generator, makes the table the
+    action those columns generate (induction on word length).
     """
     rows = tuple(tuple(row) for row in act)
     n = group.order
@@ -458,13 +463,9 @@ def gset_from_table(group: FiniteGroup, act) -> FiniteGSet:
         if row[0] != x:
             raise ValidationError(f"identity moves point {x}")
     cols = [[row[s] for row in rows] for s in group.spanning_tree()[0]]
-    gset = FiniteGSet(group, len(rows), cols)
-    if gset.act != rows:
-        x = next(x for x in range(len(rows)) if rows[x] != gset.act[x])
-        g = next(g for g in range(n) if rows[x][g] != gset.act[x][g])
-        raise ValidationError(
-            f"action is not compatible with multiplication at (x={x}, g={g})"
-        )
+    gset = FiniteGSet(group, len(rows), cols, validate=False)
+    gset._act = rows
+    gset._validate()
     return gset
 
 

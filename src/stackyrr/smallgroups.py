@@ -83,7 +83,7 @@ def dicyclic(n: int) -> FiniteGroup:
         return i2, j2
 
     return _group_from_formula(
-        [(i, j) for j in (0, 1) for i in range(two_n)], (0, 0), mul,
+        [(i, j) for j in (0, 1) for i in range(two_n)], mul,
         generators=[(1, 0), (0, 1)],
     )
 
@@ -96,13 +96,9 @@ def abelian(*orders: int) -> FiniteGroup:
     return g
 
 
-def _group_from_formula(elements, identity, mul, *, generators=None) -> FiniteGroup:
+def _group_from_formula(elements, mul, *, generators=None) -> FiniteGroup:
+    """The group on ``elements`` (identity first) under ``mul``, validated by `FiniteGroup`."""
     index = {e: i for i, e in enumerate(elements)}
-    if index[identity] != 0:
-        order = [identity] + [e for e in elements if e != identity]
-        index = {e: i for i, e in enumerate(order)}
-        elements = order
-    n = len(elements)
     table = tuple(
         tuple(index[mul(a, b)] for b in elements) for a in elements
     )
@@ -132,7 +128,7 @@ def z4_semidirect_z4() -> FiniteGroup:
         return ((i + (k if j % 2 == 0 else -k)) % 4, (j + l) % 4)
 
     return _group_from_formula(
-        [(i, j) for j in range(4) for i in range(4)], (0, 0), mul,
+        [(i, j) for j in range(4) for i in range(4)], mul,
         generators=[(1, 0), (0, 1)],
     )
 
@@ -148,7 +144,6 @@ def klein_semidirect_z4() -> FiniteGroup:
 
     return _group_from_formula(
         [((u, v), j) for j in range(4) for u in (0, 1) for v in (0, 1)],
-        ((0, 0), 0),
         mul,
         generators=[((1, 0), 0), ((0, 0), 1)],
     )
@@ -169,7 +164,6 @@ def pauli16() -> FiniteGroup:
 
     return _group_from_formula(
         [(a, b, c) for a in range(4) for b in (0, 1) for c in (0, 1)],
-        (0, 0, 0),
         mul,
         generators=[(0, 1, 0), (0, 0, 1), (1, 0, 0)],
     )

@@ -9,6 +9,7 @@ import pytest
 from stackyrr import chartheory
 from stackyrr.chartheory import (
     ClassFunction,
+    InertiaFunction,
     MatrixRep,
     VirtualEqBundle,
     character_of,
@@ -240,6 +241,33 @@ def test_value_at_pair_rejects_a_pair_outside_the_inertia_set():
         with pytest.raises(ValidationError, match=f"^{re.escape(repr(pair))} is not a fixed-point"):
             phi.value_at_pair(pair)
     assert phi.value_at_pair((0, 0)) == 1
+
+
+def test_value_at_pair_rejects_malformed_pairs():
+    phi = devissage_phi(structure_bundle(natural_gset(symmetric(3))))
+    # bool and float entries compare equal to ints, and a negative entry
+    # would index the position array from its end; each is refused
+    for pair in ((True, 0), (0, False), (0.0, 0), (0, 0.0), (-1, 0), (0, -1), (0, 6),
+                 (0, 0, 0), (0,), None, 0):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(pair))} is not a fixed-point"):
+            phi.value_at_pair(pair)
+
+
+def test_value_at_pair_agrees_with_a_label_lookup_on_catalog_coset_unions():
+    # one union of every coset space per group, one distinct value per orbit;
+    # every (x, h) in range is either a label, with its orbit's value, or refused
+    for _, g in group_catalog(16):
+        x = disjoint_union(*(coset_gset(g, sub) for sub in subgroup_conjugacy_reps(g)))
+        iner = inertia(x)
+        dec = orbits(iner)
+        phi = InertiaFunction(iner, tuple(CyclotomicNumber.from_rational(i) for i in range(dec.count)))
+        index = {label: i for i, label in enumerate(iner.labels)}
+        for pair in ((p, h) for p in range(x.size) for h in range(g.order)):
+            if pair in index:
+                assert phi.value_at_pair(pair) == dec.orbit_of[index[pair]]
+            else:
+                with pytest.raises(ValidationError, match="is not a fixed-point pair"):
+                    phi.value_at_pair(pair)
 
 
 def test_devissage_phi_multiplicative():
@@ -676,6 +704,35 @@ def test_non_monomial_reps_of_s3_match_the_dense_reference(basis, coords, values
                                          _dense_mat_mul, ""))
     assert _check_against_dense(rep, mats) == {False}
     assert [v.integer_value() for v in character_of(rep).values] == values
+
+
+def _transpositions(s3):
+    return [g for g in range(s3.order) if sum(p == i for i, p in enumerate(s3.perms[g])) == 1]
+
+
+def test_images_of_other_generators_extend_along_their_own_tree():
+    s3 = symmetric(3)
+    pair = tuple(t for t in _transpositions(s3) if t not in s3.generators)
+    assert len(pair) == 2 and s3.spanning_tree()[0] != pair
+    regular = regular_rep(s3)
+    rep = rep_from_generator_images(s3, {t: regular.matrices[t] for t in pair})
+    assert rep.rows == regular.rows
+
+
+def test_images_of_one_transposition_do_not_cover_s3():
+    s3 = symmetric(3)
+    t = _transpositions(s3)[-1]
+    with pytest.raises(ValidationError, match="^images do not cover a generating set$"):
+        rep_from_generator_images(s3, {t: ((CyclotomicNumber.from_rational(-1),),)})
+
+
+def test_inconsistent_images_of_other_generators_are_refused():
+    # two transpositions to 1 and -1: their product, a 3-cycle, would go to -1
+    s3 = symmetric(3)
+    a, b = (t for t in _transpositions(s3) if t not in s3.generators)
+    images = {a: ((ONE,),), b: ((CyclotomicNumber.from_rational(-1),),)}
+    with pytest.raises(ValidationError, match="^matrices do not respect multiplication"):
+        rep_from_generator_images(s3, images)
 
 
 @pytest.mark.parametrize("n, scalar", [

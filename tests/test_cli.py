@@ -1,7 +1,12 @@
 """The batch front-end: exit statuses, determinism, schema discipline."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +341,33 @@ def test_tuple_cap_trips_before_the_walk(capsys, monkeypatch, command):
     assert time.perf_counter() - start < 2
     assert status == EXIT_RESOURCE
     assert f"Limits.tuples = {limits.Limits().tuples}" in json.loads(out)["error"]["message"]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_TUPLES = f"tuple enumeration exceeds Limits.tuples = {limits.Limits().tuples}"
+_POINTS = f"iterated fixed-point set exceeds Limits.points = {limits.Limits().points}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["series", "--gset", "pt-s3", "--max-m", "100000"], _TUPLES),
+    (["series", "--gset", "pt-s3", "--max-m", str(10**30)], _TUPLES),
+    (["euler", "--gset", "pt-z2", "--max-m", "24"], _POINTS),
+    (["euler", "--gset", "pt-s3", "--max-m", "14"], _POINTS),
+], ids=["series-1e5", "series-1e30", "euler-z2", "euler-s3"])
+def test_runs_over_a_cap_are_refused_before_the_work(argv, message):
+    # in a child process held to 1 GiB, so a run that does the work fails fast
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("STACKYRR_")}
+    env["PYTHONPATH"] = str(src)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "stackyrr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == EXIT_RESOURCE
+    assert json.loads(done.stdout)["error"]["message"] == message
 
 
 def test_deep_series_counts_masks_not_tuples(capsys, monkeypatch):

@@ -117,6 +117,78 @@ def test_chi_m_tuple_cap():
         chi_m(pt, 4)
 
 
+def _coset_union(data):
+    g, classes = data.draw(st.sampled_from(_catalog_with_classes()))
+    subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    return disjoint_union(*(coset_gset(g, sub) for sub in subs))
+
+
+def _caps_around(data, n):
+    # the cap right at the count, one either side, and anything up to twice it
+    return data.draw(st.sampled_from([c for c in (n - 1, n, n + 1) if c >= 1])
+                     | st.integers(1, 2 * n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_raises_exactly_when_its_last_count_is_over_the_tuple_cap(data):
+    # a stabilizer of order >= 2 makes N_m >= 2^m, so a deep series is refused
+    # before it counts; free actions (N_m = |X|) are decided by the counts
+    x = _coset_union(data)
+    m = data.draw(st.integers(1, 40))
+    with limits.using(tuples=10**100):
+        n_m = int(euler_series(x, m)[m] * x.group.order)
+    cap = _caps_around(data, n_m)
+    with limits.using(tuples=cap):
+        if n_m > cap:
+            with pytest.raises(ResourceLimitError, match=rf"^tuple enumeration exceeds Limits\.tuples = {cap}$"):
+                euler_series(x, m)
+        else:
+            assert euler_series(x, m)[m] * x.group.order == n_m
+
+
+def test_tuple_cap_at_its_boundary():
+    # a point with stabilizer Z2 has exactly 2^m commuting m-tuples, the
+    # bound the early refusal rests on; a free action has |X| at every m
+    pt_z2 = trivial_gset(cyclic(2), 1)
+    for m in range(1, 41):
+        with limits.using(tuples=2**m):
+            assert euler_series(pt_z2, m)[m] == 2**(m - 1)
+        with limits.using(tuples=2**m - 1), pytest.raises(ResourceLimitError, match=r"Limits\.tuples"):
+            euler_series(pt_z2, m)
+    free = natural_gset(cyclic(4))
+    with limits.using(tuples=4):
+        assert euler_series(free, 1000)[1000] == 1
+    with limits.using(tuples=3), pytest.raises(ResourceLimitError, match=r"Limits\.tuples = 3"):
+        euler_series(free, 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_euler_report_raises_exactly_when_its_top_level_is_over_the_points_cap(data):
+    x = _coset_union(data)
+    m_max = data.draw(st.integers(0, 4))
+    size = iterated_inertia(x, max(1, m_max - 1)).size
+    cap = _caps_around(data, size)
+    with limits.using(points=cap):
+        if size > cap:
+            with pytest.raises(ResourceLimitError,
+                               match=rf"^iterated fixed-point set exceeds Limits\.points = {cap}$"):
+                euler_report(x, m_max)
+        else:
+            assert euler_report(x, m_max).series == tuple(euler_series(x, m_max))
+
+
+def test_euler_over_the_points_cap_builds_no_level(monkeypatch):
+    built = []
+    real = groupoidstack._level_above
+    monkeypatch.setattr(groupoidstack, "_level_above",
+                        lambda below, d, cap: built.append(d) or real(below, d, cap))
+    with limits.using(points=2**10), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
+        euler_report(trivial_gset(cyclic(2), 1), 12)
+    assert built == []
+
+
 def test_euler_series_examples():
     pt_z2 = trivial_gset(cyclic(2), 1)
     assert euler_series(pt_z2, 4) == [Fraction(1, 2), 1, 2, 4, 8]

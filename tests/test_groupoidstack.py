@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackyrr import limits
+from stackyrr import groupoidstack, limits
 from stackyrr.chartheory import (
     VirtualEqBundle,
     coset_character,
@@ -475,6 +475,55 @@ def test_flattening_names_a_pair_the_target_lacks():
     short = TowerLevel(pt, 1, offsets=[0, 1], last=[0], pos=[0, -1], cols=[[0]])
     with pytest.raises(ValidationError, match=r"pair \(0, 1\) missing from the direct"):
         flattening_bijection(inertia(pt), short)
+
+
+def test_flattening_names_a_pair_the_nested_set_lacks():
+    x = z2_swap()  # free: the only fixed-point pairs are (0, 0) and (1, 0)
+    extra = TowerLevel(x, 1, offsets=[0, 2, 3], last=[0, 1, 0], pos=[0, 1, 2, -1],
+                       cols=[[2, 1, 0]])
+    with pytest.raises(ValidationError, match=r"pair \(0, 1\) missing from the nested"):
+        flattening_bijection(inertia(x), extra)
+
+
+def test_flattening_names_a_pair_placed_differently():
+    x = z2_swap()
+    swapped = TowerLevel(x, 1, offsets=[0, 1, 2], last=[0, 0], pos=[1, -1, 0, -1],
+                         cols=[[1, 0]])
+    with pytest.raises(ValidationError, match=r"pair \(0, 0\) is point 0 of the nested set but 1"):
+        flattening_bijection(inertia(x), swapped)
+
+
+def test_flattening_names_a_generator_whose_columns_differ():
+    x = s3_natural()
+    level = iterated_inertia(x, 1)
+    s = x.group.spanning_tree()[0][1]
+    cols = [list(col) for col in level.cols]
+    cols[1][2] = (cols[1][2] + 1) % level.size
+    corrupt = TowerLevel(x, 1, level.offsets, level.last, level.pos, cols)
+    with pytest.raises(ValidationError, match=rf"^not equivariant: witness \(g={s}, x=2\)$"):
+        flattening_bijection(inertia(x), corrupt)
+
+
+def test_flattening_reads_only_the_two_levels_arrays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flattening must not build a point map or labels")
+
+    monkeypatch.setattr(groupoidstack, "equivariant_map", refuse)
+    monkeypatch.setattr(TowerLevel, "labels", property(refuse))
+    checked = 0
+    for g, classes in _catalog_with_classes():
+        for sub in classes:
+            x = coset_gset(g, sub)
+            for m in range(3):
+                bij = flattening_bijection(inertia(iterated_inertia(x, m)), iterated_inertia(x, m + 1))
+                assert bij.is_bijective() and bij.point_map == tuple(range(bij.source.size))
+                checked += 1
+    assert checked > 300
+
+
+def test_tower_levels_keep_no_label_index():
+    assert not hasattr(TowerLevel, "label_index")
+    assert "_label_index" not in TowerLevel.__slots__
 
 
 def test_inertia_is_a_fresh_level_one_of_the_tower():

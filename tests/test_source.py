@@ -95,3 +95,10 @@ def test_one_builder_for_fixed_point_sets():
             if isinstance(node, ast.ClassDef) and node.name == "InertiaSet"
         ]
     assert built == [] and classes == []
+
+
+def test_cli_builds_its_job_spec_in_main_only():
+    # `main` fills one JobSpec from the parsed arguments; no second builder
+    tree = ast.parse((SRC / "cli.py").read_text())
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "main" in defined and "jobspec_from_args" not in defined
