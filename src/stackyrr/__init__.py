@@ -9,7 +9,6 @@ headline formula double-checked against an independent brute-force route.
 
 from .cyclonum import (
     CyclotomicNumber,
-    Rational,
     canonicalize,
     cyclotomic_polynomial,
     euler_phi,

@@ -195,9 +195,6 @@ class MatrixRep:
             )
         return self._dense
 
-    def matrix(self, g: int):
-        return self.matrices[g]
-
 
 def _sparse(m, dim: int) -> tuple:
     """Sparse rows of a dense dim x dim matrix."""
@@ -424,8 +421,11 @@ def devissage_phi(bundle: VirtualEqBundle, inertia_set: TowerLevel | None = None
 
     The value at the orbit of (x, h) is the transported character value
     chi_{V_x}(h), read off the orbit's cell (see :func:`_trace_cells`).
+    ``inertia_set`` must be a depth-1 level over the bundle's base.
     """
     iner = inertia_set if inertia_set is not None else inertia(bundle.base)
+    if not (isinstance(iner, TowerLevel) and iner.depth == 1):
+        raise ValidationError("inertia set is not the inertia of a G-set")
     if iner.below is not bundle.base:
         raise ValidationError("inertia set does not belong to the bundle's base")
     cells, _ = _trace_cells(iner)

@@ -47,8 +47,6 @@ from functools import lru_cache
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -450,19 +448,14 @@ ONE = CyclotomicNumber(1, (1,), 1)
 # -- canonicalization ----------------------------------------------------
 
 
-def canonicalize(conductor, coeffs=None) -> CyclotomicNumber:
+def canonicalize(conductor, coeffs) -> CyclotomicNumber:
     """Reduce a raw (conductor, coefficient vector) to the canonical form.
 
     The vector may have any length (it is reduced modulo Phi first) and
     holds ints (not bools) and Fractions only.  The result has
     the minimal conductor containing the value, which is never congruent to
-    2 mod 4.  Applied to an existing CyclotomicNumber this is the identity,
-    since every value is kept canonical.
+    2 mod 4.
     """
-    if coeffs is None:
-        if isinstance(conductor, CyclotomicNumber):
-            return conductor
-        raise ValidationError("canonicalize needs (conductor, coeffs) or a value")
     _conductor(conductor)
     if not isinstance(coeffs, (list, tuple)) \
             or not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):

@@ -2,13 +2,15 @@
 
 A `FiniteGSet` is a left action of a `FiniteGroup` on points 0..s-1, stored
 as one column per generator of the group's spanning tree:
-``cols[i][x] = s_i.x``.  The full table ``act[x][g] = g.x`` is built from
-the columns on first use and cached.  The composition convention is fixed
-once, globally:  act[x][g*h] == act[act[x][h]][g]  (h acts first).
-Everything that follows -- fixed-point pairs, conjugation-translation
-actions, commuting-tuple fibers -- leans on that one identity.  It is
-validated on every user-facing construction, for every g and every
-generator h only, which implies it for all pairs: O(|X|·|G|·#gens).
+``cols[i][x] = s_i.x``.  Orbits, transporters and stabilizer orders are read
+off the columns; the full table ``act[x][g] = g.x`` is built from them only
+where a per-point row is read, on first use, and cached.  The composition
+convention is fixed once, globally:  act[x][g*h] == act[act[x][h]][g]
+(h acts first).  Everything that follows -- fixed-point pairs,
+conjugation-translation actions, commuting-tuple fibers -- leans on that
+one identity.  It is validated on every user-facing construction, for
+every g and every generator h only, which implies it for all pairs:
+O(|X|·|G|·#gens).
 
 The central construction is `inertia`: the set of pairs (x, h) with h.x = x,
 carrying the action g.(x, h) = (g.x, g h g^-1).  Iterating it m times is,
@@ -36,7 +38,7 @@ from itertools import chain, repeat
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
-from .grouptheory import FiniteGroup, Subgroup, _set_bits, subgroup
+from .grouptheory import FiniteGroup, Subgroup, _action_orbits, _set_bits, subgroup
 
 
 class FiniteGSet:
@@ -121,55 +123,22 @@ class OrbitDecomposition:
 
 
 def orbits(gset: FiniteGSet) -> OrbitDecomposition:
-    """Orbit partition with minimal-index representatives and transporters."""
-    if gset._orbits is not None:
-        return gset._orbits
-    n = gset.group.order
-    size = gset.size
-    orbit_of = [-1] * size
-    transporter = [0] * size
-    orbit_list: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    stab_orders: list[int] = []
-    for x in range(size):
-        if orbit_of[x] >= 0:
-            continue
-        idx = len(orbit_list)
-        row = gset.act[x]
-        members = set()
-        stab = 0
-        for g in range(n):
-            y = row[g]
-            if y == x:
-                stab += 1
-            if y not in members:
-                members.add(y)
-                orbit_of[y] = idx
-                transporter[y] = g
-        if len(members) * stab != n:
-            raise ValidationError(
-                f"orbit of {x} has size {len(members)} but stabilizer order {stab}"
-            )
-        orbit_list.append(tuple(sorted(members)))
-        reps.append(x)
-        stab_orders.append(stab)
-    dec = OrbitDecomposition(
-        orbits=tuple(orbit_list),
-        representatives=tuple(reps),
-        stabilizer_orders=tuple(stab_orders),
-        orbit_of=tuple(orbit_of),
-        transporter=tuple(transporter),
-    )
-    gset._orbits = dec
-    return dec
+    """Orbit partition with minimal-index representatives and transporters.
+
+    Read off the generator columns by the sweep that also finds conjugacy
+    classes (`grouptheory._action_orbits`); ``act`` is neither read nor built.
+    """
+    if gset._orbits is None:
+        gset._orbits = OrbitDecomposition(*_action_orbits(gset.group, gset.size, gset.cols))
+    return gset._orbits
 
 
 def orbit_count(gset: FiniteGSet) -> int:
     """Number of orbits, by sweeping the generator columns only.
 
-    Gives the same partition as :func:`orbits` (generators generate) but
-    never builds the full table nor keeps stabilizer bookkeeping; the cheap
-    path for Euler numbers of large iterated fixed-point sets.
+    Keeps no transporters and counts no stabilizers, so it stays beside
+    :func:`orbits` as the path, several times cheaper, for the Euler numbers
+    of large iterated fixed-point sets, which need only the count.
     """
     seen = bytearray(gset.size)
     cols = gset.cols
@@ -482,8 +451,6 @@ def gset_from_generator_action(group: FiniteGroup, gen_columns) -> FiniteGSet:
         raise ValidationError(
             f"expected {len(group.generators)} generator columns, got {len(gen_columns)}"
         )
-    if not gen_columns:
-        raise ValidationError("a generator-free action needs an explicit table")
     size = len(gen_columns[0])
     for g, col in zip(group.generators, gen_columns):
         if sorted(col) != list(range(size)):

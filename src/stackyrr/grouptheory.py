@@ -10,8 +10,9 @@ millions).  The kernels work a whole row at a time: the closure builds each
 row from an earlier one read through a generator's row, the brute commuting
 count tests a tuple's last entry against the AND of per-element commute
 bitmasks, and conjugation by g is a row h -> g h g^-1 built on first use.
-Conjugacy classes and the inertia tower read only the generators' rows; the
-subgroup lattice's normalizer test alone reads every row.
+Conjugacy classes are the orbits of conjugation, swept like a G-set's orbits
+by `_action_orbits`; they and the inertia tower read only the generators'
+rows, and the subgroup lattice's normalizer test alone reads every row.
 """
 
 from __future__ import annotations
@@ -514,38 +515,60 @@ class ConjClassTable:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
-    if group._classes is not None:
-        return group._classes
-    n = group.order
-    rows = [group.conj_row(s) for s in group.spanning_tree()[0]]
-    class_of = [-1] * n
-    classes = []
-    for h in range(n):
-        if class_of[h] >= 0:
+    """Orbits of conjugation h -> g h g^-1, swept along the generators' rows.
+
+    Centralizer orders are counted, as stabilizer orders; cached on the group.
+    """
+    if group._classes is None:
+        rows = [group.conj_row(s) for s in group.spanning_tree()[0]]
+        classes, reps, cents, class_of, _ = _action_orbits(group, group.order, rows)
+        group._classes = ConjClassTable(classes, reps, tuple(map(len, classes)), cents, class_of)
+    return group._classes
+
+
+def _action_orbits(group: FiniteGroup, size: int, cols):
+    """Orbits of the action on 0..size-1 whose generator columns are ``cols``.
+
+    ``cols[i]`` is the column of the i-th spanning-tree generator.  Each orbit
+    is swept from its least point, its representative; z reached as s.y gets
+    the transporter s * t(y).  The stabilizer order is counted: the images of
+    the representative under every element, walked along the tree's edges,
+    that equal it.  Orbit size times that count must be |G|.  Returns
+    ``(orbits, representatives, stabilizer_orders, orbit_of, transporter)``.
+    """
+    gens, edges = group.spanning_tree()
+    mul, n = group.mul, group.order
+    moves = list(zip(gens, cols))
+    orbit_of = [-1] * size
+    transporter = [0] * size
+    found, stab_orders = [], []
+    for x in range(size):
+        if orbit_of[x] >= 0:
             continue
-        orbit, frontier = {h}, {h}
-        while frontier:  # conjugation by generators generates the conjugation action
-            frontier = {row[x] for row in rows for x in frontier} - orbit
-            orbit |= frontier
-        orbit = sorted(orbit)
-        idx = len(classes)
-        for x in orbit:
-            class_of[x] = idx
-        classes.append(tuple(orbit))
-    sizes = tuple(len(c) for c in classes)
-    cents = tuple(n // s for s in sizes)
-    for s, z in zip(sizes, cents):
-        if s * z != n:
-            raise ValidationError("class size does not divide group order")
-    table = ConjClassTable(
-        classes=tuple(classes),
-        representatives=tuple(c[0] for c in classes),
-        class_sizes=sizes,
-        centralizer_orders=cents,
-        class_of=tuple(class_of),
-    )
-    group._classes = table
-    return table
+        idx = len(found)
+        orbit_of[x] = idx
+        members = [x]
+        for y in members:  # grows while it is walked
+            t = transporter[y]
+            for s, col in moves:
+                z = col[y]
+                if orbit_of[z] < 0:
+                    orbit_of[z] = idx
+                    transporter[z] = mul[s][t]
+                    members.append(z)
+        images = [x] * n  # images[g] = g.x
+        for b, i, a in edges:
+            images[b] = cols[i][images[a]]
+        stab = images.count(x)
+        if len(members) * stab != n:
+            raise ValidationError(
+                f"orbit of {x} has size {len(members)} but stabilizer order {stab}"
+            )
+        members.sort()
+        found.append(tuple(members))
+        stab_orders.append(stab)
+    reps = tuple(orbit[0] for orbit in found)
+    return tuple(found), reps, tuple(stab_orders), tuple(orbit_of), tuple(transporter)
 
 
 def centralizer(group: FiniteGroup, elems) -> Subgroup:

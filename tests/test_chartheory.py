@@ -37,6 +37,7 @@ from stackyrr.groupoidstack import (
     coset_gset,
     disjoint_union,
     inertia,
+    iterated_inertia,
     natural_gset,
     orbits,
     trivial_gset,
@@ -268,6 +269,19 @@ def test_value_at_pair_agrees_with_a_label_lookup_on_catalog_coset_unions():
             else:
                 with pytest.raises(ValidationError, match="is not a fixed-point pair"):
                     phi.value_at_pair(pair)
+
+
+def test_devissage_phi_refuses_a_set_that_is_not_a_depth_one_level():
+    x = natural_gset(symmetric(3))
+    level1 = iterated_inertia(x, 1)
+    bundle = structure_bundle(level1)
+    for wrong in (iterated_inertia(x, 2), level1, x):
+        with pytest.raises(ValidationError) as err:
+            devissage_phi(bundle, wrong)
+        message = ("inertia set does not belong to the bundle's base" if wrong is level1
+                   else "inertia set is not the inertia of a G-set")
+        assert str(err.value) == message
+    assert devissage_phi(bundle, inertia(level1)).values == devissage_phi(bundle).values
 
 
 def test_devissage_phi_multiplicative():

@@ -343,6 +343,68 @@ def test_tuple_cap_trips_before_the_walk(capsys, monkeypatch, command):
     assert f"Limits.tuples = {limits.Limits().tuples}" in json.loads(out)["error"]["message"]
 
 
+_PERMS = {"permutations": [[1, 0, 2], [1, 2, 0]]}
+_SWAPS = {"permutations": [[1, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("kind, spec, message", [
+    ("group", {"table": []}, "empty multiplication table"),
+    ("group", {"table": [[0, 1], [1]]}, "row 1 has length 1, expected 2"),
+    ("group", {"table": [[0, 1], [1, 2]]}, "entry 2 in row 1 out of range"),
+    ("group", {"table": [[1, 0], [0, 1]]}, "index 0 is not an identity at element 0"),
+    ("gset", {"group": "S3", "points": 1, "action": [[0] * 5]},
+     "action row 0 has length 5 != 6"),
+    ("gset", {"group": "S3", "points": 1, "action": [[0] * 5 + [1]]},
+     "action value 1 out of range in row 0"),
+    ("gset", {"group": "S3", "points": 2, "action": [[0] * 6]}, "action has 1 rows for 2 points"),
+    ("gset", {"group": "S3", "natural": True, "points": 3},
+     "natural action excludes keys ['points']"),
+    ("gset", {"group": "S3", "action": [[0] * 6]}, "gset spec needs a 'points' count"),
+    ("gset", {"group": _PERMS, "points": 3, "action_generators": [[1, 0, 2], [1, 2]]},
+     "generator column length differs from 'points'"),
+    ("gset", {"group": {"table": [[0, 1], [1, 0]]}, "points": 2, "action_generators": [[1, 0]]},
+     "group has no recorded generators"),
+    ("gset", {"group": _PERMS, "points": 3, "action_generators": [[1, 0, 2]]},
+     "expected 2 generator columns, got 1"),
+    ("gset", {"group": _PERMS, "points": 3, "action_generators": [[1, 0, 2], [1, 1, 0]]},
+     "generator column for element 2 is not a bijection"),
+    ("gset", {"group": _SWAPS, "points": 2, "action_generators": [[1, 0], [0, 1]]},
+     "generator column 1 disagrees with element 1 at point 0"),
+    ("curve", {"genus": 0, "stacky": [{"label": "p"}]}, "stacky[0] needs 'label' and 'order'"),
+    ("divisor", [{"num": 1}], "divisor[0] needs 'label' and 'num'"),
+    ("divisor", [{"label": "p2", "num": 1}, {"label": "p2", "num": 1}],
+     "label 'p2' listed twice"),
+    ("weights", {"open": 1, "points": [1]}, "curve weights 'points' must be an object, got [1]"),
+    ("weights", {"points": {}}, "weights spec needs an 'open' weight"),
+    ("gset-weights", {}, "gset weights need a 'points' list"),
+    ("gset-weights", {"points": 5}, "gset weights need a 'points' list"),
+    ("weights", [1], "weights spec must be an object, got [1]"),
+    ("gset-weights", [1], "weights spec must be an object, got [1]"),
+], ids=["empty-table", "short-row", "entry-out-of-range", "no-identity",
+        "action-row-length", "action-value", "action-row-count", "natural-with-points",
+        "no-points", "generator-column-length", "table-group-generators",
+        "generator-column-count", "column-not-bijection", "duplicate-generators",
+        "stacky-without-order", "divisor-without-label", "divisor-label-twice",
+        "weights-points-list", "weights-without-open", "gset-weights-empty",
+        "gset-weights-points-int", "weights-list", "gset-weights-list"])
+def test_every_refusal_of_outside_input_exits_2_with_its_message(tmp_path, capsys, kind, spec,
+                                                                 message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    argv = {
+        "group": ("classes", "--group", str(path)),
+        "gset": ("inertia", "--gset", str(path)),
+        "curve": ("rr", "--curve", str(path), "--divisor", "zero"),
+        "divisor": ("rr", "--curve", "p23", "--divisor", str(path)),
+        "weights": ("weighted", "--curve", "p23", "--weights", str(path)),
+        "gset-weights": ("weighted", "--gset", "s3-natural", "--weights", str(path)),
+    }[kind]
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, err) == (EXIT_VALIDATION, "")
+    error = json.loads(out)["error"]
+    assert (error["kind"], error["message"]) == ("validation", message)
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

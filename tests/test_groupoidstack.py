@@ -573,3 +573,67 @@ def test_random_coset_unions_keep_tower_ladder_and_trace_map(data):
         stab = x.stabilizer(rep).as_group()[0]
         chars.append(coset_character(stab, data.draw(st.sampled_from(subgroup_conjugacy_reps(stab)))))
     assert pushforward_to_point(VirtualEqBundle(x, tuple(chars))) == dec.count
+
+
+def _reference_orbits(x):
+    """The partition, representatives, stabilizer orders and ``orbit_of``,
+    read off every point's ``act`` row."""
+    orbit_of, found, reps, stabs = [-1] * x.size, [], [], []
+    for p, row in enumerate(x.act):
+        if orbit_of[p] < 0:
+            members = tuple(sorted(set(row)))
+            for q in members:
+                orbit_of[q] = len(found)
+            found.append(members)
+            reps.append(p)
+            stabs.append(row.count(p))
+    return tuple(found), tuple(reps), tuple(stabs), tuple(orbit_of)
+
+
+def _coset_union_and_its_tower(data):
+    """A union of catalog coset spaces (at most 24 points) and its levels I^1..I^3."""
+    g, classes = data.draw(st.sampled_from(_catalog_with_classes()))
+    subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    while sum(g.order // sub.order for sub in subs) > 24:
+        subs.pop()
+    x = disjoint_union(*(coset_gset(g, sub) for sub in subs))
+    return [x] + [iterated_inertia(x, m) for m in (1, 2, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbits_match_the_action_rows_on_coset_unions_their_towers_and_inertia(data):
+    levels = _coset_union_and_its_tower(data)
+    for x in levels + [inertia(level) for level in levels]:
+        dec = orbits(x)
+        assert (dec.orbits, dec.representatives, dec.stabilizer_orders,
+                dec.orbit_of) == _reference_orbits(x)
+        for p, t in enumerate(dec.transporter):
+            assert x.act[dec.representatives[dec.orbit_of[p]]][t] == p
+
+
+def _no_action_table(self):
+    raise AssertionError("the action table was read")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbits_of_inertia_read_no_action_table(data):
+    levels = _coset_union_and_its_tower(data)
+    sets = [inertia(level) for level in levels]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groupoidstack.FiniteGSet, "act", property(_no_action_table))
+        decs = [orbits(x) for x in sets]
+    # inertia(I^m) is I^(m+1) relabeled, so their orbit counts agree
+    counts = [dec.count for dec in decs]
+    assert counts[:3] == [groupoidstack.orbit_count(level) for level in levels[1:]]
+    assert all(x._act is None for x in sets)
+
+
+def test_orbits_refuse_columns_that_are_not_an_action():
+    # both generators of S3 swap the two points: the sweep finds one orbit of
+    # two points, but the 4 elements of even depth in the tree fix point 0
+    x = groupoidstack.FiniteGSet(symmetric(3), 2, [[1, 0], [1, 0]], validate=False)
+    with pytest.raises(ValidationError) as err:
+        orbits(x)
+    assert str(err.value) == "orbit of 0 has size 2 but stabilizer order 4"

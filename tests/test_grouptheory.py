@@ -168,6 +168,15 @@ def test_classes_match_the_orbits_under_every_conjugation():
             assert g.conj_row(x) == tuple(g.conj(x, h) for h in range(g.order)), (name, x)
 
 
+def test_centralizer_orders_are_counted_not_derived():
+    for name, g in _conjugation_groups():
+        table = conjugacy_classes(g)
+        assert table.classes == _classes_by_every_conjugation(g), name
+        assert table.class_sizes == tuple(map(len, table.classes)), name
+        assert table.centralizer_orders == tuple(
+            centralizer(g, [rep]).order for rep in table.representatives), name
+
+
 def test_centralizer_examples():
     s3 = symmetric(3)
     assert centralizer(s3, [0]).order == 6
