@@ -18,6 +18,7 @@ the basis used for rank computations is the indicator basis on classes.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 
 from .cyclonum import ONE, ZERO, CyclotomicNumber
@@ -359,11 +360,12 @@ class InertiaFunction:
 
     def value_at_pair(self, pair) -> CyclotomicNumber:
         iner = self.inertia_set
-        n = iner.group.order
         if (isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
-                and 0 <= pair[0] < iner.below.size and 0 <= pair[1] < n
-                and (i := iner.pos[pair[0] * n + pair[1]]) >= 0):
-            return self.values[orbits(iner).orbit_of[i]]
+                and 0 <= pair[0] < iner.below.size):
+            lo, hi = iner.offsets[pair[0]:pair[0] + 2]
+            i = bisect_left(iner.last, pair[1], lo, hi)  # x's children are sorted
+            if i < hi and iner.last[i] == pair[1]:
+                return self.values[orbits(iner).orbit_of[i]]
         raise ValidationError(f"{pair!r} is not a fixed-point pair of the inertia set")
 
     def __mul__(self, other: "InertiaFunction") -> "InertiaFunction":

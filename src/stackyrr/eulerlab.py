@@ -87,14 +87,12 @@ def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
     memo = {}  # keyed on element sets of one group, so shared by the orbits
     recursive = [0] * (m_max + 1)
-    for members, rep in zip(dec.orbits, dec.representatives):
-        stab = tuple(gset.stabilizer_elements(rep))
+    for members, stab in zip(dec.orbits, dec.stabilizers):
         for m, n in enumerate(_commuting_recursive(group, stab, m_max, memo)):
             recursive[m] += len(members) * n
     if m_max and recursive[m_max] > cap:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
-    stabs = Counter(sum(1 << h for h, y in enumerate(row) if y == x)
-                    for x, row in enumerate(gset.act))
+    stabs = Counter(sum(1 << h for h in gset.stabilizer_elements(x)) for x in range(gset.size))
     direct = commuting_tuple_counts(group, stabs, m_max)
     for m in range(1, m_max + 1):
         agree(f"commuting {m}-tuples, by enumeration and by recursion", direct[m], recursive[m])

@@ -2,39 +2,33 @@
 
 A `FiniteGSet` is a left action of a `FiniteGroup` on points 0..s-1, stored
 as one column per generator of the group's spanning tree:
-``cols[i][x] = s_i.x``.  Orbits, transporters and stabilizer orders are read
-off the columns; the full table ``act[x][g] = g.x`` is built from them only
-where a per-point row is read, on first use, and cached.  The composition
-convention is fixed once, globally:  act[x][g*h] == act[act[x][h]][g]
-(h acts first).  Everything that follows -- fixed-point pairs,
-conjugation-translation actions, commuting-tuple fibers -- leans on that
-one identity.  It is validated on every user-facing construction, for
-every g and every generator h only, which implies it for all pairs:
-O(|X|·|G|·#gens).
+``cols[i][x] = s_i.x``.  Orbits, transporters and stabilizers are read off
+the columns; the full table ``act[x][g] = g.x`` is built from them only
+where a per-point row is read (validation, characters), on first use, and
+cached.  The composition convention is fixed once, globally:
+act[x][g*h] == act[act[x][h]][g] (h acts first).  It is validated on every
+user-facing construction, for every g and every generator h only, which
+implies it for all pairs: O(|X|·|G|·#gens).
 
 The central construction is `inertia`: the set of pairs (x, h) with h.x = x,
 carrying the action g.(x, h) = (g.x, g h g^-1).  Iterating it m times is,
 up to relabeling, the set of (x, h_1, ..., h_m) with the h_i pairwise
 commuting and all fixing x.  `iterated_inertia` builds that as a tower of
-`TowerLevel`s: level k+1 is stored as the children of the points of level
-k in compressed rows (offsets into one array of new group coordinates),
-and a generator's column is read off by offset, with no label tuples.
+`TowerLevel`s, each only its points: the children of the points of the
+level below in compressed rows, sorted, plus one column per generator.
 Each level holds its level below strongly and the one above only weakly,
-so a tower lives exactly as long as its top level is referenced.  Labels
-live on tower levels only, built from the parent chain on first use; a
-child (p, h) is found through ``pos[p*|G| + h]``, not through its label.
-``inertia(B)`` is a fresh level 1 of the tower on B, built by the same
-`_level_above` but never the one the tower keeps, and
-`flattening_bijection` checks that ``inertia`` of a level really is,
-equivariantly, the level above it, by comparing the two levels' position
-arrays and generator columns.
+so a tower lives exactly as long as its top level is referenced.
+``inertia(B)`` is a fresh level 1 of the tower on B, built from the
+stabilizers of the orbit sweep, never the one the tower keeps, and
+`flattening_bijection` checks that it really is, equivariantly, the level
+above B by comparing the two levels' arrays.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
@@ -98,8 +92,10 @@ class FiniteGSet:
                     )
 
     def stabilizer_elements(self, x: int) -> list[int]:
-        row = self.act[x]
-        return [h for h in range(self.group.order) if row[h] == x]
+        dec = orbits(self)
+        t, mul = dec.transporter[x], self.group.mul  # x = t.rep: Stab(x) = t Stab(rep) t^-1
+        left, t_inv = mul[t], self.group.inv[t]
+        return sorted(mul[left[h]][t_inv] for h in dec.stabilizers[dec.orbit_of[x]])
 
     def stabilizer(self, x: int) -> Subgroup:
         return subgroup(self.group, self.stabilizer_elements(x))
@@ -109,13 +105,16 @@ class FiniteGSet:
 
 
 class OrbitDecomposition:
-    """The orbits of a G-set; ``transporter[x]`` is a g with x = g.representative."""
+    """The orbits of a G-set; ``transporter[x]`` is a g with x = g.representative
+    and ``stabilizers[o]`` the sorted stabilizer of orbit o's representative."""
 
-    __slots__ = ("orbits", "representatives", "stabilizer_orders", "orbit_of", "transporter")
+    __slots__ = ("orbits", "representatives", "stabilizers", "stabilizer_orders",
+                 "orbit_of", "transporter")
 
-    def __init__(self, orbits, representatives, stabilizer_orders, orbit_of, transporter):
+    def __init__(self, orbits, representatives, stabilizers, orbit_of, transporter):
         self.orbits, self.representatives, self.orbit_of = orbits, representatives, orbit_of
-        self.stabilizer_orders, self.transporter = stabilizer_orders, transporter
+        self.stabilizers, self.transporter = stabilizers, transporter
+        self.stabilizer_orders = tuple(map(len, stabilizers))
 
     @property
     def count(self) -> int:
@@ -126,7 +125,8 @@ def orbits(gset: FiniteGSet) -> OrbitDecomposition:
     """Orbit partition with minimal-index representatives and transporters.
 
     Read off the generator columns by the sweep that also finds conjugacy
-    classes (`grouptheory._action_orbits`); ``act`` is neither read nor built.
+    classes (`grouptheory._action_orbits`), which keeps each representative's
+    stabilizer elements; ``act`` is neither read nor built.
     """
     if gset._orbits is None:
         gset._orbits = OrbitDecomposition(*_action_orbits(gset.group, gset.size, gset.cols))
@@ -163,23 +163,23 @@ class TowerLevel(FiniteGSet):
     """Level ``depth`` >= 1 of an inertia tower: the children of ``below``.
 
     Stored in compressed rows over the points p of ``below``:
-    ``offsets[p]:offsets[p+1]`` are p's children, ``last[i]`` is child i's
-    new group coordinate, and ``pos[p*|G| + h]`` is the child (p, h), or -1
-    if h is not one.  ``below`` is held strongly; the level above, if any,
-    only through a weak reference (``_up`` for a tower built on this level
-    itself, ``_next`` for the next level of this tower), so no level keeps
-    its tower in a reference cycle.
+    ``offsets[p]:offsets[p+1]`` are p's children and ``last[i]`` is child
+    i's new group coordinate, sorted within each row, so a level holds one
+    entry per point and the child (p, h) is found by bisecting p's row.
+    ``below`` is held strongly; the level above, if any, only through a
+    weak reference (``_up`` for a tower built on this level itself,
+    ``_next`` for the next level of this tower), so no level keeps its
+    tower in a reference cycle.
     """
 
-    __slots__ = ("below", "depth", "offsets", "last", "pos", "_next", "_labels")
+    __slots__ = ("below", "depth", "offsets", "last", "_next", "_labels")
 
-    def __init__(self, below: FiniteGSet, depth: int, offsets, last, pos, cols):
+    def __init__(self, below: FiniteGSet, depth: int, offsets, last, cols):
         super().__init__(below.group, len(last), cols, validate=False)
         self.below = below
         self.depth = depth
         self.offsets = offsets
         self.last = last
-        self.pos = pos
         self._next = None
         self._labels = None
 
@@ -188,25 +188,34 @@ class TowerLevel(FiniteGSet):
         """Tuples (x, h_1..h_depth), x a point of the tower's base; built once."""
         if self._labels is None:
             heads = self.below.labels if self.depth > 1 else zip(range(self.below.size))
-            # each parent's label, repeated once per child, plus the child's coordinate
-            counts = map(operator.sub, self.offsets[1:], self.offsets)
-            per_child = chain.from_iterable(map(repeat, heads, counts))
-            self._labels = tuple(map(operator.add, per_child, zip(self.last)))
+            # each parent's label, once per child, plus the child's coordinate
+            self._labels = tuple(map(operator.add, _per_child(heads, self.offsets), zip(self.last)))
         return self._labels
+
+
+def _per_child(heads, offsets):
+    """Each parent's entry of ``heads``, repeated once per child of that parent."""
+    return chain.from_iterable(map(repeat, heads, map(operator.sub, offsets[1:], offsets)))
 
 
 def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     """The children of every point of ``below``, with their generator columns.
 
-    At depth 1 the children of x are its stabilizer elements.  Deeper, the
+    At depth 1 the children of x are its stabilizer elements, which the orbit
+    sweep reads from the action (`FiniteGSet.stabilizer_elements`); by
+    Burnside they number |G| per orbit, so a level over ``cap`` is refused
+    before one is listed.  Deeper, the
     children of p = (q, h) are the children of q that commute with h: the
     AND of their mask with h's commute mask, for each h lowest first.  Both
-    lists come out sorted, so the points are in lexicographic order.
+    lists come out sorted, so the points are in lexicographic order.  A
+    column finds each image through an index holding one entry per child.
     """
     group = below.group
     n = group.order
-    offsets, last, parent = [0], [], []
+    offsets, last = [0], []
     if depth == 1:
+        if n * orbits(below).count > cap:
+            raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
         rows = (below.stabilizer_elements(x) for x in range(below.size))
     else:
         starts, siblings, masks = below.offsets, below.last, group.commute_masks()
@@ -215,20 +224,18 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
                        for mask in [sum(1 << h for h in row)] for h in row)
         listed = {}  # each child mask holds h itself, so no listed row is empty
         rows = (listed.get(c) or listed.setdefault(c, _set_bits(c)) for c in child_masks)
-    for p, children in enumerate(rows):
+    for children in rows:
         last.extend(children)
-        parent.extend([p] * len(children))
         offsets.append(len(last))
         if len(last) > cap:
             raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
-    pos = [-1] * (below.size * n)
-    for i, (p, h) in enumerate(zip(parent, last)):
-        pos[p * n + h] = i
+    parent = list(_per_child(range(below.size), offsets))
+    index = dict(zip([p * n + h for p, h in zip(parent, last)], count()))  # (p, h) at p*|G| + h
     cols = []
     for s, below_col in zip(group.spanning_tree()[0], below.cols):
-        conj_s = group.conj_row(s)
-        cols.append([pos[below_col[p] * n + conj_s[h]] for p, h in zip(parent, last)])
-    return TowerLevel(below, depth, offsets, last, pos, cols)
+        conj_s, image_at = group.conj_row(s), [q * n for q in below_col]
+        cols.append([index[image_at[p] + conj_s[h]] for p, h in zip(parent, last)])
+    return TowerLevel(below, depth, offsets, last, cols)
 
 
 def inertia(gset: FiniteGSet) -> TowerLevel:
@@ -276,21 +283,24 @@ def flattening_bijection(nested: TowerLevel, flat: TowerLevel) -> "EquivariantMa
 
     ``nested`` is the inertia of a G-set B (a tower level or the base
     itself), a depth-1 level, and ``flat`` must be a tower level built
-    directly on B.  Both index the pair (x, h) as ``pos[x*|G| + h]``, so the
-    map is the identity exactly when the two position arrays and the two
-    sets of generator columns are equal; otherwise `ValidationError` names
-    the first pair one side lacks (or places differently), or the first
-    generator and point whose images differ.
+    directly on B.  Both list the children h of each point x of B in one
+    sorted row, so the map is the identity exactly when their ``offsets``,
+    ``last`` and generator columns are equal; otherwise `ValidationError`
+    names the first pair (x, h) one side lacks (or places differently), or
+    the first generator and point whose images differ.
     """
     if not (isinstance(nested, TowerLevel) and nested.depth == 1):
         raise ValidationError("nested set is not the inertia of a G-set")
     if not (isinstance(flat, TowerLevel) and flat.below is nested.below):
         raise ValidationError("target is not the tower level directly above the nested set's base")
     group = nested.group
-    if nested.pos != flat.pos:  # also true of equal entries in a list and a tuple
-        for k, (j, i) in enumerate(zip(nested.pos, flat.pos)):
+    if nested.offsets != flat.offsets or nested.last != flat.last:
+        # also true of equal entries in a list and a tuple: then no pair differs
+        nested_at, flat_at = (dict(zip(zip(_per_child(count(), level.offsets), level.last),
+                                       count())) for level in (nested, flat))
+        for pair in sorted(nested_at.keys() | flat_at.keys()):
+            j, i = nested_at.get(pair, -1), flat_at.get(pair, -1)
             if j != i:
-                pair = divmod(k, group.order)
                 if min(i, j) >= 0:
                     raise ValidationError(f"pair {pair} is point {j} of the nested set "
                                           f"but {i} of the direct one")

@@ -517,12 +517,13 @@ class ConjClassTable:
 def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
     """Orbits of conjugation h -> g h g^-1, swept along the generators' rows.
 
-    Centralizer orders are counted, as stabilizer orders; cached on the group.
+    Centralizer orders are the stabilizers' orders; cached on the group.
     """
     if group._classes is None:
         rows = [group.conj_row(s) for s in group.spanning_tree()[0]]
         classes, reps, cents, class_of, _ = _action_orbits(group, group.order, rows)
-        group._classes = ConjClassTable(classes, reps, tuple(map(len, classes)), cents, class_of)
+        group._classes = ConjClassTable(classes, reps, tuple(map(len, classes)),
+                                        tuple(map(len, cents)), class_of)
     return group._classes
 
 
@@ -531,17 +532,17 @@ def _action_orbits(group: FiniteGroup, size: int, cols):
 
     ``cols[i]`` is the column of the i-th spanning-tree generator.  Each orbit
     is swept from its least point, its representative; z reached as s.y gets
-    the transporter s * t(y).  The stabilizer order is counted: the images of
-    the representative under every element, walked along the tree's edges,
-    that equal it.  Orbit size times that count must be |G|.  Returns
-    ``(orbits, representatives, stabilizer_orders, orbit_of, transporter)``.
+    the transporter s * t(y).  The representative's stabilizer is kept: the
+    sorted elements, walked along the tree's edges, whose image of it is
+    itself.  Orbit size times stabilizer order must be |G|.  Returns
+    ``(orbits, representatives, stabilizers, orbit_of, transporter)``.
     """
     gens, edges = group.spanning_tree()
     mul, n = group.mul, group.order
     moves = list(zip(gens, cols))
     orbit_of = [-1] * size
     transporter = [0] * size
-    found, stab_orders = [], []
+    found, stabs = [], []
     for x in range(size):
         if orbit_of[x] >= 0:
             continue
@@ -559,16 +560,16 @@ def _action_orbits(group: FiniteGroup, size: int, cols):
         images = [x] * n  # images[g] = g.x
         for b, i, a in edges:
             images[b] = cols[i][images[a]]
-        stab = images.count(x)
-        if len(members) * stab != n:
+        stab = tuple(compress(range(n), map(x.__eq__, images)))
+        if len(members) * len(stab) != n:
             raise ValidationError(
-                f"orbit of {x} has size {len(members)} but stabilizer order {stab}"
+                f"orbit of {x} has size {len(members)} but stabilizer order {len(stab)}"
             )
         members.sort()
         found.append(tuple(members))
-        stab_orders.append(stab)
+        stabs.append(stab)
     reps = tuple(orbit[0] for orbit in found)
-    return tuple(found), reps, tuple(stab_orders), tuple(orbit_of), tuple(transporter)
+    return tuple(found), reps, tuple(stabs), tuple(orbit_of), tuple(transporter)
 
 
 def centralizer(group: FiniteGroup, elems) -> Subgroup:

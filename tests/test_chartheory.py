@@ -246,11 +246,23 @@ def test_value_at_pair_rejects_a_pair_outside_the_inertia_set():
 
 def test_value_at_pair_rejects_malformed_pairs():
     phi = devissage_phi(structure_bundle(natural_gset(symmetric(3))))
-    # bool and float entries compare equal to ints, and a negative entry
-    # would index the position array from its end; each is refused
+    # bool and float entries compare equal to ints, and a negative point
+    # would index the offsets from their end; each is refused
     for pair in ((True, 0), (0, False), (0.0, 0), (0, 0.0), (-1, 0), (0, -1), (0, 6),
                  (0, 0, 0), (0,), None, 0):
         with pytest.raises(ValidationError, match=f"^{re.escape(repr(pair))} is not a fixed-point"):
+            phi.value_at_pair(pair)
+
+
+def test_value_at_pair_reads_only_the_points_own_row():
+    # two fixed points whose rows are (1) and (2): h = 2 sorts past the end
+    # of point 0's row, where point 1's row starts, and is still refused
+    z3 = cyclic(3)
+    level = TowerLevel(trivial_gset(z3, 2), 1, offsets=[0, 1, 2], last=[1, 2], cols=[[0, 1]])
+    phi = InertiaFunction(level, (ONE, ZERO))
+    assert (phi.value_at_pair((0, 1)), phi.value_at_pair((1, 2))) == (ONE, ZERO)
+    for pair in ((0, 2), (1, 1), (0, 0)):
+        with pytest.raises(ValidationError, match="is not a fixed-point pair"):
             phi.value_at_pair(pair)
 
 
@@ -396,7 +408,7 @@ def test_trace_map_rejects_an_orbit_spanning_two_cells():
     # the generator swaps (0, e) and (0, s): one orbit, two classes of Stab(0)
     z2 = cyclic(2)
     pt = trivial_gset(z2, 1)
-    fake = TowerLevel(pt, 1, offsets=[0, 2], last=[0, 1], pos=[0, 1], cols=[[1, 0]])
+    fake = TowerLevel(pt, 1, offsets=[0, 2], last=[0, 1], cols=[[1, 0]])
     with pytest.raises(ConsistencyError, match="not constant on an inertia orbit"):
         devissage_phi(structure_bundle(pt), fake)
 

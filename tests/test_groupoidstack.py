@@ -16,7 +16,7 @@ from stackyrr.chartheory import (
     pushforward_to_point,
 )
 from stackyrr.errors import ResourceLimitError, ValidationError
-from stackyrr.eulerlab import euler_report, ladder_check
+from stackyrr.eulerlab import euler_report, euler_series, ladder_check
 from stackyrr.exactlinalg import exact_rank
 from stackyrr.groupoidstack import (
     TowerLevel,
@@ -32,7 +32,7 @@ from stackyrr.groupoidstack import (
     orbits,
     trivial_gset,
 )
-from stackyrr.grouptheory import conjugacy_classes, subgroup_conjugacy_reps
+from stackyrr.grouptheory import FiniteGroup, conjugacy_classes, subgroup_conjugacy_reps
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
 
 
@@ -214,6 +214,22 @@ def test_point_cap_trips_exactly_above_the_top_level_size():
     assert iterated_inertia(pt, 4) is top
 
 
+def test_depth_one_is_refused_by_burnside_before_any_stabilizer_row(monkeypatch):
+    # |I^1| = |G| * #orbits, known once the orbits are: natural S3 has 6 pairs
+    def refuse(*args):
+        raise AssertionError("a stabilizer row was written")
+
+    sets = (s3_natural(), iterated_inertia(trivial_gset(symmetric(3), 2), 2))
+    monkeypatch.setattr(groupoidstack.FiniteGSet, "stabilizer_elements", refuse)
+    for gset in sets:
+        cap = gset.group.order * groupoidstack.orbit_count(gset) - 1
+        message = rf"^iterated fixed-point set exceeds Limits\.points = {cap}$"
+        with limits.using(points=cap), pytest.raises(ResourceLimitError, match=message):
+            inertia(gset)
+    with limits.using(points=5), pytest.raises(ResourceLimitError, match=r"Limits\.points = 5$"):
+        iterated_inertia(s3_natural(), 1)
+
+
 def test_burnside_bookkeeping_order_24():
     s4 = symmetric(4)
     for sub in subgroup_conjugacy_reps(s4):
@@ -359,6 +375,11 @@ def test_trivial_group_builds_validates_and_takes_inertia():
 # -- the inertia tower -------------------------------------------------------
 
 
+def _reference_stabilizer(gset, x):
+    """The elements fixing x, read off its ``act`` row."""
+    return [h for h, y in enumerate(gset.act[x]) if y == x]
+
+
 def _reference_level(gset, m):
     """I^m by sorting label tuples and integer-encoding them: (size, labels, cols).
 
@@ -372,7 +393,7 @@ def _reference_level(gset, m):
     mul = group.mul
     points = []
     for x in range(gset.size):
-        stab = gset.stabilizer_elements(x)
+        stab = _reference_stabilizer(gset, x)
         tuples = [()]
         for _ in range(m):
             tuples = [t + (h,) for t in tuples for h in stab
@@ -403,7 +424,11 @@ def _reference_level(gset, m):
 def _assert_tower_matches_reference(x, depth):
     for m in range(1, depth + 1):
         level = iterated_inertia(x, m)
-        assert (level.size, level.labels, level.cols) == _reference_level(x, m), m
+        size, labels, cols = _reference_level(x, m)
+        assert (level.size, level.labels, level.cols) == (size, labels, cols), m
+        # a level stores each child's coordinate and one row start per point below
+        assert list(level.last) == [p[-1] for p in labels], m
+        assert len(level.offsets) == level.below.size + 1, m
 
 
 def test_tower_matches_the_sort_and_encode_reference_on_the_catalog():
@@ -472,25 +497,24 @@ def test_flattening_needs_the_level_directly_above():
 
 def test_flattening_names_a_pair_the_target_lacks():
     pt = trivial_gset(cyclic(2), 1)
-    short = TowerLevel(pt, 1, offsets=[0, 1], last=[0], pos=[0, -1], cols=[[0]])
+    short = TowerLevel(pt, 1, offsets=[0, 1], last=[0], cols=[[0]])
     with pytest.raises(ValidationError, match=r"pair \(0, 1\) missing from the direct"):
         flattening_bijection(inertia(pt), short)
 
 
 def test_flattening_names_a_pair_the_nested_set_lacks():
     x = z2_swap()  # free: the only fixed-point pairs are (0, 0) and (1, 0)
-    extra = TowerLevel(x, 1, offsets=[0, 2, 3], last=[0, 1, 0], pos=[0, 1, 2, -1],
-                       cols=[[2, 1, 0]])
+    extra = TowerLevel(x, 1, offsets=[0, 2, 3], last=[0, 1, 0], cols=[[2, 1, 0]])
     with pytest.raises(ValidationError, match=r"pair \(0, 1\) missing from the nested"):
         flattening_bijection(inertia(x), extra)
 
 
 def test_flattening_names_a_pair_placed_differently():
-    x = z2_swap()
-    swapped = TowerLevel(x, 1, offsets=[0, 1, 2], last=[0, 0], pos=[1, -1, 0, -1],
-                         cols=[[1, 0]])
+    # the pairs (0, 0) and (0, 1) of a point under Z2, listed the other way round
+    pt = trivial_gset(cyclic(2), 1)
+    swapped = TowerLevel(pt, 1, offsets=[0, 2], last=[1, 0], cols=[[0, 1]])
     with pytest.raises(ValidationError, match=r"pair \(0, 0\) is point 0 of the nested set but 1"):
-        flattening_bijection(inertia(x), swapped)
+        flattening_bijection(inertia(pt), swapped)
 
 
 def test_flattening_names_a_generator_whose_columns_differ():
@@ -499,7 +523,7 @@ def test_flattening_names_a_generator_whose_columns_differ():
     s = x.group.spanning_tree()[0][1]
     cols = [list(col) for col in level.cols]
     cols[1][2] = (cols[1][2] + 1) % level.size
-    corrupt = TowerLevel(x, 1, level.offsets, level.last, level.pos, cols)
+    corrupt = TowerLevel(x, 1, level.offsets, level.last, cols)
     with pytest.raises(ValidationError, match=rf"^not equivariant: witness \(g={s}, x=2\)$"):
         flattening_bijection(inertia(x), corrupt)
 
@@ -590,13 +614,18 @@ def _reference_orbits(x):
     return tuple(found), tuple(reps), tuple(stabs), tuple(orbit_of)
 
 
-def _coset_union_and_its_tower(data):
-    """A union of catalog coset spaces (at most 24 points) and its levels I^1..I^3."""
+def _coset_union(data):
+    """A union of catalog coset spaces, at most 24 points."""
     g, classes = data.draw(st.sampled_from(_catalog_with_classes()))
     subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
     while sum(g.order // sub.order for sub in subs) > 24:
         subs.pop()
-    x = disjoint_union(*(coset_gset(g, sub) for sub in subs))
+    return disjoint_union(*(coset_gset(g, sub) for sub in subs))
+
+
+def _coset_union_and_its_tower(data):
+    """A union of catalog coset spaces (at most 24 points) and its levels I^1..I^3."""
+    x = _coset_union(data)
     return [x] + [iterated_inertia(x, m) for m in (1, 2, 3)]
 
 
@@ -637,3 +666,63 @@ def test_orbits_refuse_columns_that_are_not_an_action():
     with pytest.raises(ValidationError) as err:
         orbits(x)
     assert str(err.value) == "orbit of 0 has size 2 but stabilizer order 4"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stabilizers_match_the_action_rows_on_coset_unions_their_towers_and_inertia(data):
+    levels = _coset_union_and_its_tower(data)
+    for x in levels + [inertia(level) for level in levels]:
+        dec = orbits(x)
+        single = [x.stabilizer_elements(p) for p in range(x.size)]
+        expected = [_reference_stabilizer(x, p) for p in range(x.size)]
+        assert single == expected
+        assert dec.stabilizers == tuple(tuple(expected[r]) for r in dec.representatives)
+
+
+def test_many_equal_orbits_have_the_reference_stabilizer_and_are_refused_by_burnside():
+    # a thousand fixed points, or a thousand two-point orbits: each
+    # representative's stabilizer is its act-row one, and level 1 is refused
+    s4 = symmetric(4)
+    a4 = next(sub for sub in subgroup_conjugacy_reps(s4) if sub.order == 12)
+    pairs = disjoint_union(*[coset_gset(s4, a4)] * 1000)
+    for x, order in ((trivial_gset(s4, 1000), 24), (pairs, 12)):
+        dec = orbits(x)
+        assert dec.count == 1000
+        assert all(stab == tuple(_reference_stabilizer(x, r))
+                   for stab, r in zip(dec.stabilizers, dec.representatives))
+        assert len(dec.stabilizers[0]) == order
+        with limits.using(points=23_999), pytest.raises(ResourceLimitError, match=r"Limits\.points"):
+            inertia(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tower_inertia_and_series_read_no_action_table(data):
+    x = _coset_union(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groupoidstack.FiniteGSet, "act", property(_no_action_table))
+        levels = [x] + [iterated_inertia(x, m) for m in (1, 2, 3)]
+        nested = [inertia(level) for level in levels]
+        series = euler_series(x, 3)
+        stabs = [x.stabilizer_elements(p) for p in range(x.size)]
+    assert [level.size for level in nested[:3]] == [level.size for level in levels[1:]]
+    assert [chi * x.group.order for chi in series[1:]] == [level.size for level in levels[1:]]
+    assert stabs == [_reference_stabilizer(x, p) for p in range(x.size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inertia_of_a_tower_level_reads_no_commute_masks(data):
+    # the nested route of the flattening check takes its stabilizers from
+    # the action, never from the commute-mask rule that builds level k+1
+    levels = _coset_union_and_its_tower(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteGroup, "commute_masks", _no_commute_masks)
+        nested = [inertia(level) for level in levels]
+    for m, level in enumerate(nested[:3]):
+        assert flattening_bijection(level, levels[m + 1]).is_bijective()
+
+
+def _no_commute_masks(self):
+    raise AssertionError("the commute masks were read")

@@ -102,3 +102,20 @@ def test_cli_builds_its_job_spec_in_main_only():
     tree = ast.parse((SRC / "cli.py").read_text())
     defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     assert "main" in defined and "jobspec_from_args" not in defined
+
+
+def test_tower_levels_hold_no_position_array_and_stabilizers_read_no_action_table():
+    # a level is its points: nothing reads a `pos` array, and the stabilizers
+    # of the tower and of the tuple counts come from the orbit sweep, not `act`
+    readers = {"_level_above", "stabilizer_elements", "_tuple_counts"}
+    pos, act, seen = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        pos += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "pos"]
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in readers:
+                seen.add(func.name)
+                act += [f"{path.name}:{func.name}" for node in ast.walk(func)
+                        if isinstance(node, ast.Attribute) and node.attr == "act"]
+    assert seen == readers and pos == [] and act == []
