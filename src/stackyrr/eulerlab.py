@@ -31,7 +31,9 @@ from fractions import Fraction
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, agree, check_depth
-from .groupoidstack import FiniteGSet, TowerLevel, inertia, iterated_inertia, orbit_count, orbits
+from .groupoidstack import (
+    MAX_DEPTH, FiniteGSet, TowerLevel, inertia, iterated_inertia, orbit_count, orbits,
+)
 from .grouptheory import _commuting_recursive, commuting_tuple_counts
 from .orbicurve import OrbifoldCurve
 
@@ -79,12 +81,15 @@ def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
     recursive count comes first and counts never fall as m grows, so a
     series over ``Limits.tuples`` raises before any term is worked out.  A
     nontrivial stabilizer holds a cyclic subgroup of order >= 2, so N_m >=
-    2^m, and a series with 2^m_max over the cap is refused before it counts.
+    2^m, and a series with 2^m_max over the cap is refused before it counts;
+    one longer than ``MAX_DEPTH`` (a free action's counts stay |X|) too.
     """
     group, dec = gset.group, orbits(gset)
     cap = limits.current().tuples
     if m_max >= cap.bit_length() and max(dec.stabilizer_orders, default=1) > 1:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
+    if m_max > MAX_DEPTH:
+        raise ResourceLimitError(f"m_max {m_max} exceeds MAX_DEPTH = {MAX_DEPTH}")
     memo = {}  # keyed on element sets of one group, so shared by the orbits
     recursive = [0] * (m_max + 1)
     for members, stab in zip(dec.orbits, dec.stabilizers):

@@ -4,11 +4,11 @@ A `FiniteGSet` is a left action of a `FiniteGroup` on points 0..s-1, stored
 as one column per generator of the group's spanning tree:
 ``cols[i][x] = s_i.x``.  Orbits, transporters and stabilizers are read off
 the columns; the full table ``act[x][g] = g.x`` is built from them only
-where a per-point row is read (validation, characters), on first use, and
+where a per-point row is read (characters, for one), on first use, and
 cached.  The composition convention is fixed once, globally:
-act[x][g*h] == act[act[x][h]][g] (h acts first).  It is validated on every
-user-facing construction, for every g and every generator h only, which
-implies it for all pairs: O(|X|·|G|·#gens).
+act[x][g*h] == act[act[x][h]][g] (h acts first).  Every user-facing
+construction validates it on one image row per orbit, never on ``act``:
+O(#orbits·|G|·#gens) time and O(|G|) memory.
 
 The central construction is `inertia`: the set of pairs (x, h) with h.x = x,
 carrying the action g.(x, h) = (g.x, g h g^-1).  Iterating it m times is,
@@ -34,6 +34,10 @@ from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
 from .grouptheory import FiniteGroup, Subgroup, _action_orbits, _set_bits, subgroup
 
+# The longest series (m_max) and tallest tower any operation climbs.  A free
+# action keeps |X| points at every level, so no count-based cap bounds it.
+MAX_DEPTH = 1000
+
 
 class FiniteGSet:
     """A finite left G-set with a fixed point order, stored on generators.
@@ -41,9 +45,11 @@ class FiniteGSet:
     ``cols[i][x]`` is the image of point x under the i-th generator of
     ``group.spanning_tree()``.  ``act[x][g]`` (g.x for every element g) is
     filled along that tree on first use, row_x[s*a] = cols[s][row_x[a]],
-    and cached.  Validation checks act[x][g*s] == act[act[x][s]][g] for
-    every point x, every element g and every generator s, which by
-    induction on word length is the whole composition rule.
+    and cached.  Validation reads no ``act``: from each orbit's least point
+    x it walks the one row images[g] = g.x along the tree and checks
+    images[s*h] == cols[s][images[h]] for every element h and generator s.
+    By induction on word length every word for g then sends each point
+    images[h] of the orbit to images[g*h], so the columns are an action.
     """
 
     __slots__ = ("group", "size", "cols", "_act", "_orbits", "_up", "__weakref__")
@@ -71,24 +77,28 @@ class FiniteGSet:
 
     def _validate(self):
         # callers have checked that every column maps 0..size-1 into itself
-        gens = self.group.spanning_tree()[0]
-        act = self.act
-        mul = self.group.mul
-        elements = range(self.group.order)
-        for i, s in enumerate(gens):
-            times_s = [mul[g][s] for g in elements]
-            col = self.cols[i]
-            for x, row in enumerate(act):
-                y = row[s]
-                if y != col[x]:
-                    raise ValidationError(
-                        f"generator column {i} disagrees with element {s} at point {x}"
-                    )
-                if tuple(map(row.__getitem__, times_s)) != act[y]:
-                    g = next(g for g in elements if row[times_s[g]] != act[y][g])
+        gens, edges = self.group.spanning_tree()
+        mul, cols, n = self.group.mul, self.cols, self.group.order
+        seen = set()
+        for x in range(self.size):
+            if x in seen:
+                continue
+            images = [x] * n  # images[g] = g.x, walked along the tree
+            for b, i, a in edges:
+                images[b] = cols[i][images[a]]
+            seen.update(images)
+            for i, s in enumerate(gens):
+                lhs = list(map(images.__getitem__, mul[s]))
+                rhs = list(map(cols[i].__getitem__, images))
+                if lhs != rhs:
+                    h = next(h for h, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                    if h == 0:
+                        raise ValidationError(
+                            f"generator column {i} disagrees with element {s} at point {x}"
+                        )
                     raise ValidationError(
                         f"action is not compatible with multiplication at "
-                        f"(x={x}, g={g}, h={s})"
+                        f"(x={x}, g={s}, h={h})"
                     )
 
     def stabilizer_elements(self, x: int) -> list[int]:
@@ -258,9 +268,12 @@ def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
     is reused, and only the levels above it are built.  Repeatedly applying
     :func:`inertia` gives the same G-set up to flattening of the nested
     pair labels (see :func:`flattening_bijection`).  No level of more than
-    ``Limits.points`` points is built or returned.
+    ``Limits.points`` points is built or returned, nor a tower taller than
+    ``MAX_DEPTH``.
     """
     check_depth(m, "iteration depth")
+    if m > MAX_DEPTH:
+        raise ResourceLimitError(f"iteration depth {m} exceeds MAX_DEPTH = {MAX_DEPTH}")
     cap = limits.current().points
     level = gset
     for depth in range(1, m + 1):
@@ -426,10 +439,11 @@ def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
 def gset_from_table(group: FiniteGroup, act) -> FiniteGSet:
     """A user-supplied action table, fully validated.
 
-    The rows become the G-set's ``act`` and its generator columns are read
-    off them.  The identity row checked here, with the composition rule
-    checked on every point, element and generator, makes the table the
-    action those columns generate (induction on word length).
+    Its generator columns are read off the rows and validated as any
+    G-set's are.  Then each tree edge b = s*a must hold in every row,
+    act[x][s*a] == act[act[x][a]][s], two |X|-entry columns at a time: with
+    the identity column, that makes the rows the action the columns
+    generate, and they become the G-set's ``act`` unchanged.
     """
     rows = tuple(tuple(row) for row in act)
     n = group.order
@@ -441,10 +455,18 @@ def gset_from_table(group: FiniteGroup, act) -> FiniteGSet:
                 raise ValidationError(f"action value {y} out of range in row {x}")
         if row[0] != x:
             raise ValidationError(f"identity moves point {x}")
-    cols = [[row[s] for row in rows] for s in group.spanning_tree()[0]]
-    gset = FiniteGSet(group, len(rows), cols, validate=False)
+    gens, edges = group.spanning_tree()
+    cols = [list(map(operator.itemgetter(s), rows)) for s in gens]
+    gset = FiniteGSet(group, len(rows), cols)
+    for b, i, a in edges:
+        given = list(map(operator.itemgetter(b), rows))
+        generated = list(map(cols[i].__getitem__, map(operator.itemgetter(a), rows)))
+        if given != generated:
+            x = next(x for x, (p, q) in enumerate(zip(given, generated)) if p != q)
+            raise ValidationError(
+                f"action is not compatible with multiplication at (x={x}, g={gens[i]}, h={a})"
+            )
     gset._act = rows
-    gset._validate()
     return gset
 
 

@@ -413,13 +413,18 @@ _TUPLES = f"tuple enumeration exceeds Limits.tuples = {limits.Limits().tuples}"
 _POINTS = f"iterated fixed-point set exceeds Limits.points = {limits.Limits().points}"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["series", "--gset", "pt-s3", "--max-m", "100000"], _TUPLES),
-    (["series", "--gset", "pt-s3", "--max-m", str(10**30)], _TUPLES),
-    (["euler", "--gset", "pt-z2", "--max-m", "24"], _POINTS),
-    (["euler", "--gset", "pt-s3", "--max-m", "14"], _POINTS),
-], ids=["series-1e5", "series-1e30", "euler-z2", "euler-s3"])
-def test_runs_over_a_cap_are_refused_before_the_work(argv, message):
+@pytest.mark.parametrize("argv, message, seconds", [
+    (["series", "--gset", "pt-s3", "--max-m", "100000"], _TUPLES, 2),
+    (["series", "--gset", "pt-s3", "--max-m", str(10**30)], _TUPLES, 2),
+    (["euler", "--gset", "pt-z2", "--max-m", "24"], _POINTS, 2),
+    (["euler", "--gset", "pt-s3", "--max-m", "14"], _POINTS, 2),
+    # a free action's counts stay |X| at every m, so only MAX_DEPTH bounds its length
+    (["series", "--gset", "z2-free", "--max-m", "10000000"],
+     "m_max 10000000 exceeds MAX_DEPTH = 1000", 1),
+    (["euler", "--gset", "z2-free", "--max-m", "100000"],
+     "m_max 100000 exceeds MAX_DEPTH = 1000", 1),
+], ids=["series-1e5", "series-1e30", "euler-z2", "euler-s3", "series-free-1e7", "euler-free-1e5"])
+def test_runs_over_a_cap_are_refused_before_the_work(argv, message, seconds):
     # in a child process held to 1 GiB, so a run that does the work fails fast
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if not k.startswith("STACKYRR_")}
@@ -427,7 +432,7 @@ def test_runs_over_a_cap_are_refused_before_the_work(argv, message):
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "stackyrr.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < seconds
     assert done.returncode == EXIT_RESOURCE
     assert json.loads(done.stdout)["error"]["message"] == message
 

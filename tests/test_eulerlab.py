@@ -25,6 +25,7 @@ from stackyrr.eulerlab import (
     weighted_chi,
 )
 from stackyrr.groupoidstack import (
+    MAX_DEPTH,
     coset_gset,
     disjoint_union,
     iterated_inertia,
@@ -161,6 +162,24 @@ def test_tuple_cap_at_its_boundary():
         assert euler_series(free, 1000)[1000] == 1
     with limits.using(tuples=3), pytest.raises(ResourceLimitError, match=r"Limits\.tuples = 3"):
         euler_series(free, 1000)
+
+
+def test_depth_bound_refuses_series_and_towers_of_a_free_action_just_above_it():
+    # a free action has |X| tuples and points at every m, so only MAX_DEPTH
+    # bounds the length; it trips exactly above its value
+    free = natural_gset(cyclic(4))
+    assert MAX_DEPTH == 1000
+    assert euler_series(free, 1000)[1000] == 1 and chi_m(free, 1000) == 1
+    assert iterated_inertia(free, 1000).size == 4
+    assert euler_report(free, 1000).series[1000] == 1
+    for refused in (lambda: euler_series(free, 1001), lambda: chi_m(free, 1001),
+                    lambda: euler_report(free, 1001)):
+        with pytest.raises(ResourceLimitError, match=r"^m_max 1001 exceeds MAX_DEPTH = 1000$"):
+            refused()
+    for refused in (lambda: iterated_inertia(free, 1001), lambda: ladder_check(free, 1000)):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^iteration depth 1001 exceeds MAX_DEPTH = 1000$"):
+            refused()
 
 
 @settings(max_examples=40, deadline=None)

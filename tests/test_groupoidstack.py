@@ -1,6 +1,7 @@
 """G-sets, orbit decompositions, inertia and its iterates."""
 
 import gc
+import re
 import weakref
 from functools import lru_cache
 
@@ -33,6 +34,7 @@ from stackyrr.groupoidstack import (
     trivial_gset,
 )
 from stackyrr.grouptheory import FiniteGroup, conjugacy_classes, subgroup_conjugacy_reps
+from stackyrr.serialize import group_from_json, gset_from_json
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
 
 
@@ -340,6 +342,104 @@ def test_generators_spanning_a_proper_subgroup_fall_back_to_greedy_generators():
         gset_from_table(bad, table)
     with pytest.raises(ValidationError, match="do not generate"):
         gset_from_generator_action(bad, [[1, 0, 2]])
+
+
+def _reference_validate(gset):
+    """The full-table check: act[x][s] is generator s's column entry at x and
+    act[x][g*s] == act[act[x][s]][g] for every point x, element g and
+    generator s, on the table filled from the columns along the tree."""
+    mul, act = gset.group.mul, gset.act
+    for s, col in zip(gset.group.spanning_tree()[0], gset.cols):
+        for x, row in enumerate(act):
+            if row[s] != col[x]:
+                raise ValidationError(f"column of {s} disagrees at {x}")
+            if any(row[mul[g][s]] != act[row[s]][g] for g in range(gset.group.order)):
+                raise ValidationError(f"not compatible at x={x}, h={s}")
+
+
+def _validates(check):
+    try:
+        check()
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbit_row_validation_raises_exactly_when_the_full_table_check_does(data):
+    g, classes = data.draw(st.sampled_from(
+        [(g, classes) for g, classes in _catalog_with_classes() if g.order <= 12]))
+    subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    x = disjoint_union(*(coset_gset(g, sub) for sub in subs))
+    cols = [list(col) for col in x.cols]
+    groupoidstack.FiniteGSet(g, x.size, cols)  # clean columns pass
+    if not cols or x.size < 2:
+        return
+    # swap two images in one column: still a bijection, rarely still an action
+    i = data.draw(st.integers(0, len(cols) - 1))
+    p, q = data.draw(st.lists(st.integers(0, x.size - 1), min_size=2, max_size=2, unique=True))
+    cols[i][p], cols[i][q] = cols[i][q], cols[i][p]
+    swapped = groupoidstack.FiniteGSet(g, x.size, cols, validate=False)
+    assert (_validates(lambda: groupoidstack.FiniteGSet(g, x.size, cols))
+            == _validates(lambda: _reference_validate(swapped)))
+
+
+def test_a_repeated_generator_is_checked_at_each_representative():
+    # Z2 recorded with its swap twice: the tree reaches the swap through
+    # column 0 only, so column 1 is compared with it on every image row.
+    # Here the two columns differ only at the representatives 0 and 2 of
+    # two free orbits, where the row holds nothing but h = 0.
+    z2 = group_from_json({"permutations": [[1, 0], [1, 0]]})
+    assert z2.generators == (1, 1)
+    cols = [[1, 0, 3, 2], [3, 0, 1, 2]]
+    with pytest.raises(ValidationError):
+        _reference_validate(groupoidstack.FiniteGSet(z2, 4, cols, validate=False))
+    with pytest.raises(ValidationError, match=r"^generator column 1 disagrees with element 1 at point 0$"):
+        gset_from_generator_action(z2, cols)
+    assert gset_from_generator_action(z2, [cols[0], cols[0]]).size == 4
+
+
+def test_generator_columns_validate_without_the_action_table():
+    perms = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
+    s6 = group_from_json({"permutations": perms})
+    regular = [list(s6.mul[s]) for s in s6.generators]  # left multiplication, 720 points
+    broken = [regular[0], regular[1][:]]
+    broken[1][0], broken[1][1] = broken[1][1], broken[1][0]
+    spec = {"group": {"permutations": perms}, "points": 720, "action_generators": regular}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groupoidstack.FiniteGSet, "act", property(_no_action_table))
+        built = [gset_from_generator_action(s6, regular), gset_from_json(spec)]
+        with pytest.raises(ValidationError):
+            gset_from_generator_action(s6, broken)
+    for x in built:
+        assert (x.size, x._act) == (720, None)
+        assert orbits(x).count == 1 and orbits(x).stabilizer_orders == (1,)
+
+
+def test_table_rows_become_the_action_table_unchanged():
+    for _, g in group_catalog(12):
+        for sub in subgroup_conjugacy_reps(g):
+            table = coset_gset(g, sub).act
+            x = gset_from_table(g, table)
+            assert x.act == table and all(a is b for a, b in zip(x.act, table))
+
+
+def test_a_table_off_its_generated_action_names_a_broken_rule():
+    checked = 0
+    for _, g in group_catalog(12):
+        for sub in subgroup_conjugacy_reps(g):
+            table = [list(row) for row in coset_gset(g, sub).act]
+            if len(table) < 2 or not _non_generators(g):
+                continue
+            a = _non_generators(g)[0]
+            table[-1][a] = (table[-1][a] + 1) % len(table)
+            with pytest.raises(ValidationError, match="not compatible") as err:
+                gset_from_table(g, table)
+            x, s, h = map(int, re.findall(r"=(\d+)", str(err.value)))
+            assert table[x][g.mul[s][h]] != table[table[x][h]][s]
+            checked += 1
+    assert checked > 20
 
 
 def test_equivariant_map_checks_every_generator():
