@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from collections.abc import Callable
@@ -158,10 +159,7 @@ def _cmd_inertia(spec: JobSpec) -> dict:
     }
     if spec.oracle:
         by_points = sum(len(gset.stabilizer_elements(x)) for x in range(gset.size))
-        by_elements = sum(
-            sum(1 for x in range(gset.size) if gset.act[x][h] == x)
-            for h in range(gset.group.order)
-        )
+        by_elements = _fixed_point_total(gset)
         by_classes = sum(
             conjugacy_classes(gset.stabilizer(rep).as_group()[0]).count
             for rep in orbits(gset).representatives
@@ -175,6 +173,23 @@ def _cmd_inertia(spec: JobSpec) -> dict:
             "orbits_by_stabilizer_classes": by_classes,
         }
     return result
+
+
+def _fixed_point_total(gset) -> int:
+    """sum over g of |X^g|, never building ``act``: each element's row of
+    images g.x is mapped from its parent's down the spanning tree, depth-first,
+    and dropped once its children have theirs, so only the current path's rows are held."""
+    cols, points = gset.cols, range(gset.size)
+    below = [[] for _ in range(gset.group.order)]
+    for b, i, a in gset.group.spanning_tree()[1]:
+        below[a].append((b, i))
+    total, stack = gset.size, [(b, i, points) for b, i in below[0]]
+    while stack:
+        a, i, above = stack.pop()
+        row = list(map(cols[i].__getitem__, above))
+        total += sum(map(operator.eq, row, points))
+        stack.extend((b, j, row) for b, j in below[a])
+    return total
 
 
 def _cmd_euler(spec: JobSpec) -> dict:

@@ -81,8 +81,8 @@ class FiniteGSet:
         mul, cols, n = self.group.mul, self.cols, self.group.order
         seen = set()
         for x in range(self.size):
-            if x in seen:
-                continue
+            if x in seen or all(col[x] == x for col in cols):
+                continue  # a point every generator fixes is a whole orbit, and passes every check
             images = [x] * n  # images[g] = g.x, walked along the tree
             for b, i, a in edges:
                 images[b] = cols[i][images[a]]

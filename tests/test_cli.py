@@ -23,6 +23,9 @@ from stackyrr.cli import (
     run,
 )
 from stackyrr.errors import ValidationError
+from stackyrr.groupoidstack import coset_gset, gset_from_generator_action
+from stackyrr.grouptheory import subgroup_conjugacy_reps
+from stackyrr.smallgroups import cyclic, group_catalog, symmetric
 
 
 def run_cli(capsys, *argv):
@@ -545,6 +548,23 @@ def test_series_oracle_recounts_by_brute_force(capsys, monkeypatch):
                                  "--oracle")
     assert status == EXIT_RESOURCE
     assert "6^2 tuples exceed Limits.tuples" in json.loads(out)["error"]["message"]
+
+
+def test_inertia_oracle_counts_fixed_sets_without_the_action_table(capsys, monkeypatch):
+    sets = [coset_gset(g, sub) for _, g in group_catalog(12) for sub in subgroup_conjugacy_reps(g)]
+    for g in (cyclic(60), symmetric(4)):  # regular: the cyclic tree is one path of 59 edges
+        sets.append(gset_from_generator_action(g, [list(g.mul[s]) for s in g.generators]))
+    expected = [sum(row.count(x) for x, row in enumerate(gset.act)) for gset in sets]
+    monkeypatch.setattr(groupoidstack.FiniteGSet, "act", property(_no_action_table))
+    assert [cli._fixed_point_total(gset) for gset in sets] == expected
+    status, out, _ = run_cli(capsys, "inertia", "--gset", "s3-mixed", "--oracle")
+    result = json.loads(out)["result"]
+    assert status == EXIT_OK
+    assert result["oracle"]["points_by_fixed_sets"] == result["inertia_points"]
+
+
+def _no_action_table(self):
+    raise AssertionError("the action table was read")
 
 
 def test_report_oracle_checks_the_divisor_and_the_trace_map(capsys, monkeypatch):

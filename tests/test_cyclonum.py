@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stackyrr import limits
+from stackyrr import cyclonum, limits
 from stackyrr.cyclonum import (
     CyclotomicNumber,
     _coerce,
+    _convolve,
     _descents,
     _divisors,
     _fold_even,
@@ -621,3 +622,71 @@ def test_field_axioms_on_conductors_dividing_840(a, b, c):
     if not a.is_zero:
         assert a * a.inverse() == 1
         assert (b / a) * a == b
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_convolve_matches_the_schoolbook_product(data):
+    dense = data.draw(st.lists(ENTRIES, min_size=1, max_size=48))
+    length = data.draw(st.integers(1, 48))
+    sparse = [0] * length
+    for i in data.draw(st.lists(st.integers(0, length - 1), unique=True, max_size=12)):
+        sparse[i] = data.draw(ENTRIES.filter(bool))
+    for a, b in ((dense, dense), (dense, sparse), (sparse, dense), (sparse, sparse)):
+        assert _convolve(a, b) == _schoolbook(a, b)
+
+
+def test_convolve_on_both_sides_of_the_loop_threshold():
+    rng = random.Random(2310)
+    dense = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 80))) for _ in range(40)]
+    assert _convolve([2**64 + 1], [-(2**65)]) == [-(2**129) - 2**65]
+    assert _convolve([0] * 5, dense) == [0] * 44
+    for nonzeros in range(6, 12):  # the loop takes at most 8
+        sparse = [0] * 30
+        for i in rng.sample(range(30), nonzeros):
+            sparse[i] = rng.choice((-1, 1)) * rng.getrandbits(70)
+        assert _convolve(sparse, dense) == _convolve(dense, sparse) == _schoolbook(sparse, dense)
+
+
+LIFTS = [(d, n) for n in range(1, 841) if euler_phi(n) <= 192
+         for d in _divisors(n) if d > 1 and d % 4 != 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LIFTS), st.data())
+def test_a_lifted_value_descends_back_to_its_conductor(lift, data):
+    d, n = lift
+    value = canonicalize(d, data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        min_size=euler_phi(d), max_size=euler_phi(d))))
+    assume(value.conductor == d)
+    assert canonicalize(n, list(lift_coeffs(value, n))) == value
+
+
+def test_unfixed_values_are_ruled_out_before_the_exact_galois_test(monkeypatch):
+    rng = random.Random(840)
+    value = rand_cyclo(rng, 840)
+    assert value.conductor == 840
+    exact = []
+    real = _substitute
+
+    def substitute(n, coeffs, k):
+        if k != 1:
+            exact.append((n, k))
+        return real(n, coeffs, k)
+
+    monkeypatch.setattr(cyclonum, "_substitute", substitute)
+    assert canonicalize(840, list(value.coeffs)) == value
+    assert value * value * value != 0
+    assert exact == []

@@ -400,6 +400,22 @@ def test_a_repeated_generator_is_checked_at_each_representative():
     assert gset_from_generator_action(z2, [cols[0], cols[0]]).size == 4
 
 
+def test_points_every_generator_fixes_pass_and_moved_points_are_still_checked():
+    s5 = symmetric(5)
+    still = gset_from_generator_action(s5, [list(range(1000))] * len(s5.generators))
+    assert orbits(still).count == 1000 and still._act is None
+    # Points 0 and 1 fixed, natural S3 on 2, 3, 4 with two images of one
+    # column swapped: the witnesses are those of the walk over every point.
+    s3 = symmetric(3)
+    for i, witness in enumerate(["(x=2, g=1, h=4)", "(x=2, g=2, h=3)"]):
+        cols = [[0, 1] + [2 + y for y in col] for col in natural_gset(s3).cols]
+        assert orbits(gset_from_generator_action(s3, cols)).count == 3
+        cols[i][2], cols[i][3] = cols[i][3], cols[i][2]
+        message = "action is not compatible with multiplication at " + witness
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            gset_from_generator_action(s3, cols)
+
+
 def test_generator_columns_validate_without_the_action_table():
     perms = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
     s6 = group_from_json({"permutations": perms})
