@@ -227,10 +227,7 @@ class CyclotomicNumber:
 
     def _lift_pair(self, other: "CyclotomicNumber"):
         na, nb = self.conductor, other.conductor
-        n = na * nb // math.gcd(na, nb)
-        cap = limits.current().conductor
-        if n > cap:
-            raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
+        n = _capped(na * nb // math.gcd(na, nb))
         return n, _lift(self, n), _lift(other, n)
 
     def _plus_rational(self, p: int, q: int) -> "CyclotomicNumber":
@@ -414,6 +411,14 @@ def _conductor(n) -> int:
     """n itself when it is an int (not a bool) >= 1."""
     if type(n) is not int or n < 1:
         raise ValidationError(f"invalid conductor {n!r}; conductors are >= 1")
+    return n
+
+
+def _capped(n: int) -> int:
+    """n itself unless it exceeds `Limits.conductor`."""
+    cap = limits.current().conductor
+    if n > cap:
+        raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
     return n
 
 
@@ -609,11 +614,8 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     >>> root_of_unity(4, 1) ** 2 == -1
     True
     """
-    _conductor(n)
+    _capped(_conductor(n))
     _exponent(k)
-    cap = limits.current().conductor
-    if n > cap:
-        raise ResourceLimitError(f"conductor {n} exceeds Limits.conductor = {cap}")
     g = math.gcd(k, n)
     n, k = n // g, k // g % (n // g)
     sign = 1
@@ -691,10 +693,10 @@ def _convolve(a, b) -> list[int]:
     and w is the least multiple of 8 with that bound below 2^(w-1).  Adding
     2^(w-1) to every digit makes them all nonnegative, so the bytes of the
     sum split into fixed slots.  Packing and unpacking cost a Python step per
-    entry, so when one operand has at most 8 nonzero entries (a root of unity
-    times a dense value in `stacky_todd_sum`, the short quotients of
-    `_field_inverse`) the loop over its nonzero entries is cheaper: timed at
-    phi = 8 to 192, the two cost about the same at 8 to 12 nonzero entries.
+    entry, so when one operand has at most 8 nonzero entries (the two-term
+    quotients of `_field_inverse`, a root of unity times a value) the loop
+    over its nonzero entries is cheaper: timed at phi = 8 to 192, the two
+    cost about the same at 8 to 12 nonzero entries.
     """
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     m = len(a) + len(b) - 1
@@ -753,7 +755,15 @@ def _poly_divmod(num, den):
 
 @lru_cache(maxsize=None)
 def _unit_inverse(r: int, a: int) -> CyclotomicNumber:
-    return (ONE - root_of_unity(r, a)).inverse()
+    """1/(1 - zeta_r^a), a != 0 mod r.  With g = gcd(a, r), zeta_r^a = zeta_d^b
+    for d = r/g and b = a/g a unit mod d, so the value is sigma_b(1/(1 - zeta_d)):
+    one field inverse per d, and Galois conjugates of it."""
+    g = math.gcd(a, r)
+    if g > 1:
+        return _unit_inverse(r // g, a // g)
+    if a == 1:
+        return (ONE - root_of_unity(r)).inverse()
+    return galois_conjugate(_unit_inverse(r, 1), a)
 
 
 def stacky_todd_sum(r: int, k: int) -> Fraction:
@@ -770,7 +780,13 @@ def stacky_todd_sum(r: int, k: int) -> Fraction:
     Riemann-Roch tests pins the present convention.)
 
     The companion :func:`stacky_todd_closed_form` gives the same number by
-    pure integer arithmetic, and the two paths are compared in the tests.
+    pure integer arithmetic; the tests compare the two, and this one never
+    reads it.  The sum is taken in Z[x]/(x^r - 1), where zeta_r^(a*k) = x^(a*k)
+    acts by rotation: each cached 1/(1 - zeta_r^(-a)), of conductor c | r, puts
+    z_c^i at x^(i*r/c), over a common denominator and rotated by a*k, into one
+    integer list.  Phi_r divides x^r - 1, so reduction mod Phi_r is a ring map
+    Z[x]/(x^r - 1) -> Z[zeta_r], and the one `_canonical` of the total (which
+    also finds it rational) equals reducing every term.
 
     >>> stacky_todd_sum(2, 1)
     Fraction(-1, 2)
@@ -778,10 +794,14 @@ def stacky_todd_sum(r: int, k: int) -> Fraction:
     Fraction(1, 1)
     """
     _todd_arguments(r, k)
-    total = ZERO
-    for a in range(1, r):
-        total = total + root_of_unity(r, a * k) * _unit_inverse(r, (r - a) % r)
-    return total.rational_value()
+    units = [_unit_inverse(r, r - a) for a in range(1, _capped(r))]
+    den = math.lcm(*(u.den for u in units))
+    total = [0] * r
+    for a, u in enumerate(units, 1):
+        scale, step = den // u.den, r // u.conductor
+        for i, c in enumerate(u.nums):
+            total[(i * step + a * k) % r] += c * scale
+    return _canonical(r, total, den).rational_value()
 
 
 def stacky_todd_closed_form(r: int, k: int) -> Fraction:

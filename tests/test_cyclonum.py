@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,64 @@ def test_todd_sum_matches_closed_form_small():
     for r in range(2, 15):
         for k in range(r):
             assert stacky_todd_sum(r, k) == stacky_todd_closed_form(r, k)
+
+
+def _todd_sum_term_by_term(r, k, inverses):
+    """The unit sum added up one CyclotomicNumber term at a time, from public
+    operations only; ``inverses[a]`` is 1/(1 - zeta_r^(-a))."""
+    total = ZERO
+    for a in range(1, r):
+        total = total + root_of_unity(r, a * k) * inverses[a]
+    return total.rational_value()
+
+
+def test_todd_sum_matches_the_term_by_term_sum_and_the_closed_form():
+    rng = random.Random(24)
+    for r in range(2, 61):
+        inverses = {a: (ONE - root_of_unity(r, -a)).inverse() for a in range(1, r)}
+        weights = {0, 1, r // 2, r - 1, *rng.sample(range(r), min(r, 3))}
+        for k in sorted(weights):
+            value = stacky_todd_sum(r, k)
+            assert value == _todd_sum_term_by_term(r, k, inverses), (r, k)
+            assert value == stacky_todd_closed_form(r, k), (r, k)
+
+
+def test_unit_inverses_by_galois_conjugation_match_direct_inverses():
+    for r in range(2, 61):
+        for a in range(1, r):
+            assert cyclonum._unit_inverse(r, a) == (ONE - root_of_unity(r, a)).inverse(), (r, a)
+
+
+def test_a_warm_todd_sum_reduces_once_and_multiplies_no_cyclotomic_numbers(monkeypatch):
+    for k in (0, 7, 59):
+        stacky_todd_sum(60, k)
+    canonical, conductors = cyclonum._canonical, []
+
+    def counted(n, nums, den):
+        conductors.append(n)
+        return canonical(n, nums, den)
+
+    def refused(self, other):
+        raise AssertionError("the unit sum multiplied two CyclotomicNumbers")
+
+    monkeypatch.setattr(cyclonum, "_canonical", counted)
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", refused)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", refused)
+    for k in (0, 7, 59):
+        conductors.clear()
+        assert stacky_todd_sum(60, k) == stacky_todd_closed_form(60, k)
+        assert conductors == [60]
+
+
+def test_todd_sum_refuses_an_order_over_the_conductor_cap_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"Limits\.conductor"):
+        stacky_todd_sum(10**12, 0)
+    assert time.perf_counter() - start < 1
+    stacky_todd_sum(60, 7)  # its unit inverses are now cached
+    with limits.using(conductor=50):
+        with pytest.raises(ResourceLimitError, match=r"conductor 60 exceeds Limits\.conductor = 50"):
+            stacky_todd_sum(60, 7)
 
 
 def test_serialization_round_trip():
