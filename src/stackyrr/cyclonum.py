@@ -36,11 +36,20 @@ canonical form depends on it.
 A value is held as integers: its conductor, the numerators of its
 coefficients and one positive common denominator, with no factor common to
 all of them, so the form stays unique.  Sums, products, the descent and the
-inverse (a fraction-free extended Euclid, see `_field_inverse`) all run on
-these integers, and a conductor-1 operand never leaves Q.  A product of
-two dense values is one big-integer multiplication (Kronecker substitution,
-`_convolve`).  One integer pseudo-division, `_poly_divmod`, serves both that
-Euclid and `cyclotomic_polynomial`, so the module does no linear algebra.
+inverse all run on these integers, and a conductor-1 operand never leaves
+Q.  A product of two dense values is one big-integer multiplication
+(Kronecker substitution, `_convolve`), and `cyclotomic_polynomial` is built
+by monic long division, so the module does no linear algebra.
+
+The inverse walks down the same tower (`_norm_layers`).  At a canonical n
+it takes the cyclic step <sigma_k> = Gal(Q(zeta_n)/Q(zeta_d)) of least
+degree e among the descents (for n = 4 or prime, all of Gal(Q(zeta_n)/Q),
+d = 1), and builds the product y of x's e - 1 other conjugates in layers of
+prime order p, p - 1 products each: sum(p - 1) in all, not e - 1.  The norm
+z = x*y lies in Q(zeta_d), and 1/x = y * (1/z) is exact and comes out of the
+ordinary product.  A norm outside Q(zeta_d) means a broken conjugation and
+raises `ConsistencyError` rather than recursing at the same conductor.
+
 The read-only ``coeffs`` view gives the coefficients as `fractions.Fraction`
 values, the package's rational scalar.  The public functions take orders,
 conductors and exponents as ints (not bools), and coefficients as ints and
@@ -53,7 +62,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, zip_longest
+from itertools import count
 
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
@@ -95,9 +104,8 @@ def _divisors(n: int) -> tuple[int, ...]:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first.
 
-    Computed by exact integer polynomial division (`_poly_divmod`, whose
-    scale is 1 for the monic Phi_d) of x^n - 1 by Phi_d for the proper
-    divisors d of n.
+    Computed by exact long division (`_poly_divmod`) of x^n - 1 by the
+    monic Phi_d for the proper divisors d of n.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -109,7 +117,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     _conductor(n)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n)[:-1]:
-        poly, rem, _ = _poly_divmod(poly, cyclotomic_polynomial(d))
+        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
         if rem:
             raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1 exactly")
     return tuple(poly)
@@ -292,18 +300,26 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/x = y * (1/z), with y and the norm z = x*y as in the module docstring."""
         if self.is_zero:
             raise ZeroDivisionError("division by zero cyclotomic number")
         n = self.conductor
         if n == 1:
             p = self.nums[0]
             return CyclotomicNumber(1, (self.den if p > 0 else -self.den,), abs(p))
-        s, c = _field_inverse(n, self.nums)
-        if c < 0:
-            s, c = [-x for x in s], -c
-        # 1/a generates the same field as a, so the conductor stays n.
-        nums = [x * self.den for x in s] + [0] * (euler_phi(n) - len(s))
-        return _reduced(n, nums, c)
+        d, layers = _norm_layers(n)
+        y, z = ONE, self
+        for p, k in layers:
+            # z is fixed by the layers before, and sigma_k has order p on it
+            c = t = galois_conjugate(z, k)
+            for _ in range(p - 2):
+                t = galois_conjugate(t, k)
+                c = c * t
+            y, z = y * c, z * c
+        if d % z.conductor:
+            raise ConsistencyError(
+                f"norm from Q(zeta_{n}) has conductor {z.conductor}, which does not divide {d}")
+        return y * z.inverse()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -517,29 +533,23 @@ def _descents(n: int) -> tuple[tuple[int, int, int], ...]:
     """(p, d, k) for each prime p of a canonical n whose descent d exceeds 1.
 
     Q(zeta_d) is the largest cyclotomic subfield of Q(zeta_n) without p, and
-    sigma_k generates the cyclic group Gal(Q(zeta_n)/Q(zeta_d)) =
-    {sigma_k : k = 1 mod d}: k is the smallest such unit whose order is the
-    degree phi(n)/phi(d).
+    sigma_k, k = `_generator(n, d)`, generates Gal(Q(zeta_n)/Q(zeta_d)).
 
     >>> _descents(12)
     ((2, 3, 7), (3, 4, 5))
     >>> _descents(8)
     ((2, 4, 5),)
     """
-    out = []
-    for p in _primes(n):
-        d = n // 4 if p == 2 and n % 8 == 4 else n // p
-        if d == 1:
-            continue
-        degree = euler_phi(n) // euler_phi(d)
-        k = next(
-            k
-            for k in range(1 + d, n, d)
-            if math.gcd(k, n) == 1
-            and all(pow(k, degree // q, n) != 1 for q in _primes(degree))
-        )
-        out.append((p, d, k))
-    return tuple(out)
+    ds = ((p, n // 4 if p == 2 and n % 8 == 4 else n // p) for p in _primes(n))
+    return tuple((p, d, _generator(n, d)) for p, d in ds if d > 1)
+
+
+def _generator(n: int, d: int) -> int:
+    """The least k with sigma_k generating Gal(Q(zeta_n)/Q(zeta_d)) = {sigma_k : k = 1 mod d},
+    for d where that group is cyclic: k = 1 mod d of order phi(n)/phi(d) mod n."""
+    e = euler_phi(n) // euler_phi(d)
+    return next(k for k in range(1 + d, n, d)
+                if math.gcd(k, n) == 1 and all(pow(k, e // q, n) != 1 for q in _primes(e)))
 
 
 @lru_cache(maxsize=None)
@@ -654,33 +664,29 @@ def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
     return CyclotomicNumber(n, tuple(_substitute(n, a.nums, k % n)), a.den)
 
 
-def _field_inverse(n: int, nums) -> tuple[list[int], int]:
-    """(s, c) with s * nums = c modulo Phi_n, for an integer c != 0.
+@lru_cache(maxsize=None)
+def _norm_layers(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(d, layers) for the step <sigma_k> = Gal(Q(zeta_n)/Q(zeta_d)) of least
+    degree e below a canonical n > 1 (module docstring).
 
-    The extended Euclid of Phi_n and nums as a primitive polynomial
-    remainder sequence (Collins 1967; Brown-Traub 1971), all in integers.
-    Each step pseudo-divides r0 by r1, c*r0 = q*r1 + r, and takes the
-    cofactor c*s0 - q*s1 along, so s*a = r modulo Phi_n throughout.  The
-    content common to the remainder and its cofactor is then divided out.
-    Phi_n is irreducible, so the sequence ends at a nonzero constant.
+    With e = p_1 * ... * p_r, layer i is (p_i, k^(e/(p_1*...*p_i)) mod n): that
+    sigma generates the group of the first i layers, and its powers below p_i
+    represent the cosets of the group of the first i - 1 in it.
+
+    >>> _norm_layers(12)
+    (3, ((2, 7),))
+    >>> _norm_layers(7)
+    (1, ((2, 6), (3, 3)))
     """
-    r0, s0 = list(cyclotomic_polynomial(n)), [0]
-    r1, s1 = list(nums), [1]
-    while not r1[-1]:
-        r1.pop()
-    while len(r1) > 1:
-        q, r, c = _poly_divmod(r0, r1)
-        if not r:
-            raise ConsistencyError(f"Phi_{n} is irreducible, yet shares a factor with {nums}")
-        s = [c * x - y for x, y in zip_longest(s0, _convolve(q, s1), fillvalue=0)]
-        g = math.gcd(*r, *s)
-        if g != 1:
-            r = [x // g for x in r]
-            s = [x // g for x in s]
-        r0, s0, r1, s1 = r1, s1, r, s
-    while len(s1) > 1 and not s1[-1]:
-        s1.pop()
-    return s1, r1[0]
+    steps = [(euler_phi(n) // euler_phi(d), d) for _, d, _ in _descents(n)]
+    e, d = min(steps or [(euler_phi(n), 1)])
+    k = _generator(n, d)
+    layers, rest = [], e
+    for p in _primes(e):
+        while rest % p == 0:
+            rest //= p
+            layers.append((p, pow(k, rest, n)))
+    return d, tuple(layers)
 
 
 def _convolve(a, b) -> list[int]:
@@ -692,11 +698,11 @@ def _convolve(a, b) -> list[int]:
     most min(nonzeros) products, so |c| <= max|a| * max|b| * min(nonzeros),
     and w is the least multiple of 8 with that bound below 2^(w-1).  Adding
     2^(w-1) to every digit makes them all nonnegative, so the bytes of the
-    sum split into fixed slots.  Packing and unpacking cost a Python step per
-    entry, so when one operand has at most 8 nonzero entries (the two-term
-    quotients of `_field_inverse`, a root of unity times a value) the loop
-    over its nonzero entries is cheaper: timed at phi = 8 to 192, the two
-    cost about the same at 8 to 12 nonzero entries.
+    sum split into fixed slots.  Packing costs a Python step per entry, at
+    the slot width of the larger operand, so when one has at most 8 nonzero
+    entries (a root of unity times a value, 4-50x faster on the loop at
+    phi = 4 to 192) the loop over them is cheaper: the two cost about the
+    same at 8 to 12 nonzero entries.
     """
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     m = len(a) + len(b) - 1
@@ -720,34 +726,19 @@ def _convolve(a, b) -> list[int]:
 
 
 def _poly_divmod(num, den):
-    """Integer pseudo-division: (q, r, c) with c*num = q*den + r, constant terms first.
-
-    Each step cancels the top term t of the running remainder against the
-    leading coefficient b of den, scaling by b/gcd(b, t) first, so every
-    entry stays an integer and c is the product of those scales; for a
-    monic den, c = 1 and q, r are the ordinary quotient and remainder.  The
-    remainder has its trailing zeros stripped (empty when exact).
-    """
+    """(q, r) with num = q*den + r for a monic den, constant terms first; r drops trailing zeros."""
     r = list(num)
-    low, lead = den[:-1], den[-1]
+    low = den[:-1]
     q = [0] * max(len(r) - len(low), 0)
-    c = 1
     for i in range(len(q) - 1, -1, -1):
-        t = r.pop()
+        t = q[i] = r.pop()
         if t:
-            g = math.gcd(t, lead)
-            u, v = lead // g, t // g
-            if u != 1:
-                c *= u
-                r = [u * x for x in r]
-                q = [u * x for x in q]
-            q[i] = v
             for j, y in enumerate(low):
                 if y:
-                    r[i + j] -= v * y
+                    r[i + j] -= t * y
     while r and not r[-1]:
         r.pop()
-    return q, r, c
+    return q, r
 
 
 # -- the closed-form unit sum behind one-dimensional Riemann-Roch ---------

@@ -30,7 +30,7 @@ from stackyrr.cyclonum import (
     stacky_todd_closed_form,
     stacky_todd_sum,
 )
-from stackyrr.errors import ResourceLimitError, ValidationError
+from stackyrr.errors import ConsistencyError, ResourceLimitError, ValidationError
 
 ZERO = CyclotomicNumber.from_rational(0)
 ONE = CyclotomicNumber.from_rational(1)
@@ -582,6 +582,7 @@ def test_inverse_matches_the_fraction_euclid():
     rng = random.Random(20261019)
     conductors = [n for n in _divisors(840) if euler_phi(n) <= 96]
     conductors += [n for n in range(1, 121) if n % 4 != 2 and n not in conductors]
+    conductors += [97, 193, 243, 256, 289, 840]  # primes, prime powers, the largest
     for n in conductors:
         if euler_phi(n) <= 40:
             x = rand_cyclo(rng, n)
@@ -606,14 +607,13 @@ def _trimmed(poly):
     return poly
 
 
-def test_pseudo_division_satisfies_c_num_equals_q_den_plus_r():
+def test_monic_division_satisfies_num_equals_q_den_plus_r():
     rng = random.Random(20261020)
     for _ in range(400):
         num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 14))]
-        den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
-        den.append(rng.choice((-6, -4, -1, 1, 2, 3, 5, 12)))
-        q, r, c = _poly_divmod(num, den)
-        assert c and all(type(x) is int for x in (*q, *r, c))
+        den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [1]
+        q, r = _poly_divmod(num, den)
+        assert all(type(x) is int for x in (*q, *r))
         assert len(r) < len(den) and r == _trimmed(r)
         rhs = [0] * (len(q) + len(den) + len(r))
         for i, x in enumerate(q):
@@ -621,9 +621,42 @@ def test_pseudo_division_satisfies_c_num_equals_q_den_plus_r():
                 rhs[i + j] += x * y
         for i, x in enumerate(r):
             rhs[i] += x
-        assert _trimmed(c * x for x in num) == _trimmed(rhs), (num, den)
-        if den[-1] == 1:  # a monic divisor needs no scale
-            assert c == 1
+        assert _trimmed(num) == _trimmed(rhs), (num, den)
+
+
+def _dense(rng, n):
+    while (x := rand_cyclo(rng, n)).conductor != n:
+        pass
+    return x
+
+
+def test_dense_inverses_at_conductors_280_420_840_are_fast():
+    # on a 2-CPU host the timed part takes about 0.45 s by norms and took
+    # about 5 s by the integer Euclid, nearly all of it at conductor 840
+    rng = random.Random(25)
+    values = {n: [_dense(rng, n) for _ in range(8)] for n in (280, 420, 840)}
+    for xs in values.values():
+        xs[0] * xs[1]  # fill the per-conductor caches first
+    start = time.perf_counter()
+    for xs in values.values():
+        for x in xs[:4]:
+            assert x * x.inverse() == 1
+        for a, b in zip(xs[4:6], xs[6:]):
+            assert (a / b) * b == a
+    assert time.perf_counter() - start < 2.5
+
+
+def test_inverse_refuses_a_norm_that_does_not_descend(monkeypatch):
+    # with every conjugate equal to x, the "norm" x^e stays at conductor n
+    calls = []
+    monkeypatch.setattr(cyclonum, "galois_conjugate", lambda a, k: calls.append(k) or a)
+    rng = random.Random(26)
+    for n, conjugates in ((12, 1), (7, 3), (840, 1)):
+        calls.clear()
+        x = _dense(rng, n)
+        with pytest.raises(ConsistencyError, match=rf"^norm from Q\(zeta_{n}\) has conductor {n},"):
+            x.inverse()
+        assert len(calls) == conjugates  # one step's layers, no recursion below it
 
 
 def raw_power(n, k):
