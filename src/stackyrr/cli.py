@@ -17,7 +17,7 @@ repeated runs on identical inputs produce byte-identical output.  With
 --oracle each command recomputes its quantities by an independent route
 (listed in the README), compares the routes with `errors.agree` and records
 the evidence; any disagreement exits with status 4.  Validation problems, a
-missing input included, exit 2, resource caps 3.
+missing input or a malformed argument included, exit 2, resource caps 3.
 
 Environment: STACKYRR_CONDUCTOR_CAP and STACKYRR_TUPLE_CAP replace the
 conductor and tuples fields of the `limits.Limits` in force for the run.
@@ -517,8 +517,15 @@ def _env_caps() -> dict:
     return caps
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise `ValidationError`, so they end in the JSON error document."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stackyrr",
         description="Exact inertia, Euler-characteristic and Riemann-Roch reports"
         " for finite quotient stacks and orbifold curves.",
@@ -543,7 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(command=None)  # the subcommand's name, once it is parsed
+    try:
+        build_parser().parse_args(argv, args)
+    except ValidationError as exc:
+        sys.stdout.write(_render_error(JobSpec(args.command), "validation", str(exc)))
+        return EXIT_VALIDATION
     spec = JobSpec(args.command, m_max=getattr(args, "max_m", 3), oracle=args.oracle,
                    variant=getattr(args, "variant", "top"), output_path=args.output,
                    fmt=args.format)

@@ -38,8 +38,9 @@ coefficients and one positive common denominator, with no factor common to
 all of them, so the form stays unique.  Sums, products, the descent and the
 inverse all run on these integers, and a conductor-1 operand never leaves
 Q.  A product of two dense values is one big-integer multiplication
-(Kronecker substitution, `_convolve`), and `cyclotomic_polynomial` is built
-by monic long division, so the module does no linear algebra.
+(Kronecker substitution, `_convolve`), and `cyclotomic_polynomial` is the
+Moebius product of the binomials 1 - x^d as power series, so the module does
+no linear algebra and its one reduction modulo a polynomial is `_reductions`.
 
 The inverse walks down the same tower (`_norm_layers`).  At a canonical n
 it takes the cyclic step <sigma_k> = Gal(Q(zeta_n)/Q(zeta_d)) of least
@@ -62,7 +63,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count
 
 from . import limits
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
@@ -70,42 +71,33 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
+    """Euler's totient, n * prod(1 - 1/p) over the primes p dividing n."""
     if type(n) is not int or n < 1:
         raise ValidationError(f"euler_phi needs an int n >= 1, got {n!r}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+    return n // math.prod(_primes(n)) * math.prod(p - 1 for p in _primes(n))
+
+
+@lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The primes dividing n, increasing, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return (*primes, n) if n > 1 else tuple(primes)
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first.
 
-    Computed by exact long division (`_poly_divmod`) of x^n - 1 by the
-    monic Phi_d for the proper divisors d of n.
+    Phi_n = prod_{e | rad n} (1 - x^(n/e))^mu(e) for n > 1 (Arnold and
+    Monagan, 2011) as a power series to degree phi(n): times 1 - x^d is a
+    shift and subtract, over it a running sum with stride d, and nothing is
+    divided.  A result that is not monic and palindromic (Phi_n is
+    self-reciprocal) raises `ConsistencyError`.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -114,12 +106,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(6)
     (1, -1, 1)
     """
-    _conductor(n)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in _divisors(n)[:-1]:
-        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        if rem:
-            raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1 exactly")
+    _capped(_conductor(n))
+    if n == 1:
+        return (-1, 1)
+    phi, primes = euler_phi(n), _primes(n)
+    poly = [1] + [0] * phi
+    for r in range(len(primes) + 1):
+        for e in combinations(primes, r):
+            d = n // math.prod(e)
+            if r % 2:  # mu(e) = -1: times 1/(1 - x^d) = sum_j x^(d*j)
+                for i in range(d, phi + 1):
+                    poly[i] += poly[i - d]
+            else:  # times 1 - x^d
+                for i in range(phi, d - 1, -1):
+                    poly[i] -= poly[i - d]
+    if poly[phi] != 1 or poly != poly[::-1]:
+        raise ConsistencyError(f"Phi_{n} is not monic of degree {phi} and palindromic")
     return tuple(poly)
 
 
@@ -402,7 +404,7 @@ class CyclotomicNumber:
                 "cyclotomic value must have exactly 'conductor' and 'coeffs', "
                 f"got {sorted(data) if isinstance(data, dict) else data!r}"
             )
-        n, pairs = _conductor(data["conductor"]), data["coeffs"]
+        n, pairs = _capped(_conductor(data["conductor"])), data["coeffs"]
         if not isinstance(pairs, (list, tuple)) or len(pairs) != euler_phi(n):
             raise ValidationError(
                 f"expected a list of {euler_phi(n)} coefficients for conductor {n}, got {pairs!r}"
@@ -482,7 +484,7 @@ def canonicalize(conductor, coeffs) -> CyclotomicNumber:
     the minimal conductor containing the value, which is never congruent to
     2 mod 4.
     """
-    _conductor(conductor)
+    _capped(_conductor(conductor))
     if not isinstance(coeffs, (list, tuple)) \
             or not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
         raise ValidationError(f"coefficients {coeffs!r} are not a list of ints and Fractions")
@@ -565,10 +567,6 @@ def _galois_residues(n: int) -> tuple[int, dict[int, tuple[int, ...]]]:
                  for _, _, k in _descents(n)}
 
 
-def _primes(n: int) -> list[int]:
-    return [p for p in _divisors(n)[1:] if _divisors(p) == (1, p)]
-
-
 def _fold_even(n: int, coeffs):
     # zeta_n = -zeta_m^((m+1)/2) with m = n/2 odd.
     m = n // 2
@@ -643,7 +641,7 @@ def lift_coeffs(a: CyclotomicNumber, n: int) -> tuple[Fraction, ...]:
     ``n`` must be a multiple of the conductor of ``a``.  Used by tests to
     build non-canonical representations on purpose.
     """
-    if _conductor(n) % a.conductor:
+    if _capped(_conductor(n)) % a.conductor:
         raise ValidationError(
             f"cannot lift conductor {a.conductor} into conductor {n}"
         )
@@ -723,22 +721,6 @@ def _convolve(a, b) -> list[int]:
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * m, "little")  # half in every slot
     raw = (x * y + offset).to_bytes(m * size, "little")
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, m * size, size)]
-
-
-def _poly_divmod(num, den):
-    """(q, r) with num = q*den + r for a monic den, constant terms first; r drops trailing zeros."""
-    r = list(num)
-    low = den[:-1]
-    q = [0] * max(len(r) - len(low), 0)
-    for i in range(len(q) - 1, -1, -1):
-        t = q[i] = r.pop()
-        if t:
-            for j, y in enumerate(low):
-                if y:
-                    r[i + j] -= t * y
-    while r and not r[-1]:
-        r.pop()
-    return q, r
 
 
 # -- the closed-form unit sum behind one-dimensional Riemann-Roch ---------

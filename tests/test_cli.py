@@ -213,6 +213,20 @@ def test_negative_series_depth_is_validation_error(capsys):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize("argv, command, fragment", [
+    (["series"], "series", "required: --gset"),
+    (["classes", "--group", "S4", "--format", "xml"], "classes", "invalid choice: 'xml'"),
+    (["euler", "--gset", "pt-s3", "--max-m", "1e9"], "euler", "invalid int value: '1e9'"),
+    (["bogus", "--gset", "pt-s3"], None, "invalid choice: 'bogus'"),
+], ids=["missing-input", "format", "max-m", "unknown-command"])
+def test_argument_errors_end_in_the_json_error_document(capsys, argv, command, fragment):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_VALIDATION and err == ""
+    doc = json.loads(out)
+    assert doc["schema"] == "1" and doc["command"] == command
+    assert doc["error"]["kind"] == "validation" and fragment in doc["error"]["message"]
+
+
 def test_weighted_gset(tmp_path, capsys):
     weights = tmp_path / "w.json"
     weights.write_text(json.dumps({"points": [2, 2, 2]}))

@@ -16,9 +16,7 @@ from stackyrr.cyclonum import (
     _coerce,
     _convolve,
     _descents,
-    _divisors,
     _fold_even,
-    _poly_divmod,
     _scale_to_int,
     _substitute,
     canonicalize,
@@ -34,6 +32,10 @@ from stackyrr.errors import ConsistencyError, ResourceLimitError, ValidationErro
 
 ZERO = CyclotomicNumber.from_rational(0)
 ONE = CyclotomicNumber.from_rational(1)
+
+
+def _divisors(n):
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def rand_cyclo(rng, conductor):
@@ -89,6 +91,30 @@ def test_phi_vanishes_on_primitive_root():
             if c:
                 val = val + c * z**i
         assert val.is_zero, n
+
+
+def _phi_product_is_x_n_minus_1(n, phi):
+    # prod_{d | n} Phi_d = x^n - 1 determines every Phi_n from Phi_1 = x - 1
+    product = [1]
+    for d in _divisors(n):
+        product = _convolve(product, phi[d])
+    return product == [-1] + [0] * (n - 1) + [1]
+
+
+def test_phi_times_the_lower_phis_is_x_n_minus_1():
+    phi = {n: cyclotomic_polynomial(n) for n in range(1, 1000)}
+    assert [n for n in phi if not _phi_product_is_x_n_minus_1(n, phi)] == []
+    with limits.using(conductor=10000):
+        for n in (2520, 9240):
+            phi = {d: cyclotomic_polynomial(d) for d in _divisors(n)}
+            assert _phi_product_is_x_n_minus_1(n, phi), n
+
+
+def test_phi_refuses_a_product_that_is_not_monic_and_palindromic(monkeypatch):
+    assert euler_phi(15) == 8  # cached now, since euler_phi reads _primes too
+    monkeypatch.setattr(cyclonum, "_primes", lambda n: (2,))  # the wrong e | rad 15
+    with pytest.raises(ConsistencyError, match="Phi_15 is not monic of degree 8"):
+        cyclotomic_polynomial(15)
 
 
 def test_canonicalize_examples():
@@ -200,6 +226,20 @@ def test_conductor_cap():
             root_of_unity(41)
         with pytest.raises(ResourceLimitError, match=r"Limits\.conductor = 40"):
             root_of_unity(8) + root_of_unity(27)  # lcm 216 > 40
+        for call, args in [
+            (canonicalize, (41, [0, 1])),
+            (CyclotomicNumber.from_dict, ({"conductor": 41, "coeffs": [[0, 1]] * 40},)),
+            (lift_coeffs, (root_of_unity(3), 42)),
+            (cyclotomic_polynomial, (41,)),
+        ]:
+            with pytest.raises(ResourceLimitError,
+                               match=r"conductor 4[12] exceeds Limits\.conductor = 40"):
+                call(*args)
+        assert canonicalize(40, [0, 1]).conductor == 40
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"Limits\.conductor"):
+        canonicalize(10**12, [0, 1])
+    assert time.perf_counter() - start < 1
 
 
 def test_galois_conjugate():
@@ -598,30 +638,6 @@ def test_inverse_matches_the_fraction_euclid():
         assert (inv.conductor, inv.coeffs) == (ref.conductor, ref.coeffs), n
         assert inv.conductor == x.conductor
         assert x * inv == 1
-
-
-def _trimmed(poly):
-    poly = list(poly)
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def test_monic_division_satisfies_num_equals_q_den_plus_r():
-    rng = random.Random(20261020)
-    for _ in range(400):
-        num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 14))]
-        den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [1]
-        q, r = _poly_divmod(num, den)
-        assert all(type(x) is int for x in (*q, *r))
-        assert len(r) < len(den) and r == _trimmed(r)
-        rhs = [0] * (len(q) + len(den) + len(r))
-        for i, x in enumerate(q):
-            for j, y in enumerate(den):
-                rhs[i + j] += x * y
-        for i, x in enumerate(r):
-            rhs[i] += x
-        assert _trimmed(num) == _trimmed(rhs), (num, den)
 
 
 def _dense(rng, n):

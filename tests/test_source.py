@@ -76,6 +76,24 @@ def test_one_elimination_routine_and_no_linear_algebra_in_cyclonum():
     assert defined == []
 
 
+def test_one_polynomial_reduction_and_phi_without_recursion_in_cyclonum():
+    # Phi_n is a Moebius product of binomials, so the `_reductions` rows are
+    # the only reduction modulo a polynomial and no divisor recursion is left
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_poly_divmod"
+    ]
+    assert defined == []
+    cyclonum = ast.parse((SRC / "cyclonum.py").read_text())
+    phi = [node for node in ast.walk(cyclonum)
+           if isinstance(node, ast.FunctionDef) and node.name == "cyclotomic_polynomial"]
+    assert len(phi) == 1
+    called = [ast.unparse(node.func) for node in ast.walk(phi[0]) if isinstance(node, ast.Call)]
+    assert "cyclotomic_polynomial" not in called
+
+
 def test_one_builder_for_fixed_point_sets():
     # `inertia` and every tower level come from `_level_above`; no other
     # function constructs a `TowerLevel` or defines its own inertia class
