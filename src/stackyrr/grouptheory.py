@@ -6,13 +6,17 @@ order is reproducible) or from explicit multiplication tables.  Everything
 downstream -- conjugacy classes, centralizers, subgroup lattices,
 commuting-tuple counts -- is plain table arithmetic, which is the right
 trade at the scale this package works at (orders in the hundreds, not
-millions).  The kernels work a whole row at a time: the closure builds each
-row from an earlier one read through a generator's row, the brute commuting
-count tests a tuple's last entry against the AND of per-element commute
-bitmasks, and conjugation by g is a row h -> g h g^-1 built on first use.
-Conjugacy classes are the orbits of conjugation, swept like a G-set's orbits
-by `_action_orbits`; they and the inertia tower read only the generators'
+millions).  The kernels work a whole row at a time, and every row is one
+C-level gather (`_gather`): the closure builds each row from an earlier one
+read through a generator's row and reads the inverses off the same tree,
+a given table is checked by Light's associativity test on its generators,
+and conjugation by g is a row h -> g h g^-1 built on first use.  Conjugacy
+classes are the orbits of conjugation, swept like a G-set's orbits by
+`_action_orbits`; they and the inertia tower read only the generators'
 rows, and the subgroup lattice's normalizer test alone reads every row.
+The commute masks are read off the class sweep's centralizers and
+transporters, while the brute commuting count builds its own from the
+table, row against column, and tests a tuple's last entry against their AND.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ class FiniteGroup:
                  "_conj", "_commutes", "_brute_masks", "_tree", "_sub_groups")
 
     def __init__(self, mul: tuple[tuple[int, ...], ...], *, generators=None,
-                 perms=None, _validated=False):
+                 perms=None, inv=None, _validated=False):
         self.order = len(mul)
         self.mul = mul
         if not _validated:
             _check_table(mul)
-        self.inv = _inverse_vector(mul)
+        self.inv = tuple(row.index(0) for row in mul) if inv is None else inv
         self.generators = tuple(generators) if generators else None
         self.perms = tuple(perms) if perms else None
         self._classes = None
@@ -55,13 +59,13 @@ class FiniteGroup:
         row = self._conj.get(g)
         if row is None:
             right = tuple(map(itemgetter(self.inv[g]), self.mul))  # x -> x * g^-1
-            row = self._conj[g] = tuple(map(right.__getitem__, self.mul[g]))
+            row = self._conj[g] = _gather(self.mul[g])(right)
         return row
 
     def commute_masks(self) -> tuple[int, ...]:
         """Per element g, a bitmask with bit h set when g*h == h*g."""
         if self._commutes is None:
-            self._commutes = _commute_masks(self.mul)
+            self._commutes = _class_masks(self)
         return self._commutes
 
     def spanning_tree(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -100,30 +104,62 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _gather(idx):
+    """``seq -> tuple(seq[i] for i in idx)``, by ``itemgetter`` at C speed.
+
+    ``itemgetter(*idx)`` returns a bare value, not a 1-tuple, for one index
+    and cannot be built from none, so those two cases take a plain loop.
+    Every table row, conjugation row and re-indexed row is gathered here.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
 def _check_table(mul) -> None:
+    """Shape, range, identity, inverses, then associativity by Light's test.
+
+    Let S be the set of t with (x*t)*y == x*(t*y) for all x, y.  S is closed
+    under products: for a, b in S,
+    (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
+    using a, then b, then a, then b (with x = a) in S.  The identity is in S,
+    so if the elements a generator set reaches by right multiplication
+    cover the table, S is all of it and the table is associative.  The
+    generators are greedy (the least element not yet reached, then close),
+    and each is tested as it is picked: one C-level gather of every row,
+    mul[x*a] == mul[x] read through mul[a], so O(|G|^2) per generator.  A
+    table whose picks all pass is a group, and then each pick at least
+    doubles the closure, so at most log2 |G| + 1 generators are tested.
+    A table over ``Limits.group_order`` rows is refused before any check.
+    """
     n = len(mul)
     if n == 0:
         raise ValidationError("empty multiplication table")
+    cap = limits.current().group_order
+    if n > cap:
+        raise ResourceLimitError(f"group table of {n} rows exceeds Limits.group_order = {cap}")
     for i, row in enumerate(mul):
         if len(row) != n:
             raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise ValidationError(f"entry {v} in row {i} out of range")
+        if min(row) < 0 or max(row) >= n:
+            v = next(v for v in row if not 0 <= v < n)
+            raise ValidationError(f"entry {v} in row {i} out of range")
     for a in range(n):
         if mul[0][a] != a or mul[a][0] != a:
             raise ValidationError(f"index 0 is not an identity at element {a}")
     for a in range(n):
         if 0 not in mul[a]:
             raise ValidationError(f"element {a} has no inverse")
+    reached, seen, gens = [0], {0}, []
     for a in range(n):
-        for b in range(n):
-            ab = mul[a][b]
-            for c in range(n):
-                if mul[ab][c] != mul[a][mul[b][c]]:
-                    raise ValidationError(
-                        f"associativity fails on triple ({a}, {b}, {c})"
-                    )
+        if a in seen:
+            continue
+        through_a = _gather(mul[a])  # row x -> the row y -> x*(a*y)
+        for x, row in enumerate(mul):
+            if tuple(mul[row[a]]) != through_a(row):
+                y = next(y for y, v in enumerate(through_a(row)) if mul[row[a]][y] != v)
+                raise ValidationError(f"associativity fails on triple ({x}, {a}, {y})")
+        _close(mul, reached, seen, gens, a)
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -135,12 +171,29 @@ def _commute_masks(mul) -> tuple[int, ...]:
                  for row, col in zip(mul, zip(*mul)))
 
 
-def _inverse_vector(mul) -> tuple[int, ...]:
-    n = len(mul)
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = mul[a].index(0)
-    return tuple(inv)
+def _class_masks(group: FiniteGroup) -> tuple[int, ...]:
+    """Commute masks from the class sweep: C(t r t^-1) = t C(r) t^-1.
+
+    Each y = t r t^-1 (r its class representative, t its transporter) gets
+    the bits t c t^-1 for c in the centralizer of r, gathered as
+    (t (t c)^-1)^-1, and a central y gets every bit.  So the masks cost
+    |C(y)| steps per non-central y, |G| per class in all, rather than the
+    |G|^2 comparisons of `_commute_masks`.
+    """
+    table = conjugacy_classes(group)
+    mul, inv, n = group.mul, group.inv, group.order
+    full = (1 << n) - 1
+    masks = []
+    for t, i in zip(table.transporters, table.class_of):
+        cent = table.centralizers[i]
+        if len(cent) == n:
+            masks.append(full)
+            continue
+        row, bits = mul[t], bytearray(n // 8 + 1)
+        for p in _gather(_gather(_gather(_gather(cent)(row))(inv))(row))(inv):
+            bits[p >> 3] |= 1 << (p & 7)
+        masks.append(int.from_bytes(bits, "little"))
+    return tuple(masks)
 
 
 # -- construction -----------------------------------------------------------
@@ -162,8 +215,10 @@ def group_from_permutations(generators) -> FiniteGroup:
 
     The table is built along the search tree: each new element b was found
     as a * gens[i], so its row is row a read through the row of gens[i],
-    mul[b][y] = mul[a][mul[gens[i]][y]].  Only the generators' rows are
-    composed as permutations, |G| compositions each.
+    mul[b][y] = mul[a][mul[gens[i]][y]], one C-level gather with one getter
+    per generator.  Only the generators' rows are composed as permutations,
+    |G| compositions each.  The inverses come off the same tree:
+    b^-1 = gens[i]^-1 * a^-1.
     """
     cap = limits.current().group_order
     gens = [tuple(g) for g in generators]
@@ -175,9 +230,10 @@ def group_from_permutations(generators) -> FiniteGroup:
     elements = [identity]
     index = {identity: 0}
     edges = []  # (b, i, a): elements[b] = elements[a] * gens[i]
+    moves = [_gather(g) for g in gens]  # p -> p * g
     for a, p in enumerate(elements):  # grows while it is walked
-        for i, g in enumerate(gens):
-            b = _compose(p, g)
+        for i, move in enumerate(moves):
+            b = move(p)
             if b not in index:
                 if len(elements) >= cap:
                     raise ResourceLimitError(
@@ -187,14 +243,19 @@ def group_from_permutations(generators) -> FiniteGroup:
                 edges.append((len(elements), i, a))
                 elements.append(b)
     gen_idx = [index[g] for g in gens]
-    gen_rows = [tuple(index[_compose(g, q)] for q in elements) for g in gens]
+    reads = [_gather([index[_compose(g, q)] for q in elements]) for g in gens]
     rows = [None] * len(elements)
     rows[0] = tuple(range(len(elements)))
     for b, i, a in edges:
-        rows[b] = tuple(map(rows[a].__getitem__, gen_rows[i]))
+        rows[b] = reads[i](rows[a])
     # By induction along the tree, row b is the composition table's row of
     # elements[b], so associativity is inherited from composition of functions.
-    return FiniteGroup(tuple(rows), generators=gen_idx, perms=elements, _validated=True)
+    gen_inv = [rows[s].index(0) for s in gen_idx]
+    inv = [0] * len(elements)
+    for b, i, a in edges:
+        inv[b] = rows[gen_inv[i]][inv[a]]
+    return FiniteGroup(tuple(rows), generators=gen_idx, perms=elements, inv=tuple(inv),
+                       _validated=True)
 
 
 def _left_tree(group: FiniteGroup, gens: tuple[int, ...]):
@@ -374,13 +435,13 @@ class Subgroup:
         cached = self.parent._sub_groups.get(elems)
         if cached is not None:
             return cached, elems
-        pos = {e: i for i, e in enumerate(elems)}
-        mul = tuple(
-            tuple(pos[self.parent.mul[a][b]] for b in elems) for a in elems
-        )
-        small = FiniteGroup(
-            mul, generators=[pos[s] for s in self.generators], _validated=True
-        )
+        pos = [0] * self.parent.order
+        for i, e in enumerate(elems):
+            pos[e] = i
+        pick = _gather(elems)
+        mul = tuple(_gather(pick(row))(pos) for row in pick(self.parent.mul))
+        small = FiniteGroup(mul, generators=[pos[s] for s in self.generators],
+                            inv=_gather(pick(self.parent.inv))(pos), _validated=True)
         self.parent._sub_groups[elems] = small
         return small, elems
 
@@ -501,13 +562,21 @@ def subgroup_conjugacy_reps(parent: FiniteGroup) -> list[Subgroup]:
 
 
 class ConjClassTable:
-    """Conjugacy classes of a group; representatives are minimal indices."""
+    """Conjugacy classes of a group; representatives are minimal indices.
 
-    __slots__ = ("classes", "representatives", "class_sizes", "centralizer_orders", "class_of")
+    ``centralizers[i]`` holds the sorted elements commuting with the i-th
+    representative r, and ``transporters[y]`` a t with t r t^-1 == y for the
+    representative r of y's class.
+    """
 
-    def __init__(self, classes, representatives, class_sizes, centralizer_orders, class_of):
-        self.classes, self.representatives, self.class_sizes = classes, representatives, class_sizes
-        self.centralizer_orders, self.class_of = centralizer_orders, class_of
+    __slots__ = ("classes", "representatives", "class_sizes", "centralizers",
+                 "centralizer_orders", "class_of", "transporters")
+
+    def __init__(self, classes, representatives, centralizers, class_of, transporters):
+        self.classes, self.representatives, self.class_of = classes, representatives, class_of
+        self.centralizers, self.transporters = centralizers, transporters
+        self.class_sizes = tuple(map(len, classes))
+        self.centralizer_orders = tuple(map(len, centralizers))
 
     @property
     def count(self) -> int:
@@ -517,13 +586,12 @@ class ConjClassTable:
 def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
     """Orbits of conjugation h -> g h g^-1, swept along the generators' rows.
 
-    Centralizer orders are the stabilizers' orders; cached on the group.
+    The centralizers are the stabilizers the sweep keeps, and the
+    transporters its transporters; cached on the group.
     """
     if group._classes is None:
         rows = [group.conj_row(s) for s in group.spanning_tree()[0]]
-        classes, reps, cents, class_of, _ = _action_orbits(group, group.order, rows)
-        group._classes = ConjClassTable(classes, reps, tuple(map(len, classes)),
-                                        tuple(map(len, cents)), class_of)
+        group._classes = ConjClassTable(*_action_orbits(group, group.order, rows))
     return group._classes
 
 
@@ -534,11 +602,13 @@ def _action_orbits(group: FiniteGroup, size: int, cols):
     is swept from its least point, its representative; z reached as s.y gets
     the transporter s * t(y).  The representative's stabilizer is kept: the
     sorted elements, walked along the tree's edges, whose image of it is
-    itself.  Orbit size times stabilizer order must be |G|.  Returns
+    itself, or every element, without the walk, for a point every generator
+    fixes.  Orbit size times stabilizer order must be |G|.  Returns
     ``(orbits, representatives, stabilizers, orbit_of, transporter)``.
     """
     gens, edges = group.spanning_tree()
     mul, n = group.mul, group.order
+    everything = tuple(range(n))
     moves = list(zip(gens, cols))
     orbit_of = [-1] * size
     transporter = [0] * size
@@ -557,10 +627,13 @@ def _action_orbits(group: FiniteGroup, size: int, cols):
                     orbit_of[z] = idx
                     transporter[z] = mul[s][t]
                     members.append(z)
-        images = [x] * n  # images[g] = g.x
-        for b, i, a in edges:
-            images[b] = cols[i][images[a]]
-        stab = tuple(compress(range(n), map(x.__eq__, images)))
+        if len(members) == 1:  # fixed by every generator, so by the whole group
+            stab = everything
+        else:
+            images = [x] * n  # images[g] = g.x
+            for b, i, a in edges:
+                images[b] = cols[i][images[a]]
+            stab = tuple(compress(everything, map(x.__eq__, images)))
         if len(members) * len(stab) != n:
             raise ValidationError(
                 f"orbit of {x} has size {len(members)} but stabilizer order {len(stab)}"

@@ -75,6 +75,16 @@ def test_resource_exit_code(capsys, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "resource-limit"
 
 
+def test_a_group_table_over_the_group_order_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps({"table": [list(row) for row in cyclic(6).mul]}))
+    with limits.using(group_order=5):
+        status, out, _ = run_cli(capsys, "classes", "--group", str(path))
+    assert status == EXIT_RESOURCE
+    assert "exceeds Limits.group_order = 5" in json.loads(out)["error"]["message"]
+    assert run_cli(capsys, "classes", "--group", str(path))[0] == EXIT_OK
+
+
 def test_conductor_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("STACKYRR_CONDUCTOR_CAP", "1000")
     status, _, _ = run_cli(capsys, "inertia", "--gset", "pt-q8")

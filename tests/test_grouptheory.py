@@ -1,6 +1,7 @@
 """Group kernel: construction, conjugacy, centralizers, commuting tuples."""
 
 import math
+import random
 import re
 from functools import lru_cache
 from itertools import product
@@ -87,6 +88,71 @@ def test_group_from_table_names_failing_triple():
     ]
     with pytest.raises(ValidationError, match="associativity fails on triple"):
         group_from_table(loop)
+
+
+def test_a_table_over_the_group_order_cap_is_refused_before_it_is_checked():
+    z6 = cyclic(6).mul
+    with limits.using(group_order=5):
+        for table in (z6, [row[:3] for row in z6]):  # the second is not even square
+            with pytest.raises(ResourceLimitError, match=r"exceeds Limits\.group_order = 5"):
+                group_from_table(table)
+    with limits.using(group_order=6):
+        assert group_from_table(z6).mul == z6
+
+
+def _reference_check_table(mul):
+    """The O(|G|^3) validation: identity, inverses and every triple."""
+    n = len(mul)
+    for a in range(n):
+        if mul[0][a] != a or mul[a][0] != a:
+            raise ValidationError(f"index 0 is not an identity at element {a}")
+    for a in range(n):
+        if 0 not in mul[a]:
+            raise ValidationError(f"element {a} has no inverse")
+    for a in range(n):
+        for b in range(n):
+            ab = mul[a][b]
+            for c in range(n):
+                if mul[ab][c] != mul[a][mul[b][c]]:
+                    raise ValidationError(f"associativity fails on triple ({a}, {b}, {c})")
+
+
+def _verdict(check, mul):
+    try:
+        check(mul)
+    except ValidationError as exc:
+        return str(exc).split(" on ")[0].split(" at ")[0]
+    return "accepted"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lights_test_agrees_with_the_triple_loop_on_corrupted_tables(data):
+    name, g = data.draw(st.sampled_from(_catalog()))
+    rows = [list(row) for row in g.mul]
+    index = st.integers(0, g.order - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        a = data.draw(index)
+        if data.draw(st.booleans()):  # a swap within a row, away from the identity's column
+            if g.order > 2:
+                i, j = data.draw(st.lists(st.integers(1, g.order - 1), min_size=2, max_size=2,
+                                          unique=True))
+                rows[a][i], rows[a][j] = rows[a][j], rows[a][i]
+        else:
+            rows[a][data.draw(index)] = data.draw(index)
+    mul = tuple(map(tuple, rows))
+    if data.draw(st.booleans()):
+        # times Z2: element 1 = (e, 1) associates with everything, so the
+        # first generator picked never shows a failure and a later one must
+        n = 2 * g.order
+        mul = tuple(tuple(mul[x // 2][y // 2] * 2 + (x + y) % 2 for y in range(n)) for x in range(n))
+    verdict = _verdict(grouptheory._check_table, mul)
+    assert verdict == _verdict(_reference_check_table, mul), name
+    if verdict == "associativity fails":
+        with pytest.raises(ValidationError) as failure:
+            group_from_table(mul)
+        x, a, y = map(int, re.findall(r"\d+", str(failure.value)))
+        assert mul[mul[x][a]][y] != mul[x][mul[a][y]], (name, x, a, y)
 
 
 def test_conjugacy_classes_examples():
@@ -359,6 +425,89 @@ def test_group_order_cap_trips_at_the_same_element_count():
                     else:
                         outcomes.append(True)
             assert outcomes == [cap >= order] * 2, (gens, cap)
+
+
+# -- row gathers, tree inverses and class-sweep masks against their definitions --
+
+
+def test_the_gather_keeps_short_indices_tuples():
+    assert grouptheory._gather([2])("abc") == ("c",)
+    assert grouptheory._gather([])("abc") == ()
+    assert grouptheory._gather([2, 0])("abc") == ("c", "a")
+    trivial = group_from_permutations([[0, 1, 2]])
+    assert trivial.mul == ((0,),) and trivial.inv == (0,)
+
+
+def _sample(rng, g, k):
+    return range(g.order) if g.order <= k else rng.sample(range(g.order), k)
+
+
+def _check_rows(g, rows):
+    """Table, conjugation rows and inverses of ``g`` on ``rows``, by definition."""
+    mul, inv = g.mul, g.inv
+    if g.perms is not None:
+        index = {p: i for i, p in enumerate(g.perms)}
+        for a in rows:
+            pa = g.perms[a]
+            assert mul[a] == tuple(index[tuple(pa[i] for i in pb)] for pb in g.perms), a
+    for a in range(g.order):
+        assert inv[a] == mul[a].index(0), a
+    for x in rows:
+        assert g.conj_row(x) == tuple(mul[mul[x][h]][inv[x]] for h in range(g.order)), x
+
+
+def _check_reindexed(g, sub):
+    small, elems = sub.as_group()
+    for i, a in enumerate(elems):
+        assert tuple(elems[v] for v in small.mul[i]) == tuple(g.mul[a][b] for b in elems)
+        assert elems[small.inv[i]] == g.inv[a]
+
+
+def _mask_of(g, y):
+    return sum(1 << h for h in range(g.order) if g.mul[y][h] == g.mul[h][y])
+
+
+_FIVE, _SIX = [2, 4, 0, 3, 1], [5, 2, 0, 4, 1, 3]
+_S7 = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+
+
+def _gather_groups():
+    return list(group_catalog()) + [
+        ("S4", symmetric(4)), ("A5", alternating(5)),
+        ("S5", group_from_permutations(_relabeled([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], _FIVE))),
+        ("S6", group_from_permutations(_relabeled([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], _SIX))),
+    ]
+
+
+def test_gathered_tables_conjugation_rows_and_tree_inverses_match_their_definitions():
+    rng = random.Random(27)
+    for name, g in _gather_groups():
+        _check_rows(g, _sample(rng, g, 60))
+        subs = all_subgroups(g) if g.order <= 24 else subgroup_conjugacy_reps(g)
+        for sub in subs:
+            _check_reindexed(g, sub)
+
+
+def test_commute_masks_from_the_class_sweep_equal_the_table_route(monkeypatch):
+    groups = list(group_catalog()) + [("S5", symmetric(5)), ("S6", symmetric(6))]
+    expected = {name: grouptheory._commute_masks(g.mul) for name, g in groups}
+    monkeypatch.setattr(grouptheory, "_commute_masks", _refuse)
+    for name, g in groups:
+        fresh = FiniteGroup(g.mul, generators=g.generators, _validated=True)
+        assert fresh.commute_masks() == expected[name], name
+
+
+def test_s7_rows_inverses_and_masks_on_a_seeded_sample():
+    rng = random.Random(7)
+    s7 = group_from_permutations(_relabeled(_S7, [3, 6, 0, 5, 1, 4, 2]))
+    assert s7.order == 5040
+    sample = rng.sample(range(s7.order), 12)
+    _check_rows(s7, sample)
+    masks = s7.commute_masks()
+    for y in sample:
+        assert masks[y] == _mask_of(s7, y), y
+    point_stabilizer = subgroup(s7, [g for g in range(s7.order) if s7.perms[g][0] == 0])
+    _check_reindexed(s7, point_stabilizer)
 
 
 _INDEPENDENCE_GROUPS = [("S4", symmetric(4)), ("D4", dihedral(4)), ("Q8", dicyclic(2))]

@@ -137,3 +137,20 @@ def test_tower_levels_hold_no_position_array_and_stabilizers_read_no_action_tabl
                 act += [f"{path.name}:{func.name}" for node in ast.walk(func)
                         if isinstance(node, ast.Attribute) and node.attr == "act"]
     assert seen == readers and pos == [] and act == []
+
+
+def test_only_the_brute_count_compares_rows_with_columns():
+    # `commute_masks` reads the class sweep; the row-against-column masks and
+    # every `itemgetter` row gather each have one home in the package
+    readers, getters = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+                names = [ast.unparse(node.func) for node in calls]
+                readers += [f"{path.name}:{func.name}" for name in names if name == "_commute_masks"]
+                getters += [f"{path.name}:{func.name}" for node, name in zip(calls, names)
+                            if name == "itemgetter" and any(isinstance(a, ast.Starred) for a in node.args)]
+    assert readers == ["grouptheory.py:_commuting_brute"]
+    assert getters == ["grouptheory.py:_gather"]
