@@ -21,7 +21,7 @@ import operator
 from bisect import bisect_left
 from fractions import Fraction
 
-from .cyclonum import ONE, ZERO, CyclotomicNumber
+from .cyclonum import ONE, ZERO, CyclotomicNumber, galois_conjugate
 from .errors import ConsistencyError, ValidationError, agree
 from .exactlinalg import exact_rank
 from .groupoidstack import FiniteGSet, TowerLevel, inertia, orbits
@@ -284,7 +284,9 @@ def character_of(rep: MatrixRep) -> ClassFunction:
 def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
     """dim of the zeta-eigenspace of rep(h), via the averaging projector.
 
-    ``zeta`` must satisfy zeta^r = 1 for r the order of h.  The projector
+    ``zeta`` must satisfy zeta^r = 1 for r the order of h; zeta^(-1) is
+    then its Galois conjugate under zeta_n -> zeta_n^(n-1), n its
+    conductor, so no field inverse is taken.  The projector
     (1/r) sum_a zeta^(-a) rep(h)^a onto the zeta-eigenspace is assembled
     exactly and its rank certified by exact elimination.
     """
@@ -294,7 +296,7 @@ def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
     r = rep.group.element_order(h)
     if zeta**r != 1:
         raise ValidationError(f"{zeta!r} is not an {r}-th root of unity")
-    zeta_inv = zeta.inverse()
+    zeta_inv = galois_conjugate(zeta, zeta.conductor - 1)
     proj = [[ZERO] * rep.dim for _ in range(rep.dim)]
     power = _identity(rep.dim)  # rep(h)^a
     scalar = _as_cyclo(Fraction(1, r))  # zeta^(-a) / r
@@ -537,8 +539,9 @@ def pushforward_to_point(bundle: VirtualEqBundle) -> CyclotomicNumber:
 
     Source side: sum over orbits of the invariants dimension of the local
     character.  Inertia side: (1/|H|) * sum over all fixed-point pairs of
-    the traced bundle.  The two must agree exactly; disagreement raises
-    ConsistencyError rather than returning anything.
+    the traced bundle, which is constant on each inertia orbit, so summed
+    as |orbit| * value, one term per orbit.  The two must agree exactly;
+    disagreement raises ConsistencyError rather than returning anything.
     """
     source = ZERO
     for chi in bundle.orbit_characters:
@@ -546,10 +549,9 @@ def pushforward_to_point(bundle: VirtualEqBundle) -> CyclotomicNumber:
 
     iner = inertia(bundle.base)
     phi = devissage_phi(bundle, iner)
-    dec = orbits(iner)
     total = ZERO
-    for i in range(iner.size):
-        total = total + phi.values[dec.orbit_of[i]]
+    for orbit, value in zip(orbits(iner).orbits, phi.values):
+        total = total + len(orbit) * value
     inertia_side = total * Fraction(1, bundle.base.group.order)
 
     return agree("pushforward to a point, source and inertia sides", source, inertia_side)

@@ -108,7 +108,15 @@ class FiniteGSet:
         return sorted(mul[left[h]][t_inv] for h in dec.stabilizers[dec.orbit_of[x]])
 
     def stabilizer(self, x: int) -> Subgroup:
-        return subgroup(self.group, self.stabilizer_elements(x))
+        """Stab(x) as a `Subgroup`: an orbit representative's is validated once
+        and kept with the orbits, any other point's is a fresh conjugate."""
+        dec = orbits(self)
+        o = dec.orbit_of[x]
+        if x != dec.representatives[o]:
+            return subgroup(self.group, self.stabilizer_elements(x))
+        if o not in dec._subgroups:
+            dec._subgroups[o] = Subgroup(self.group, dec.stabilizers[o])  # already sorted
+        return dec._subgroups[o]
 
     def __repr__(self):
         return f"FiniteGSet(order={self.group.order}, points={self.size})"
@@ -116,15 +124,17 @@ class FiniteGSet:
 
 class OrbitDecomposition:
     """The orbits of a G-set; ``transporter[x]`` is a g with x = g.representative
-    and ``stabilizers[o]`` the sorted stabilizer of orbit o's representative."""
+    and ``stabilizers[o]`` the sorted stabilizer of orbit o's representative,
+    kept as a `Subgroup` in ``_subgroups`` once `FiniteGSet.stabilizer` asks."""
 
     __slots__ = ("orbits", "representatives", "stabilizers", "stabilizer_orders",
-                 "orbit_of", "transporter")
+                 "orbit_of", "transporter", "_subgroups")
 
     def __init__(self, orbits, representatives, stabilizers, orbit_of, transporter):
         self.orbits, self.representatives, self.orbit_of = orbits, representatives, orbit_of
         self.stabilizers, self.transporter = stabilizers, transporter
         self.stabilizer_orders = tuple(map(len, stabilizers))
+        self._subgroups = {}  # orbit -> its representative's stabilizer
 
     @property
     def count(self) -> int:

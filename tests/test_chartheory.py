@@ -1,5 +1,6 @@
 """Characters, eigenspace dimensions, the trace map, and pushforwards."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -453,6 +454,64 @@ def test_pushforward_randomized_genuine():
                 assert val.rational_value() >= 0
 
 
+def _criterion_1_grid():
+    """Groups Z1..Z8, S3, S4, D4, Q8, A4 with their <=3-orbit actions on <=8 points."""
+    groups = [cyclic(n) for n in range(1, 9)]
+    groups += [symmetric(3), symmetric(4), dihedral(4), dicyclic(2), alternating(4)]
+    for g in groups:
+        pieces = [coset_gset(g, sub) for sub in subgroup_conjugacy_reps(g)
+                  if g.order // sub.order <= 8]
+        for k in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(pieces, k):
+                if sum(p.size for p in combo) <= 8:
+                    yield combo[0] if k == 1 else disjoint_union(*combo)
+
+
+def _seeded_bundle(base, rng):
+    chars = []
+    for rep in orbits(base).representatives:
+        sg, _ = base.stabilizer(rep).as_group()
+        chi = trivial_character(sg) * rng.randint(0, 2)
+        for sub in subgroup_conjugacy_reps(sg):
+            if rng.random() < 0.5:
+                chi = chi + coset_character(sg, sub) * rng.randint(1, 2)
+        chars.append(chi)
+    return VirtualEqBundle(base, tuple(chars))
+
+
+def test_inertia_side_summed_per_orbit_equals_the_per_pair_sum_on_the_criterion_1_grid():
+    rng = random.Random(2808)
+    checked = 0
+    for base in _criterion_1_grid():
+        bundle = _seeded_bundle(base, rng)
+        iner = inertia(base)
+        phi, orbit_of = devissage_phi(bundle, iner), orbits(iner).orbit_of
+        per_pair = ZERO
+        for i in range(iner.size):  # one term per fixed-point pair
+            per_pair = per_pair + phi.values[orbit_of[i]]
+        assert pushforward_to_point(bundle) == per_pair * Fraction(1, base.group.order)
+        checked += 1
+    assert checked == 302
+
+
+def test_pushforward_builds_one_stabilizer_subgroup_per_orbit(monkeypatch):
+    d4 = dihedral(4)
+    bases = [natural_gset(symmetric(4)), trivial_gset(symmetric(3), 2),
+             disjoint_union(*(coset_gset(d4, sub) for sub in subgroup_conjugacy_reps(d4)))]
+    built = []
+    real = Subgroup.__init__
+
+    def counted(self, parent, elements, generators=None):
+        built.append(parent)
+        real(self, parent, elements, generators)
+
+    monkeypatch.setattr(Subgroup, "__init__", counted)
+    for x in bases:
+        built.clear()
+        assert pushforward_to_point(structure_bundle(x)) == orbits(x).count
+        assert 1 <= built.count(x.group) <= orbits(x).count
+
+
 def test_induce_restrict():
     s3 = symmetric(3)
     nat = natural_gset(s3)
@@ -775,3 +834,35 @@ def test_monomial_reps_with_scalars_match_the_dense_reference(n, scalar):
     mats = tuple(extend_along_generators(group, images, _dense_identity(2),
                                          _dense_mat_mul, ""))
     _check_against_dense(rep, mats)
+
+
+
+def test_eigencomponent_dim_inverts_zeta_by_conjugation_and_matches_the_dense_reference(
+        monkeypatch):
+    # every root of unity of each element's order, -zeta_3 (conductor 3, order 6)
+    # among them; the reference inverts zeta in the field, the library conjugates it
+    cases = []
+    for g in (cyclic(6), cyclic(8), dicyclic(3)):
+        mats = _dense_permutation_matrices(g, g.order, lambda s, x, g=g: g.mul[s][x])
+        cases.append((regular_rep(g), mats))
+    c6 = cyclic(6)
+    images = {c6.generators[0]: ((ZERO, root_of_unity(3, 1)), (ONE, ZERO))}
+    cases.append((rep_from_generator_images(c6, images),
+                  tuple(extend_along_generators(c6, images, _dense_identity(2),
+                                                _dense_mat_mul, ""))))
+    expected = [[_dense_eigen_dims(mats, h, rep.group.element_order(h))
+                 for h in range(rep.group.order)] for rep, mats in cases]
+    assert root_of_unity(6, 5).conductor == 3
+    zetas = []  # the roots passed in; the elimination still inverts its pivots
+    real = CyclotomicNumber.inverse
+
+    def inverse(self):
+        assert all(self is not zeta for zeta in zetas), "zeta was inverted in the field"
+        return real(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", inverse)
+    for (rep, _), dims in zip(cases, expected):
+        for h, want in enumerate(dims):
+            r = rep.group.element_order(h)
+            zetas[:] = [root_of_unity(r, k) for k in range(r)]
+            assert [eigencomponent_dim(rep, h, zeta) for zeta in zetas] == want

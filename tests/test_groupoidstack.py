@@ -67,6 +67,30 @@ def test_orbit_stabilizer_bookkeeping():
                 assert x.act[dec.representatives[dec.orbit_of[p]]][t] == p
 
 
+def test_a_representative_has_one_stabilizer_subgroup():
+    for _, g in group_catalog(12):
+        classes = subgroup_conjugacy_reps(g)
+        x = disjoint_union(*(coset_gset(g, sub) for sub in classes[-3:]))
+        dec = orbits(x)
+        assert dec._subgroups == {}  # nothing is validated until asked for
+        for o, rep in enumerate(dec.representatives):
+            stab = x.stabilizer(rep)
+            assert x.stabilizer(rep) is stab is dec._subgroups[o]
+            assert stab.parent is g
+            assert list(stab.elements) == x.stabilizer_elements(rep)
+
+
+def test_a_point_that_is_not_a_representative_gets_its_own_conjugate():
+    x = s3_natural()
+    assert orbits(x).representatives == (0,)
+    for p in (1, 2):
+        stab = x.stabilizer(p)
+        assert stab is not x.stabilizer(p) and stab is not x.stabilizer(0)
+        assert list(stab.elements) == x.stabilizer_elements(p)
+        assert stab.elements != x.stabilizer(0).elements
+        assert all(x.act[p][h] == p for h in stab.elements)
+
+
 def test_action_table_validation():
     z2 = cyclic(2)
     with pytest.raises(ValidationError):
