@@ -7,8 +7,9 @@ the columns; the full table ``act[x][g] = g.x`` is built from them only
 where a per-point row is read (characters, for one), on first use, and
 cached.  The composition convention is fixed once, globally:
 act[x][g*h] == act[act[x][h]][g] (h acts first).  Every user-facing
-construction validates it on one image row per orbit, never on ``act``:
-O(#orbits·|G|·#gens) time and O(|G|) memory.
+construction validates it inside the orbit sweep, on the image row walked
+for each orbit's representative, never on ``act``: O(#orbits·|G|·#gens)
+time and O(|G|) memory.
 
 The central construction is `inertia`: the set of pairs (x, h) with h.x = x,
 carrying the action g.(x, h) = (g.x, g h g^-1).  Iterating it m times is,
@@ -45,11 +46,12 @@ class FiniteGSet:
     ``cols[i][x]`` is the image of point x under the i-th generator of
     ``group.spanning_tree()``.  ``act[x][g]`` (g.x for every element g) is
     filled along that tree on first use, row_x[s*a] = cols[s][row_x[a]],
-    and cached.  Validation reads no ``act``: from each orbit's least point
-    x it walks the one row images[g] = g.x along the tree and checks
-    images[s*h] == cols[s][images[h]] for every element h and generator s.
-    By induction on word length every word for g then sends each point
-    images[h] of the orbit to images[g*h], so the columns are an action.
+    and cached.  Validation reads no ``act``: it is the orbit sweep, kept as
+    the set's orbits, checking images[s*h] == cols[s][images[h]] for every
+    element h and generator s on the row images[g] = g.x it walks from each
+    orbit's least point x.  By induction on word length every word for g
+    then sends each point images[h] of the orbit to images[g*h], so the
+    columns are an action.
     """
 
     __slots__ = ("group", "size", "cols", "_act", "_orbits", "_up", "__weakref__")
@@ -61,8 +63,8 @@ class FiniteGSet:
         self._act = None
         self._orbits = None
         self._up = None  # weakref to level 1 of the inertia tower built on this set
-        if validate:
-            self._validate()
+        if validate:  # callers have checked that every column maps 0..size-1 into itself
+            self._orbits = OrbitDecomposition(*_action_orbits(group, size, self.cols, check=True))
 
     @property
     def act(self) -> tuple[tuple[int, ...], ...]:
@@ -74,32 +76,6 @@ class FiniteGSet:
                 images[b] = tuple(map(self.cols[i].__getitem__, images[a]))
             self._act = tuple(zip(*images)) if self.size else ()
         return self._act
-
-    def _validate(self):
-        # callers have checked that every column maps 0..size-1 into itself
-        gens, edges = self.group.spanning_tree()
-        mul, cols, n = self.group.mul, self.cols, self.group.order
-        seen = set()
-        for x in range(self.size):
-            if x in seen or all(col[x] == x for col in cols):
-                continue  # a point every generator fixes is a whole orbit, and passes every check
-            images = [x] * n  # images[g] = g.x, walked along the tree
-            for b, i, a in edges:
-                images[b] = cols[i][images[a]]
-            seen.update(images)
-            for i, s in enumerate(gens):
-                lhs = list(map(images.__getitem__, mul[s]))
-                rhs = list(map(cols[i].__getitem__, images))
-                if lhs != rhs:
-                    h = next(h for h, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
-                    if h == 0:
-                        raise ValidationError(
-                            f"generator column {i} disagrees with element {s} at point {x}"
-                        )
-                    raise ValidationError(
-                        f"action is not compatible with multiplication at "
-                        f"(x={x}, g={s}, h={h})"
-                    )
 
     def stabilizer_elements(self, x: int) -> list[int]:
         dec = orbits(self)
@@ -146,7 +122,8 @@ def orbits(gset: FiniteGSet) -> OrbitDecomposition:
 
     Read off the generator columns by the sweep that also finds conjugacy
     classes (`grouptheory._action_orbits`), which keeps each representative's
-    stabilizer elements; ``act`` is neither read nor built.
+    stabilizer elements; ``act`` is neither read nor built.  A validated set
+    already holds the orbits its validation swept.
     """
     if gset._orbits is None:
         gset._orbits = OrbitDecomposition(*_action_orbits(gset.group, gset.size, gset.cols))

@@ -12,8 +12,8 @@ read through a generator's row and reads the inverses off the same tree,
 a given table is checked by Light's associativity test on its generators,
 and conjugation by g is a row h -> g h g^-1 built on first use.  Conjugacy
 classes are the orbits of conjugation, swept like a G-set's orbits by
-`_action_orbits`; they and the inertia tower read only the generators'
-rows, and the subgroup lattice's normalizer test alone reads every row.
+`_action_orbits`; they, the inertia tower and the subgroup lattice read
+only the generators' rows (normalizers are tested on the table itself).
 The commute masks are read off the class sweep's centralizers and
 transporters, while the brute commuting count builds its own from the
 table, row against column, and tests a tuple's last entry against their AND.
@@ -55,7 +55,8 @@ class FiniteGroup:
         return self.mul[self.mul[g][h]][self.inv[g]]
 
     def conj_row(self, g: int) -> tuple[int, ...]:
-        """The row h -> g * h * g^-1, built on first use and kept per element."""
+        """The row h -> g * h * g^-1, built on first use and kept on the group;
+        the package asks only for the spanning-tree generators' rows."""
         row = self._conj.get(g)
         if row is None:
             right = tuple(map(itemgetter(self.inv[g]), self.mul))  # x -> x * g^-1
@@ -97,8 +98,9 @@ class FiniteGroup:
         return order
 
     def is_abelian(self) -> bool:
-        full = (1 << self.order) - 1
-        return all(mask == full for mask in self.commute_masks())
+        """Whether the spanning tree's generators commute pairwise."""
+        gens, mul = self.spanning_tree()[0], self.mul
+        return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -489,28 +491,29 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
     from the trivial group, every class is reached by extending each class
     representative K by the zuppos not in K.  Zuppos conjugate under the
     normalizer of K give conjugate extensions, so one per normalizer orbit
-    is enough.  A new closure's whole class is enumerated once, as its orbit
-    under conjugation by the parent's generators.  Each class is a dict
-    from a member's sorted elements to generators of that member (the
-    extended ones, conjugated along the orbit).
+    is enough.  The normalizer is read off the table: the g with g k g^-1
+    in K for each of K's generators k.  A new closure's whole class is
+    enumerated once, as its orbit under conjugation by the spanning-tree
+    generators, whose rows are the only conjugation rows read.  Each class
+    is a dict from a member's sorted elements to generators of that member
+    (the extended ones, conjugated along the orbit).
     """
-    mul = parent.mul
-    conj = [parent.conj_row(g) for g in range(parent.order)]
-    moves = parent.spanning_tree()[0]
+    mul, inv = parent.mul, parent.inv
+    moves = [parent.conj_row(s) for s in parent.spanning_tree()[0]]
     zuppos, zuppo_of = _zuppos(parent)
     classes = [{(0,): ()}]
     known = {(0,)}
     for cls in classes:  # grows while it is walked
         rep = min(cls)
         in_rep = set(rep)
-        # conjugation rows of the normalizer: those keeping rep's generators in rep
-        normalizer = [row for row in conj
-                      if in_rep.issuperset(map(row.__getitem__, cls[rep]))]
+        normalizer = range(parent.order)
+        for k in cls[rep]:
+            normalizer = [g for g in normalizer if mul[mul[g][k]][inv[g]] in in_rep]
         done = set()
         for z in zuppos:
             if z in in_rep or zuppo_of[z] in done:
                 continue
-            done.update([zuppo_of[row[z]] for row in normalizer])
+            done.update([zuppo_of[mul[mul[g][z]][inv[g]]] for g in normalizer])
             reached, seen, gens = list(rep), set(in_rep), list(cls[rep])
             _close(mul, reached, seen, gens, z)
             elems = tuple(sorted(reached))
@@ -519,8 +522,7 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
             orbit = {elems: tuple(gens)}
             queue = [elems]
             for h in queue:
-                for s in moves:
-                    row = conj[s]
+                for row in moves:
                     image = tuple(sorted(map(row.__getitem__, h)))
                     if image not in orbit:
                         orbit[image] = tuple(row[x] for x in orbit[h])
@@ -595,7 +597,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
     return group._classes
 
 
-def _action_orbits(group: FiniteGroup, size: int, cols):
+def _action_orbits(group: FiniteGroup, size: int, cols, *, check=False):
     """Orbits of the action on 0..size-1 whose generator columns are ``cols``.
 
     ``cols[i]`` is the column of the i-th spanning-tree generator.  Each orbit
@@ -603,8 +605,13 @@ def _action_orbits(group: FiniteGroup, size: int, cols):
     the transporter s * t(y).  The representative's stabilizer is kept: the
     sorted elements, walked along the tree's edges, whose image of it is
     itself, or every element, without the walk, for a point every generator
-    fixes.  Orbit size times stabilizer order must be |G|.  Returns
-    ``(orbits, representatives, stabilizers, orbit_of, transporter)``.
+    fixes.  Orbit size times stabilizer order must be |G|.  With ``check``
+    (G-set validation) the walked row images[g] = g.x must also satisfy
+    images[s*h] == cols[s][images[h]] for every element h and generator s
+    (then, by induction on word length, the columns act on the orbit), and a
+    one-point orbit is fixed only if every column fixes it: a column that is
+    not a bijection may send it into an earlier orbit.
+    Returns ``(orbits, representatives, stabilizers, orbit_of, transporter)``.
     """
     gens, edges = group.spanning_tree()
     mul, n = group.mul, group.order
@@ -627,12 +634,20 @@ def _action_orbits(group: FiniteGroup, size: int, cols):
                     orbit_of[z] = idx
                     transporter[z] = mul[s][t]
                     members.append(z)
-        if len(members) == 1:  # fixed by every generator, so by the whole group
-            stab = everything
+        if len(members) == 1 and (not check or all(col[x] == x for col in cols)):
+            stab = everything  # fixed by every generator, so by the whole group
         else:
             images = [x] * n  # images[g] = g.x
             for b, i, a in edges:
                 images[b] = cols[i][images[a]]
+            for i, s in enumerate(gens if check else ()):  # images[s*h] == s.images[h]
+                lhs = list(map(images.__getitem__, mul[s]))
+                rhs = list(map(cols[i].__getitem__, images))
+                if lhs != rhs:
+                    h = next(h for h, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                    raise ValidationError(
+                        f"action is not compatible with multiplication at (x={x}, g={s}, h={h})"
+                        if h else f"generator column {i} disagrees with element {s} at point {x}")
             stab = tuple(compress(everything, map(x.__eq__, images)))
         if len(members) * len(stab) != n:
             raise ValidationError(

@@ -409,6 +409,51 @@ def test_orbit_row_validation_raises_exactly_when_the_full_table_check_does(data
             == _validates(lambda: _reference_validate(swapped)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_validation_of_columns_that_are_not_bijections_agrees_with_the_full_table_check(data):
+    g, classes = data.draw(st.sampled_from(
+        [(g, classes) for g, classes in _catalog_with_classes() if 1 < g.order <= 12]))
+    subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    fixed = data.draw(st.integers(0, 2))
+    x = disjoint_union(*(coset_gset(g, sub) for sub in subs), trivial_gset(g, fixed))
+    if x.size < 2:
+        return
+    cols = [list(col) for col in x.cols]
+    i = data.draw(st.integers(0, len(cols) - 1))
+    singles = [p for p in range(x.size) if all(col[p] == p for col in cols)]
+    if singles and data.draw(st.booleans()):
+        # a point the sweep leaves alone is sent into an orbit swept before it
+        p = data.draw(st.sampled_from(singles))
+        cols[i][p] = data.draw(st.sampled_from([q for q in range(x.size) if q != p]))
+    else:  # one image redirected: two points share it, so no bijection
+        p = data.draw(st.integers(0, x.size - 1))
+        cols[i][p] = data.draw(st.sampled_from([q for q in range(x.size) if q != cols[i][p]]))
+    redirected = groupoidstack.FiniteGSet(g, x.size, cols, validate=False)
+    assert not _validates(lambda: _reference_validate(redirected))
+    assert not _validates(lambda: groupoidstack.FiniteGSet(g, x.size, cols))
+
+
+def test_a_point_sent_into_an_earlier_orbit_is_not_taken_as_fixed():
+    # column [0, 1, 0] sweeps {0}, {1} and {2} as one-point orbits, but 2 is moved
+    moved = r"^action is not compatible with multiplication at \(x=2, g=1, h=1\)$"
+    with pytest.raises(ValidationError, match=moved):
+        gset_from_table(cyclic(2), [(0, 0), (1, 1), (2, 0)])
+
+
+def test_a_validated_set_keeps_the_orbits_its_validation_swept(monkeypatch):
+    calls = []
+    sweep = groupoidstack._action_orbits
+    monkeypatch.setattr(groupoidstack, "_action_orbits",
+                        lambda *args, **kwargs: calls.append(kwargs) or sweep(*args, **kwargs))
+    s4 = symmetric(4)
+    x = gset_from_generator_action(s4, [list(col) for col in natural_gset(s4).cols])
+    assert orbits(x).count == 1 and orbits(x) is orbits(x)
+    assert calls == [{"check": True}]
+    assert orbits(groupoidstack.FiniteGSet(s4, x.size, x.cols, validate=False)).count == 1
+    assert calls == [{"check": True}, {}]
+
+
 def test_a_repeated_generator_is_checked_at_each_representative():
     # Z2 recorded with its swap twice: the tree reaches the swap through
     # column 0 only, so column 1 is compared with it on every image row.

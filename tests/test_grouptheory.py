@@ -1,5 +1,6 @@
 """Group kernel: construction, conjugacy, centralizers, commuting tuples."""
 
+import hashlib
 import math
 import random
 import re
@@ -302,6 +303,17 @@ def test_commuting_tuples_at_large_m_are_exact():
     for name, g in group_catalog():
         if g.is_abelian():
             assert count_commuting_tuples(g, 5000) == g.order**5000, name
+
+
+def test_is_abelian_reads_only_the_generators(monkeypatch):
+    groups = [g for _, g in group_catalog()] + [symmetric(5), abelian(2, 4, 6)]
+    expected = [all(row == col for row, col in zip(g.mul, zip(*g.mul))) for g in groups]
+    assert sum(expected) == 26  # the 25 abelian groups of order <= 16, and Z2 x Z4 x Z6
+    monkeypatch.setattr(FiniteGroup, "commute_masks", _refuse)
+    monkeypatch.setattr(grouptheory, "conjugacy_classes", _refuse)
+    assert [g.is_abelian() for g in groups] == expected
+    # a greedy generating set stands in for unrecorded generators
+    assert not FiniteGroup(symmetric(3).mul, _validated=True).is_abelian()
 
 
 def test_commuting_tuple_counts_match_every_tuple():
@@ -662,6 +674,79 @@ def test_s6_subgroup_counts_match_the_published_ones():
     s6 = symmetric(6)
     assert len(all_subgroups(s6)) == 1455
     assert len(subgroup_conjugacy_reps(s6)) == 56
+
+
+# Per group: the first 16 hex digits of sha256 over repr([(elements, generators), ...]) of
+# subgroup_conjugacy_reps(g), then of all_subgroups(g).  A rewrite of _subgroup_classes must
+# keep the same subgroups, in the same order, with the same generators; a changed entry
+# names the group whose lattice moved.
+_LATTICE_DIGESTS = {
+    "1": "96e36aecfd3abdfa",
+    "Z2": "7f35b15c669bb5d1",
+    "Z3": "234abb080e931278",
+    "Z4": "88acfc8b40099de6",
+    "Z2^2": "376464c3744c6ad4",
+    "Z5": "95c67fafd27db44d",
+    "Z6": "1a90712ee7b0752d",
+    "S3": "6a9b31e9b89c67ef",
+    "Z7": "fe8f28f7e9514881",
+    "Z8": "1eb3963e000e43e5",
+    "Z4xZ2": "db4f422f75ce23e3",
+    "Z2^3": "05d4caad81326502",
+    "D4": "2b4b6abfeced3b4d",
+    "Q8": "951b4058b95ac66d",
+    "Z9": "d5e03e7ae02d8d25",
+    "Z3^2": "14bfb23b810dd9d3",
+    "Z10": "a39d4881cdc5477a",
+    "D5": "44d357c463f835a5",
+    "Z11": "318563eb10ddd904",
+    "Z12": "6ead3ea627251ab8",
+    "Z6xZ2": "bdc38eab1a335820",
+    "D6": "69f96f9872b74428",
+    "A4": "5ad7b78d54f26fad",
+    "Dic3": "35c41f4bbb08efb2",
+    "Z13": "aa4646667413729f",
+    "Z14": "c2922de66cc7873a",
+    "D7": "1a35481b518f3303",
+    "Z15": "4e5624d2bef8a4fb",
+    "Z16": "5d042462ca874f35",
+    "Z8xZ2": "9599291fcc3eca6b",
+    "Z4^2": "0e24af54e6b6d8b2",
+    "Z4xZ2^2": "b714eb4ab0add293",
+    "Z2^4": "0b7404a3f093e208",
+    "D8": "bd7ea5dfe3a297fe",
+    "Q16": "4681936f6016c471",
+    "SD16": "e24b84054dff9c41",
+    "M16": "a415c335a7d5074a",
+    "D4xZ2": "39dd8d97ba7f4758",
+    "Q8xZ2": "b466a9f4ad3097b1",
+    "Z4:Z4": "b6e035c5ae25ebb7",
+    "Z2^2:Z4": "daee5f0437e39d63",
+    "Pauli16": "bf10983c353d3a4b",
+    "symmetric(4)": "48b672972eadcb5b",
+    "alternating(4)": "5ad7b78d54f26fad",
+    "alternating(5)": "f6980fa949247e41",
+    "symmetric(5)": "07779be475eba168",
+    "symmetric(6)": "98ac85b81de60d65",
+}
+
+
+def _pinned_lattice_groups():
+    extra = [("symmetric(4)", symmetric(4)), ("alternating(4)", alternating(4)),
+             ("alternating(5)", alternating(5)), ("symmetric(5)", symmetric(5)),
+             ("symmetric(6)", symmetric(6))]
+    return list(group_catalog(16)) + extra
+
+
+def test_lattice_is_unchanged_and_reads_only_generator_rows():
+    digests = {}
+    for name, g in _pinned_lattice_groups():
+        digest = hashlib.sha256()
+        for subs in (subgroup_conjugacy_reps(g), all_subgroups(g)):
+            digest.update(repr([(h.elements, h.generators) for h in subs]).encode())
+        digests[name] = digest.hexdigest()[:16]
+        assert set(g._conj) <= set(g.spanning_tree()[0]), name
+    assert digests == _LATTICE_DIGESTS
 
 
 def test_lattice_subgroups_carry_generators_that_close_to_them():
