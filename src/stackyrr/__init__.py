@@ -21,8 +21,8 @@ from .cyclonum import (
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .exactlinalg import exact_rank
 from .grouptheory import (
-    ConjClassTable,
     FiniteGroup,
+    OrbitDecomposition,
     Subgroup,
     all_subgroups,
     centralizer,
@@ -38,7 +38,6 @@ from .grouptheory import (
 from .groupoidstack import (
     EquivariantMap,
     FiniteGSet,
-    OrbitDecomposition,
     TowerLevel,
     coset_gset,
     disjoint_union,

@@ -78,7 +78,7 @@ class ClassFunction:
 
     def __call__(self, element: int) -> CyclotomicNumber:
         table = conjugacy_classes(self.group)
-        return self.values[table.class_of[element]]
+        return self.values[table.orbit_of[element]]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         return self._pointwise(operator.add, other, self.genuine and other.genuine)
@@ -134,9 +134,9 @@ def coset_character(group: FiniteGroup, sub: Subgroup) -> ClassFunction:
     table = conjugacy_classes(group)
     meets = [0] * table.count
     for h in sub.elements:
-        meets[table.class_of[h]] += 1
+        meets[table.orbit_of[h]] += 1
     vals = []
-    for cent, meet in zip(table.centralizer_orders, meets):
+    for cent, meet in zip(table.stabilizer_orders, meets):
         fixed, rest = divmod(cent * meet, sub.order)
         if rest:
             raise ConsistencyError(f"{cent * meet}/{sub.order} cosets fixed")
@@ -396,7 +396,7 @@ def _trace_cells(iner: TowerLevel) -> tuple[list[tuple[int, int]], list[int]]:
     for rep in dec.representatives:
         stab_group, elems = base.stabilizer(rep).as_group()
         table = conjugacy_classes(stab_group)
-        stabs.append({e: table.class_of[i] for i, e in enumerate(elems)})
+        stabs.append({e: table.orbit_of[i] for i, e in enumerate(elems)})
         counts.append(table.count)
     cells = []
     pairs = iner.labels
@@ -479,7 +479,7 @@ def invariants_dim(chi: ClassFunction) -> CyclotomicNumber:
     """
     table = conjugacy_classes(chi.group)
     acc = ZERO
-    for size, v in zip(table.class_sizes, chi.values):
+    for size, v in zip(map(len, table.orbits), chi.values):
         acc = acc + size * v
     result = acc * Fraction(1, chi.group.order)
     if chi.genuine:

@@ -44,8 +44,8 @@ def agree(quantity: str, fast, *independent):
 def check_depth(m, what: str) -> int:
     """Return ``m`` if it is a non-negative int; raise `ValidationError` if not.
 
-    A depth (tuple length, iteration count, series length) counts steps, so
-    a float, a bool or a negative value is malformed input, never coerced.
+    A depth (tuple length, iteration count, series length), a genus or a point
+    count is a count, so a float, a bool or a negative value is malformed input.
 
     >>> check_depth(2, "m")
     2

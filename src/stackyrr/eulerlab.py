@@ -34,7 +34,7 @@ from .errors import ResourceLimitError, ValidationError, agree, check_depth
 from .groupoidstack import (
     MAX_DEPTH, FiniteGSet, TowerLevel, inertia, iterated_inertia, orbit_count, orbits,
 )
-from .grouptheory import _commuting_recursive, commuting_tuple_counts
+from .grouptheory import _commuting_recursive, _stabilizer_masks, commuting_tuple_counts
 from .orbicurve import OrbifoldCurve
 
 
@@ -97,8 +97,7 @@ def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
             recursive[m] += len(members) * n
     if m_max and recursive[m_max] > cap:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
-    stabs = Counter(sum(1 << h for h in gset.stabilizer_elements(x)) for x in range(gset.size))
-    direct = commuting_tuple_counts(group, stabs, m_max)
+    direct = commuting_tuple_counts(group, Counter(_stabilizer_masks(group, dec)), m_max)
     for m in range(1, m_max + 1):
         agree(f"commuting {m}-tuples, by enumeration and by recursion", direct[m], recursive[m])
     return direct

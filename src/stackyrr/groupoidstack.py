@@ -2,10 +2,12 @@
 
 A `FiniteGSet` is a left action of a `FiniteGroup` on points 0..s-1, stored
 as one column per generator of the group's spanning tree:
-``cols[i][x] = s_i.x``.  Orbits, transporters and stabilizers are read off
-the columns; the full table ``act[x][g] = g.x`` is built from them only
-where a per-point row is read (characters, for one), on first use, and
-cached.  The composition convention is fixed once, globally:
+``cols[i][x] = s_i.x``.  Its orbits, transporters and stabilizers (the
+objects and automorphism groups of [X/G]) are read off the columns into an
+`OrbitDecomposition`, the one orbit table, which holds conjugacy classes
+too; the full table ``act[x][g] = g.x`` is built from them only where a
+per-point row is read (characters, for one), on first use, and cached.
+The composition convention is fixed once, globally:
 act[x][g*h] == act[act[x][h]][g] (h acts first).  Every user-facing
 construction validates it inside the orbit sweep, on the image row walked
 for each orbit's representative, never on ``act``: O(#orbits·|G|·#gens)
@@ -33,7 +35,7 @@ from itertools import chain, count, repeat
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
-from .grouptheory import FiniteGroup, Subgroup, _action_orbits, _set_bits, subgroup
+from .grouptheory import FiniteGroup, OrbitDecomposition, Subgroup, _action_orbits, _set_bits, subgroup
 
 # The longest series (m_max) and tallest tower any operation climbs.  A free
 # action keeps |X| points at every level, so no count-based cap bounds it.
@@ -64,7 +66,7 @@ class FiniteGSet:
         self._orbits = None
         self._up = None  # weakref to level 1 of the inertia tower built on this set
         if validate:  # callers have checked that every column maps 0..size-1 into itself
-            self._orbits = OrbitDecomposition(*_action_orbits(group, size, self.cols, check=True))
+            self._orbits = _action_orbits(group, size, self.cols, check=True)
 
     @property
     def act(self) -> tuple[tuple[int, ...], ...]:
@@ -98,35 +100,16 @@ class FiniteGSet:
         return f"FiniteGSet(order={self.group.order}, points={self.size})"
 
 
-class OrbitDecomposition:
-    """The orbits of a G-set; ``transporter[x]`` is a g with x = g.representative
-    and ``stabilizers[o]`` the sorted stabilizer of orbit o's representative,
-    kept as a `Subgroup` in ``_subgroups`` once `FiniteGSet.stabilizer` asks."""
-
-    __slots__ = ("orbits", "representatives", "stabilizers", "stabilizer_orders",
-                 "orbit_of", "transporter", "_subgroups")
-
-    def __init__(self, orbits, representatives, stabilizers, orbit_of, transporter):
-        self.orbits, self.representatives, self.orbit_of = orbits, representatives, orbit_of
-        self.stabilizers, self.transporter = stabilizers, transporter
-        self.stabilizer_orders = tuple(map(len, stabilizers))
-        self._subgroups = {}  # orbit -> its representative's stabilizer
-
-    @property
-    def count(self) -> int:
-        return len(self.orbits)
-
-
 def orbits(gset: FiniteGSet) -> OrbitDecomposition:
     """Orbit partition with minimal-index representatives and transporters.
 
-    Read off the generator columns by the sweep that also finds conjugacy
-    classes (`grouptheory._action_orbits`), which keeps each representative's
-    stabilizer elements; ``act`` is neither read nor built.  A validated set
-    already holds the orbits its validation swept.
+    The one orbit table, read off the generator columns by the sweep that
+    also finds conjugacy classes (`grouptheory._action_orbits`), which keeps
+    each representative's stabilizer elements; ``act`` is neither read nor
+    built.  A validated set already holds the orbits its validation swept.
     """
     if gset._orbits is None:
-        gset._orbits = OrbitDecomposition(*_action_orbits(gset.group, gset.size, gset.cols))
+        gset._orbits = _action_orbits(gset.group, gset.size, gset.cols)
     return gset._orbits
 
 
@@ -286,14 +269,21 @@ def flattening_bijection(nested: TowerLevel, flat: TowerLevel) -> "EquivariantMa
     directly on B.  Both list the children h of each point x of B in one
     sorted row, so the map is the identity exactly when their ``offsets``,
     ``last`` and generator columns are equal; otherwise `ValidationError`
-    names the first pair (x, h) one side lacks (or places differently), or
-    the first generator and point whose images differ.
+    carries the difference `_flattening_mismatch` names.
     """
+    mismatch = _flattening_mismatch(nested, flat)
+    if mismatch is not None:
+        raise ValidationError(mismatch)
+    return EquivariantMap(nested, flat, tuple(range(nested.size)), tuple(range(nested.group.order)))
+
+
+def _flattening_mismatch(nested: TowerLevel, flat: TowerLevel) -> str | None:
+    """The first pair (x, h) one level lacks (or places differently), else the
+    first generator and point whose images differ, else None; see `flattening_bijection`."""
     if not (isinstance(nested, TowerLevel) and nested.depth == 1):
         raise ValidationError("nested set is not the inertia of a G-set")
     if not (isinstance(flat, TowerLevel) and flat.below is nested.below):
         raise ValidationError("target is not the tower level directly above the nested set's base")
-    group = nested.group
     if nested.offsets != flat.offsets or nested.last != flat.last:
         # also true of equal entries in a list and a tuple: then no pair differs
         nested_at, flat_at = (dict(zip(zip(_per_child(count(), level.offsets), level.last),
@@ -302,15 +292,13 @@ def flattening_bijection(nested: TowerLevel, flat: TowerLevel) -> "EquivariantMa
             j, i = nested_at.get(pair, -1), flat_at.get(pair, -1)
             if j != i:
                 if min(i, j) >= 0:
-                    raise ValidationError(f"pair {pair} is point {j} of the nested set "
-                                          f"but {i} of the direct one")
-                side = "direct" if i < 0 else "nested"
-                raise ValidationError(f"pair {pair} missing from the {side} construction")
-    for s, a, b in zip(group.spanning_tree()[0], nested.cols, flat.cols):
+                    return f"pair {pair} is point {j} of the nested set but {i} of the direct one"
+                return f"pair {pair} missing from the {'direct' if i < 0 else 'nested'} construction"
+    for s, a, b in zip(nested.group.spanning_tree()[0], nested.cols, flat.cols):
         if a != b:
             x = next((x for x, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
-            raise ValidationError(f"not equivariant: witness (g={s}, x={x})")
-    return EquivariantMap(nested, flat, tuple(range(nested.size)), tuple(range(group.order)))
+            return f"not equivariant: witness (g={s}, x={x})"
+    return None
 
 
 class EquivariantMap:
@@ -382,7 +370,7 @@ def natural_gset(group: FiniteGroup) -> FiniteGSet:
 
 
 def trivial_gset(group: FiniteGroup, npoints: int = 1) -> FiniteGSet:
-    cols = [range(npoints)] * len(group.spanning_tree()[0])
+    cols = [range(check_depth(npoints, "point count"))] * len(group.spanning_tree()[0])
     return FiniteGSet(group, npoints, cols, validate=False)
 
 

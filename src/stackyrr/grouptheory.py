@@ -10,13 +10,14 @@ millions).  The kernels work a whole row at a time, and every row is one
 C-level gather (`_gather`): the closure builds each row from an earlier one
 read through a generator's row and reads the inverses off the same tree,
 a given table is checked by Light's associativity test on its generators,
-and conjugation by g is a row h -> g h g^-1 built on first use.  Conjugacy
-classes are the orbits of conjugation, swept like a G-set's orbits by
-`_action_orbits`; they, the inertia tower and the subgroup lattice read
-only the generators' rows (normalizers are tested on the table itself).
-The commute masks are read off the class sweep's centralizers and
-transporters, while the brute commuting count builds its own from the
-table, row against column, and tests a tuple's last entry against their AND.
+and conjugation by g is a row h -> g h g^-1 built on first use.  The one
+orbit table of any action, `OrbitDecomposition`, is swept by `_action_orbits`:
+the conjugacy classes are its orbits for conjugation (the centralizers are
+its stabilizers); they, the inertia tower and the subgroup lattice read only
+the generators' rows (normalizers are tested on the table itself).  The
+commute masks are the class table's `_stabilizer_masks`, while the brute
+commuting count builds its own from the table, row against column, and
+tests a tuple's last entry against their AND.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class FiniteGroup:
     def commute_masks(self) -> tuple[int, ...]:
         """Per element g, a bitmask with bit h set when g*h == h*g."""
         if self._commutes is None:
-            self._commutes = _class_masks(self)
+            self._commutes = _stabilizer_masks(self, conjugacy_classes(self))
         return self._commutes
 
     def spanning_tree(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -127,11 +128,11 @@ def _check_table(mul) -> None:
     using a, then b, then a, then b (with x = a) in S.  The identity is in S,
     so if the elements a generator set reaches by right multiplication
     cover the table, S is all of it and the table is associative.  The
-    generators are greedy (the least element not yet reached, then close),
-    and each is tested as it is picked: one C-level gather of every row,
-    mul[x*a] == mul[x] read through mul[a], so O(|G|^2) per generator.  A
-    table whose picks all pass is a group, and then each pick at least
-    doubles the closure, so at most log2 |G| + 1 generators are tested.
+    generators are `_span`'s greedy ones (the least element not yet
+    reached, then close), tested in the order picked: one C-level gather of
+    every row, mul[x*a] == mul[x] read through mul[a], so O(|G|^2) per
+    generator.  A table whose picks all pass is a group, and then each pick
+    at least doubles the closure, so at most log2 |G| generators are tested.
     A table over ``Limits.group_order`` rows is refused before any check.
     """
     n = len(mul)
@@ -152,16 +153,12 @@ def _check_table(mul) -> None:
     for a in range(n):
         if 0 not in mul[a]:
             raise ValidationError(f"element {a} has no inverse")
-    reached, seen, gens = [0], {0}, []
-    for a in range(n):
-        if a in seen:
-            continue
+    for a in _span(mul, set(range(n))):
         through_a = _gather(mul[a])  # row x -> the row y -> x*(a*y)
         for x, row in enumerate(mul):
             if tuple(mul[row[a]]) != through_a(row):
                 y = next(y for y, v in enumerate(through_a(row)) if mul[row[a]][y] != v)
                 raise ValidationError(f"associativity fails on triple ({x}, {a}, {y})")
-        _close(mul, reached, seen, gens, a)
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -173,26 +170,25 @@ def _commute_masks(mul) -> tuple[int, ...]:
                  for row, col in zip(mul, zip(*mul)))
 
 
-def _class_masks(group: FiniteGroup) -> tuple[int, ...]:
-    """Commute masks from the class sweep: C(t r t^-1) = t C(r) t^-1.
+def _stabilizer_masks(group: FiniteGroup, table: OrbitDecomposition) -> tuple[int, ...]:
+    """Per point y of an orbit table's action, the mask of Stab(y) = t Stab(r) t^-1.
 
-    Each y = t r t^-1 (r its class representative, t its transporter) gets
-    the bits t c t^-1 for c in the centralizer of r, gathered as
-    (t (t c)^-1)^-1, and a central y gets every bit.  So the masks cost
-    |C(y)| steps per non-central y, |G| per class in all, rather than the
-    |G|^2 comparisons of `_commute_masks`.
+    r is the representative of y's orbit and t its transporter; the bits
+    t c t^-1 for c in Stab(r) are gathered as (t (t c)^-1)^-1, and a point
+    the whole group fixes gets every bit.  So the masks cost |Stab(y)|
+    steps per point, |G| per orbit, and for conjugation (the commute masks)
+    not the |G|^2 comparisons of `_commute_masks`.
     """
-    table = conjugacy_classes(group)
     mul, inv, n = group.mul, group.inv, group.order
     full = (1 << n) - 1
     masks = []
-    for t, i in zip(table.transporters, table.class_of):
-        cent = table.centralizers[i]
-        if len(cent) == n:
+    for t, o in zip(table.transporter, table.orbit_of):
+        stab = table.stabilizers[o]
+        if len(stab) == n:
             masks.append(full)
             continue
         row, bits = mul[t], bytearray(n // 8 + 1)
-        for p in _gather(_gather(_gather(_gather(cent)(row))(inv))(row))(inv):
+        for p in _gather(_gather(_gather(_gather(stab)(row))(inv))(row))(inv):
             bits[p >> 3] |= 1 << (p & 7)
         masks.append(int.from_bytes(bits, "little"))
     return tuple(masks)
@@ -563,42 +559,40 @@ def subgroup_conjugacy_reps(parent: FiniteGroup) -> list[Subgroup]:
 # -- conjugacy structure ----------------------------------------------------
 
 
-class ConjClassTable:
-    """Conjugacy classes of a group; representatives are minimal indices.
+class OrbitDecomposition:
+    """The sorted orbits of an action, each represented by its least point.
 
-    ``centralizers[i]`` holds the sorted elements commuting with the i-th
-    representative r, and ``transporters[y]`` a t with t r t^-1 == y for the
-    representative r of y's class.
+    ``transporter[x]`` is a g with x = g.representative and ``stabilizers[o]``
+    the sorted stabilizer of orbit o's representative (for conjugation: the
+    classes and centralizers), kept as a `Subgroup` in ``_subgroups`` once
+    `FiniteGSet.stabilizer` asks.
     """
 
-    __slots__ = ("classes", "representatives", "class_sizes", "centralizers",
-                 "centralizer_orders", "class_of", "transporters")
+    __slots__ = ("orbits", "representatives", "stabilizers", "stabilizer_orders",
+                 "orbit_of", "transporter", "_subgroups")
 
-    def __init__(self, classes, representatives, centralizers, class_of, transporters):
-        self.classes, self.representatives, self.class_of = classes, representatives, class_of
-        self.centralizers, self.transporters = centralizers, transporters
-        self.class_sizes = tuple(map(len, classes))
-        self.centralizer_orders = tuple(map(len, centralizers))
+    def __init__(self, orbits, representatives, stabilizers, orbit_of, transporter):
+        self.orbits, self.representatives, self.orbit_of = orbits, representatives, orbit_of
+        self.stabilizers, self.transporter = stabilizers, transporter
+        self.stabilizer_orders = tuple(map(len, stabilizers))
+        self._subgroups = {}  # orbit -> its representative's stabilizer
 
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return len(self.orbits)
 
 
-def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
-    """Orbits of conjugation h -> g h g^-1, swept along the generators' rows.
-
-    The centralizers are the stabilizers the sweep keeps, and the
-    transporters its transporters; cached on the group.
-    """
+def conjugacy_classes(group: FiniteGroup) -> OrbitDecomposition:
+    """The orbit table of conjugation h -> g h g^-1, swept along the generators'
+    rows (the stabilizers are the representatives' centralizers); cached."""
     if group._classes is None:
         rows = [group.conj_row(s) for s in group.spanning_tree()[0]]
-        group._classes = ConjClassTable(*_action_orbits(group, group.order, rows))
+        group._classes = _action_orbits(group, group.order, rows)
     return group._classes
 
 
-def _action_orbits(group: FiniteGroup, size: int, cols, *, check=False):
-    """Orbits of the action on 0..size-1 whose generator columns are ``cols``.
+def _action_orbits(group: FiniteGroup, size: int, cols, *, check=False) -> OrbitDecomposition:
+    """The orbit table of the action on 0..size-1 whose generator columns are ``cols``.
 
     ``cols[i]`` is the column of the i-th spanning-tree generator.  Each orbit
     is swept from its least point, its representative; z reached as s.y gets
@@ -611,7 +605,6 @@ def _action_orbits(group: FiniteGroup, size: int, cols, *, check=False):
     (then, by induction on word length, the columns act on the orbit), and a
     one-point orbit is fixed only if every column fixes it: a column that is
     not a bijection may send it into an earlier orbit.
-    Returns ``(orbits, representatives, stabilizers, orbit_of, transporter)``.
     """
     gens, edges = group.spanning_tree()
     mul, n = group.mul, group.order
@@ -657,7 +650,7 @@ def _action_orbits(group: FiniteGroup, size: int, cols, *, check=False):
         found.append(tuple(members))
         stabs.append(stab)
     reps = tuple(orbit[0] for orbit in found)
-    return tuple(found), reps, tuple(stabs), tuple(orbit_of), tuple(transporter)
+    return OrbitDecomposition(tuple(found), reps, tuple(stabs), tuple(orbit_of), tuple(transporter))
 
 
 def centralizer(group: FiniteGroup, elems) -> Subgroup:

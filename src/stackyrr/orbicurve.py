@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError, agree
+from .errors import ConsistencyError, ValidationError, agree, check_depth
 
 ANCHOR_LABEL = "@coarse"
 
@@ -32,9 +32,7 @@ class OrbifoldCurve:
     __slots__ = ("genus", "stacky_points")
 
     def __init__(self, genus: int, stacky_points: tuple[tuple[str, int], ...] = ()):
-        if genus < 0:
-            raise ValidationError(f"genus must be >= 0, got {genus}")
-        self.genus = genus
+        self.genus = check_depth(genus, "genus")
         self.stacky_points = tuple((l, r) for l, r in stacky_points)
         labels = [l for l, _ in self.stacky_points]
         for l in labels:

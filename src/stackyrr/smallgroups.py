@@ -19,8 +19,15 @@ from .grouptheory import (
 )
 
 
+def _integer(n, what: str) -> int:
+    """``n`` when it is an int; a bool, a float or any other value raises."""
+    if type(n) is not int:
+        raise ValidationError(f"{what} needs an integer n, got {n!r}")
+    return n
+
+
 def cyclic(n: int) -> FiniteGroup:
-    if n < 1:
+    if _integer(n, "cyclic group") < 1:
         raise ValidationError(f"cyclic group needs n >= 1, got {n}")
     if n == 1:
         return trivial_group()
@@ -29,7 +36,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if n < 1:
+    if _integer(n, "symmetric group") < 1:
         raise ValidationError(f"symmetric group needs n >= 1, got {n}")
     if n == 1:
         return trivial_group()
@@ -39,7 +46,7 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def alternating(n: int) -> FiniteGroup:
-    if n < 3:
+    if _integer(n, "alternating group") < 3:
         return trivial_group()
     three = (1, 2, 0) + tuple(range(3, n))
     if n == 3:
@@ -53,7 +60,7 @@ def alternating(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n (n >= 1)."""
-    if n < 1:
+    if _integer(n, "dihedral group") < 1:
         raise ValidationError(f"dihedral group needs n >= 1, got {n}")
     if n == 1:
         return cyclic(2)
@@ -67,7 +74,7 @@ def dicyclic(n: int) -> FiniteGroup:
 
     dicyclic(2) is the quaternion group Q8, dicyclic(4) is Q16.
     """
-    if n < 1:
+    if _integer(n, "dicyclic group") < 1:
         raise ValidationError(f"dicyclic group needs n >= 1, got {n}")
     two_n = 2 * n
     # elements (i, j) = a^i b^j with i mod 2n, j in {0, 1}
@@ -232,7 +239,7 @@ def order_profile(group: FiniteGroup) -> tuple:
         group.order,
         tuple(orders),
         table.count,
-        tuple(sorted(table.class_sizes)),
+        tuple(sorted(map(len, table.orbits))),
         len(square_values),
         tuple(square_orders),
         group.is_abelian(),

@@ -558,6 +558,23 @@ def test_every_oracle_goes_through_agree(capsys, monkeypatch, command):
     assert json.loads(out)["error"]["kind"] == "oracle-disagreement"
 
 
+def test_euler_oracle_exits_4_when_the_flattening_finds_a_difference(monkeypatch):
+    # the nested level with its points 0 and 1 swapped is still an action with
+    # the direct level's point and orbit counts, but its columns differ
+    def relabeled(gset):
+        level = groupoidstack.inertia(gset)
+        swap = [1, 0, *range(2, level.size)]
+        cols = [[swap[col[swap[x]]] for x in range(level.size)] for col in level.cols]
+        return groupoidstack.TowerLevel(level.below, 1, level.offsets, level.last, cols)
+
+    monkeypatch.setattr(cli, "inertia", relabeled)
+    status, out = run(JobSpec("euler", {"gset": "s3-natural"}, m_max=2, oracle=True))
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"].startswith("first difference between I(I^0) and I^1: ")
+    assert "not equivariant: witness" in error["message"]
+
+
 def test_series_oracle_recounts_by_brute_force(capsys, monkeypatch):
     count = cli.count_commuting_tuples
     argv = ("series", "--gset", "s3-mixed", "--max-m", "3", "--oracle")

@@ -33,7 +33,9 @@ from stackyrr.groupoidstack import (
     orbits,
     trivial_gset,
 )
-from stackyrr.grouptheory import FiniteGroup, conjugacy_classes, subgroup_conjugacy_reps
+from stackyrr.grouptheory import (
+    FiniteGroup, _stabilizer_masks, conjugacy_classes, subgroup_conjugacy_reps,
+)
 from stackyrr.serialize import group_from_json, gset_from_json
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
 
@@ -863,6 +865,15 @@ def test_stabilizers_match_the_action_rows_on_coset_unions_their_towers_and_iner
         expected = [_reference_stabilizer(x, p) for p in range(x.size)]
         assert single == expected
         assert dec.stabilizers == tuple(tuple(expected[r]) for r in dec.representatives)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stabilizer_masks_are_the_masks_of_the_stabilizer_elements(data):
+    levels = _coset_union_and_its_tower(data)
+    for x in levels + [inertia(level) for level in levels]:
+        masks = _stabilizer_masks(x.group, orbits(x))
+        assert masks == tuple(sum(1 << h for h in x.stabilizer_elements(p)) for p in range(x.size))
 
 
 def test_many_equal_orbits_have_the_reference_stabilizer_and_are_refused_by_burnside():

@@ -15,6 +15,7 @@ from stackyrr import grouptheory, limits
 from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.grouptheory import (
     FiniteGroup,
+    OrbitDecomposition,
     Subgroup,
     all_subgroups,
     centralizer,
@@ -28,7 +29,7 @@ from stackyrr.grouptheory import (
     subgroup_conjugacy_reps,
     trivial_group,
 )
-from stackyrr.groupoidstack import coset_gset, natural_gset
+from stackyrr.groupoidstack import coset_gset, natural_gset, trivial_gset
 from stackyrr.smallgroups import (
     abelian,
     alternating,
@@ -160,7 +161,7 @@ def test_conjugacy_classes_examples():
     assert conjugacy_classes(trivial_group()).count == 1
     s3 = symmetric(3)
     t = conjugacy_classes(s3)
-    assert sorted(t.class_sizes) == [1, 2, 3]
+    assert sorted(map(len, t.orbits)) == [1, 2, 3]
     for n in (2, 3, 5, 8):
         assert conjugacy_classes(cyclic(n)).count == n
 
@@ -188,12 +189,12 @@ def _groups_up_to_24():
 def test_class_size_times_centralizer_is_order():
     for _, g in _groups_up_to_24():
         t = conjugacy_classes(g)
-        assert sum(t.class_sizes) == g.order
-        for s, z in zip(t.class_sizes, t.centralizer_orders):
+        assert sum(map(len, t.orbits)) == g.order
+        for s, z in zip(map(len, t.orbits), t.stabilizer_orders):
             assert s * z == g.order
             assert g.order % s == 0
-        assert sorted(x for c in t.classes for x in c) == list(range(g.order))
-        assert t.representatives == tuple(c[0] for c in t.classes)
+        assert sorted(x for c in t.orbits for x in c) == list(range(g.order))
+        assert t.representatives == tuple(c[0] for c in t.orbits)
 
 
 def _classes_by_every_conjugation(g):
@@ -228,7 +229,7 @@ def _conjugation_groups():
 
 def test_classes_match_the_orbits_under_every_conjugation():
     for name, g in _conjugation_groups():
-        assert conjugacy_classes(g).classes == _classes_by_every_conjugation(g), name
+        assert conjugacy_classes(g).orbits == _classes_by_every_conjugation(g), name
         # the classes were closed under the spanning-tree generators' rows alone
         assert set(g._conj) <= set(g.spanning_tree()[0]), name
         for x in range(g.order):
@@ -238,10 +239,44 @@ def test_classes_match_the_orbits_under_every_conjugation():
 def test_centralizer_orders_are_counted_not_derived():
     for name, g in _conjugation_groups():
         table = conjugacy_classes(g)
-        assert table.classes == _classes_by_every_conjugation(g), name
-        assert table.class_sizes == tuple(map(len, table.classes)), name
-        assert table.centralizer_orders == tuple(
+        assert table.orbits == _classes_by_every_conjugation(g), name
+        assert table.stabilizer_orders == tuple(
             centralizer(g, [rep]).order for rep in table.representatives), name
+
+
+def test_the_class_table_is_the_orbit_table_of_conjugation():
+    # classes, representatives, centralizers, their orders, the class of each
+    # element and its transporter, under the orbit table's names
+    groups = list(group_catalog(16)) + [(f"S{n}", symmetric(n)) for n in (4, 5, 6)]
+    for name, g in groups:
+        table = conjugacy_classes(g)
+        assert type(table) is OrbitDecomposition, name
+        assert table.orbits == _classes_by_every_conjugation(g), name
+        assert table.representatives == tuple(c[0] for c in table.orbits), name
+        centralizers = tuple(centralizer(g, [r]).elements for r in table.representatives)
+        assert table.stabilizers == centralizers, name
+        assert table.stabilizer_orders == tuple(map(len, centralizers)), name
+        assert all(y in table.orbits[o] for y, o in enumerate(table.orbit_of)), name
+        reps = [table.representatives[o] for o in table.orbit_of]
+        assert [g.conj(t, r) for t, r in zip(table.transporter, reps)] == list(range(g.order)), name
+
+
+_NOT_A_SIZE = {
+    "trivial_gset(Z2, -1)": lambda: trivial_gset(cyclic(2), -1),
+    "trivial_gset(Z2, 2.0)": lambda: trivial_gset(cyclic(2), 2.0),
+    "cyclic(True)": lambda: cyclic(True),
+    "symmetric(True)": lambda: symmetric(True),
+    "cyclic(2.0)": lambda: cyclic(2.0),
+    "dihedral(2.0)": lambda: dihedral(2.0),
+    "alternating(4.0)": lambda: alternating(4.0),
+    "dicyclic(2.0)": lambda: dicyclic(2.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NOT_A_SIZE))
+def test_a_size_that_is_not_a_natural_number_is_refused(call):
+    with pytest.raises(ValidationError):
+        _NOT_A_SIZE[call]()
 
 
 def test_centralizer_examples():

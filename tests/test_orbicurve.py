@@ -55,6 +55,13 @@ def test_curve_validation():
         OrbifoldCurve(0, (("p", 2), ("p", 3)))
 
 
+@pytest.mark.parametrize("genus", [1.0, 0.5, True])
+def test_a_genus_that_is_not_an_int_is_refused(genus):
+    # a float genus used to fail later, in euler_char_rr, with an AttributeError
+    with pytest.raises(ValidationError, match="genus must be an int"):
+        OrbifoldCurve(genus)
+
+
 def test_divisor_denominators_checked():
     c = curve_23()
     with pytest.raises(ValidationError):

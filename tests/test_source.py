@@ -154,3 +154,25 @@ def test_only_the_brute_count_compares_rows_with_columns():
                             if name == "itemgetter" and any(isinstance(a, ast.Starred) for a in node.args)]
     assert readers == ["grouptheory.py:_commuting_brute"]
     assert getters == ["grouptheory.py:_gather"]
+
+
+def test_one_orbit_table():
+    # conjugacy classes and a G-set's orbits are one type, which only the
+    # orbit sweep builds; the class-only table and its mask routine are gone
+    tables, built, gone = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        gone += [f"{path.name}:{name}" for name in ("ConjClassTable", "_class_masks") if name in text]
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                slots = [stmt.value for stmt in node.body if isinstance(stmt, ast.Assign)
+                         and ast.unparse(stmt.targets[0]) == "__slots__"]
+                names = {leaf.value for value in slots for leaf in ast.walk(value)
+                         if isinstance(leaf, ast.Constant)}
+                if names & {"orbits", "classes", "orbit_of", "class_of"}:
+                    tables.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.FunctionDef):
+                built += [f"{path.name}:{node.name}" for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and ast.unparse(call.func) == "OrbitDecomposition"]
+    assert tables == ["grouptheory.py:OrbitDecomposition"]
+    assert built == ["grouptheory.py:_action_orbits"] and gone == []
