@@ -42,6 +42,12 @@ def _as_cyclo(v) -> CyclotomicNumber:
     raise ValidationError(f"entry {v!r} is not an int, a Fraction or a cyclotomic number")
 
 
+def _is_natural(value: CyclotomicNumber) -> bool:
+    """Whether ``value`` is a non-negative integer, as every dimension is."""
+    q = value.rational_value() if value.is_rational else Fraction(-1)
+    return q.denominator == 1 and q >= 0
+
+
 class ClassFunction:
     """A function on conjugacy classes, flagged when known to be a character.
 
@@ -62,11 +68,8 @@ class ClassFunction:
         self.group, self.values, self.genuine = group, tuple(map(_as_cyclo, values)), False
         if genuine:
             dim = invariants_dim(self)
-            if not dim.is_rational or dim.rational_value().denominator != 1 \
-                    or dim.rational_value() < 0:
-                raise ValidationError(
-                    f"flagged genuine but invariants dimension is {dim!r}"
-                )
+            if not _is_natural(dim):
+                raise ValidationError(f"flagged genuine but invariants dimension is {dim!r}")
             self.genuine = True
 
     @classmethod
@@ -272,23 +275,25 @@ def rep_from_generator_images(group: FiniteGroup, images: dict) -> MatrixRep:
     return MatrixRep._from_rows(group, dim, tuple(rows))
 
 
+def _trace(rows) -> CyclotomicNumber:
+    """Trace of a matrix in sparse rows: its diagonal entries among the nonzeros."""
+    return sum((v for i, row in enumerate(rows) for j, v in row if j == i), ZERO)
+
+
 def character_of(rep: MatrixRep) -> ClassFunction:
     """Trace at each class representative; genuine by construction."""
-    vals = tuple(
-        sum((v for i, row in enumerate(rep.rows[r]) for j, v in row if j == i), ZERO)
-        for r in conjugacy_classes(rep.group).representatives
-    )
+    vals = tuple(_trace(rep.rows[r]) for r in conjugacy_classes(rep.group).representatives)
     return ClassFunction._from_values(rep.group, vals, True)
 
 
 def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
-    """dim of the zeta-eigenspace of rep(h), via the averaging projector.
+    """dim of the zeta-eigenspace of rep(h): the trace of the averaging projector.
 
-    ``zeta`` must satisfy zeta^r = 1 for r the order of h; zeta^(-1) is
-    then its Galois conjugate under zeta_n -> zeta_n^(n-1), n its
-    conductor, so no field inverse is taken.  The projector
-    (1/r) sum_a zeta^(-a) rep(h)^a onto the zeta-eigenspace is assembled
-    exactly and its rank certified by exact elimination.
+    ``zeta`` must satisfy zeta^r = 1 for r the order of h; zeta^(-1) is then
+    its Galois conjugate under zeta_n -> zeta_n^(n-1), n its conductor.  The
+    projector (1/r) sum_a zeta^(-a) rep(h^a) is idempotent, so its rank is its
+    trace (Serre, Linear Representations of Finite Groups, 2.6), read off the
+    stored matrices of h's powers; one not in 0..dim is a `ConsistencyError`.
     """
     if type(h) is not int or not 0 <= h < rep.group.order:
         raise ValidationError(f"{h!r} is not an element of the group")
@@ -297,16 +302,14 @@ def eigencomponent_dim(rep: MatrixRep, h: int, zeta: CyclotomicNumber) -> int:
     if zeta**r != 1:
         raise ValidationError(f"{zeta!r} is not an {r}-th root of unity")
     zeta_inv = galois_conjugate(zeta, zeta.conductor - 1)
-    proj = [[ZERO] * rep.dim for _ in range(rep.dim)]
-    power = _identity(rep.dim)  # rep(h)^a
-    scalar = _as_cyclo(Fraction(1, r))  # zeta^(-a) / r
+    total, scalar, power = ZERO, ONE, 0  # power = h^a, scalar = zeta^(-a)
     for _ in range(r):
-        for out, row in zip(proj, power):
-            for j, v in row:
-                out[j] = out[j] + scalar * v
-        power = _mat_mul(power, rep.rows[h])
-        scalar = scalar * zeta_inv
-    return exact_rank(proj)
+        total = total + scalar * _trace(rep.rows[power])
+        power, scalar = rep.group.mul[power][h], scalar * zeta_inv
+    dim = total * Fraction(1, r)
+    if not _is_natural(dim) or dim.rational_value() > rep.dim:
+        raise ConsistencyError(f"projector trace {dim!r} at element {h} is not a dimension")
+    return dim.integer_value()
 
 
 # -- bundles and the trace map ----------------------------------------------
@@ -482,12 +485,8 @@ def invariants_dim(chi: ClassFunction) -> CyclotomicNumber:
     for size, v in zip(map(len, table.orbits), chi.values):
         acc = acc + size * v
     result = acc * Fraction(1, chi.group.order)
-    if chi.genuine:
-        if not result.is_rational or result.rational_value().denominator != 1 \
-                or result.rational_value() < 0:
-            raise ConsistencyError(
-                f"genuine character produced invariants dimension {result!r}"
-            )
+    if chi.genuine and not _is_natural(result):
+        raise ConsistencyError(f"genuine character produced invariants dimension {result!r}")
     return result
 
 

@@ -135,9 +135,11 @@ def _cmd_classes(spec: JobSpec) -> dict:
         ],
     }
     if spec.oracle:
-        agree("group order, by class sizes and by each size x centralizer order",
-              group.order, sum(map(len, table.orbits)),
-              *(len(c) * z for c, z in zip(table.orbits, table.stabilizer_orders)))
+        counted = tuple(sum(map(operator.eq, group.mul[r], map(operator.itemgetter(r), group.mul)))
+                        for r in table.representatives)
+        agree("centralizer orders, by the class sweep and counted row against column",
+              table.stabilizer_orders, counted)
+        agree("group order, by the class equation", group.order, sum(group.order // z for z in counted))
         result["oracle"] = {
             "class_size_times_centralizer_is_order": True,
             "classes_partition_group": True,

@@ -850,10 +850,15 @@ def test_eigencomponent_dim_inverts_zeta_by_conjugation_and_matches_the_dense_re
     cases.append((rep_from_generator_images(c6, images),
                   tuple(extend_along_generators(c6, images, _dense_identity(2),
                                                 _dense_mat_mul, ""))))
+    # the benchmark's eigen pool: the criterion-1 coset unions of groups of order <= 8
+    for base in _criterion_1_grid():
+        if base.group.order <= 8:
+            cases.append((permutation_rep(base), _dense_permutation_matrices(
+                base.group, base.size, lambda s, x, base=base: base.act[x][s])))
     expected = [[_dense_eigen_dims(mats, h, rep.group.element_order(h))
                  for h in range(rep.group.order)] for rep, mats in cases]
     assert root_of_unity(6, 5).conductor == 3
-    zetas = []  # the roots passed in; the elimination still inverts its pivots
+    zetas = []  # the roots passed in: neither they nor anything else is inverted
     real = CyclotomicNumber.inverse
 
     def inverse(self):
@@ -866,3 +871,19 @@ def test_eigencomponent_dim_inverts_zeta_by_conjugation_and_matches_the_dense_re
             r = rep.group.element_order(h)
             zetas[:] = [root_of_unity(r, k) for k in range(r)]
             assert [eigencomponent_dim(rep, h, zeta) for zeta in zetas] == want
+
+
+def test_eigencomponent_dim_refuses_a_corrupted_diagonal():
+    # a transposition of natural S3 fixes one point; a 2 in that diagonal entry
+    # gives it the trace 2, and the projector traces (3 + 2)/2 and (3 - 2)/2
+    s3 = symmetric(3)
+    rep = permutation_rep(natural_gset(s3))
+    h = next(t for t in range(s3.order) if s3.element_order(t) == 2)
+    assert [eigencomponent_dim(rep, h, z) for z in (ONE, -ONE)] == [2, 1]
+    rows = [list(m) for m in rep.rows]
+    i = next(i for i, row in enumerate(rows[h]) if row[0][0] == i)
+    rows[h][i] = ((i, CyclotomicNumber.from_rational(2)),)
+    rep.rows = tuple(map(tuple, rows))
+    for zeta in (ONE, -ONE):
+        with pytest.raises(ConsistencyError, match="is not a dimension"):
+            eigencomponent_dim(rep, h, zeta)

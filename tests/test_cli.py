@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stackyrr import cli, groupoidstack, limits
+from stackyrr import cli, groupoidstack, grouptheory, limits
 from stackyrr.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -573,6 +573,19 @@ def test_euler_oracle_exits_4_when_the_flattening_finds_a_difference(monkeypatch
     assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
     assert error["message"].startswith("first difference between I(I^0) and I^1: ")
     assert "not equivariant: witness" in error["message"]
+
+
+def test_classes_oracle_counts_centralizers_on_the_table(capsys, monkeypatch):
+    # with every conjugation row the identity, the sweep finds 24 one-element
+    # classes of S4, each with centralizer S4, and the table's counts differ
+    monkeypatch.setattr(grouptheory.FiniteGroup, "conj_row",
+                        lambda self, g: tuple(range(self.order)))
+    status, out, _ = run_cli(capsys, "classes", "--group", "S4")
+    assert (status, json.loads(out)["result"]["class_count"]) == (EXIT_OK, 24)
+    status, out, _ = run_cli(capsys, "classes", "--group", "S4", "--oracle")
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"].startswith("centralizer orders, by the class sweep and counted")
 
 
 def test_series_oracle_recounts_by_brute_force(capsys, monkeypatch):
