@@ -43,7 +43,7 @@ from .eulerlab import (
     euler_series,
     weighted_chi,
 )
-from .groupoidstack import _flattening_mismatch, inertia, iterated_inertia, orbits
+from .groupoidstack import _flattening_mismatch, inertia, iterated_inertia, orbit_count, orbits
 from .grouptheory import conjugacy_classes, count_commuting_tuples
 from .orbicurve import (
     canonical_divisor,
@@ -160,13 +160,13 @@ def _cmd_inertia(spec: JobSpec) -> dict:
         "orbit_representatives": [list(iner.labels[r]) for r in dec.representatives],
     }
     if spec.oracle:
-        by_points = sum(len(gset.stabilizer_elements(x)) for x in range(gset.size))
+        by_points = gset.group.order * orbit_count(gset)  # orbit-stabilizer, on the columns only
         by_elements = _fixed_point_total(gset)
         by_classes = sum(
             conjugacy_classes(gset.stabilizer(rep).as_group()[0]).count
             for rep in orbits(gset).representatives
         )
-        agree("inertia points, by stabilizers and by fixed sets",
+        agree("inertia points, by |G| x orbits and by fixed sets",
               iner.size, by_points, by_elements)
         agree("inertia orbits, by stabilizer classes", dec.count, by_classes)
         result["oracle"] = {

@@ -185,7 +185,8 @@ class CyclotomicNumber:
     common to all of them.  ``coeffs`` gives the same coefficients as
     Fractions.  Do not call the class directly; use :func:`canonicalize`,
     :func:`root_of_unity` or ``from_rational``.  Arithmetic operators accept
-    ``int`` (not ``bool``) and ``Fraction`` operands.
+    ``int`` (not ``bool``) and ``Fraction`` operands.  A rational value with an
+    ``int`` or another rational value is computed on its integers by `_rational`.
     """
 
     __slots__ = ("conductor", "nums", "den", "_coeffs")
@@ -201,7 +202,7 @@ class CyclotomicNumber:
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
         if type(q) is int or isinstance(q, Fraction):  # bool, str and float are not taken
-            return CyclotomicNumber(1, (q.numerator,), q.denominator)
+            return _rational(q.numerator, q.denominator)
         raise ValidationError(f"{q!r} is not an int or a Fraction")
 
     # -- predicates and conversions -----------------------------------
@@ -259,6 +260,12 @@ class CyclotomicNumber:
         return _reduced(self.conductor, [c * p for c in self.nums], self.den * q)
 
     def __add__(self, other):
+        if self.conductor == 1:
+            if type(other) is CyclotomicNumber and other.conductor == 1:
+                return _rational(self.nums[0] * other.den + other.nums[0] * self.den,
+                                 self.den * other.den)
+            if type(other) is int:  # not a bool
+                return _rational(self.nums[0] + other * self.den, self.den)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -274,21 +281,32 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if self.conductor == 1:
+            if type(other) is CyclotomicNumber and other.conductor == 1:
+                return _rational(self.nums[0] * other.den - other.nums[0] * self.den,
+                                 self.den * other.den)
+            if type(other) is int:  # not a bool
+                return _rational(self.nums[0] - other * self.den, self.den)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + -self
+        return -self + other  # NotImplemented from __add__ for a foreign other
 
     def __neg__(self):
+        if self.conductor == 1:
+            return _rational(-self.nums[0], self.den)
         return CyclotomicNumber(self.conductor, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
+        if type(other) is int:  # not a bool, and never coerced
+            if self.conductor == 1:
+                return _rational(self.nums[0] * other, self.den)
+            return self._times_rational(other, 1)
+        if self.conductor == 1 and type(other) is CyclotomicNumber and other.conductor == 1:
+            return _rational(self.nums[0] * other.nums[0], self.den * other.den)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -307,8 +325,7 @@ class CyclotomicNumber:
             raise ZeroDivisionError("division by zero cyclotomic number")
         n = self.conductor
         if n == 1:
-            p = self.nums[0]
-            return CyclotomicNumber(1, (self.den if p > 0 else -self.den,), abs(p))
+            return _rational(self.den, self.nums[0])
         d, layers = _norm_layers(n)
         y, z = ONE, self
         for p, k in layers:
@@ -352,9 +369,12 @@ class CyclotomicNumber:
     # -- structure -----------------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is int:  # not a bool
+            return self.conductor == 1 and self.den == 1 and self.nums[0] == other
+        if not isinstance(other, CyclotomicNumber):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (
             self.conductor == other.conductor
             and self.den == other.den
@@ -367,7 +387,7 @@ class CyclotomicNumber:
         return hash((self.conductor, self.nums, self.den))
 
     def __bool__(self):
-        return not self.is_zero
+        return self.conductor != 1 or self.nums[0] != 0
 
     def __repr__(self):
         if self.conductor == 1:
@@ -450,8 +470,16 @@ def _coerce(x):
     if isinstance(x, CyclotomicNumber):
         return x
     if type(x) is int or isinstance(x, Fraction):  # not a bool
-        return CyclotomicNumber(1, (x.numerator,), x.denominator)
+        return _rational(x.numerator, x.denominator)
     return NotImplemented
+
+
+def _rational(num: int, den: int) -> CyclotomicNumber:
+    """num/den (den != 0) in the one canonical form of a rational: den > 0, no common factor."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    if g == 1:
+        return CyclotomicNumber(1, (num,), den)
+    return CyclotomicNumber(1, (num // g,), den // g)
 
 
 def _reduced(n: int, nums, den: int) -> CyclotomicNumber:
@@ -469,8 +497,8 @@ def _lift(a: CyclotomicNumber, n: int):
     return _substitute(n, a.nums, n // a.conductor)
 
 
-ZERO = CyclotomicNumber(1, (0,), 1)
-ONE = CyclotomicNumber(1, (1,), 1)
+ZERO = _rational(0, 1)
+ONE = _rational(1, 1)
 
 
 # -- canonicalization ----------------------------------------------------
@@ -505,7 +533,7 @@ def _canonical(n: int, nums: list[int], den: int) -> CyclotomicNumber:
     floor = 2  # every prime below it has failed at a higher level
     while True:
         if not any(nums[1:]):
-            return _reduced(1, nums[:1], den)
+            return _rational(nums[0], den)
         for p, d, k in _descents(n):
             if p < floor:
                 continue
@@ -631,7 +659,7 @@ def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
         n //= 2
         k, sign = k * ((n + 1) // 2) % n, -1  # k is odd
     if n == 1:
-        return CyclotomicNumber(1, (sign,), 1)
+        return _rational(sign, 1)
     return CyclotomicNumber(n, tuple(sign * t for t in _substitute(n, (0, 1), k)), 1)
 
 

@@ -617,6 +617,19 @@ def test_inertia_oracle_counts_fixed_sets_without_the_action_table(capsys, monke
     assert result["oracle"]["points_by_fixed_sets"] == result["inertia_points"]
 
 
+def test_inertia_oracle_counts_points_by_orbit_stabilizer(capsys, monkeypatch):
+    # |G| x orbits reads only the generator columns, not the stabilizer rows
+    # that level 1 is built from, so a wrong orbit count exits 4
+    status, out, _ = run_cli(capsys, "inertia", "--gset", "s3-natural", "--oracle")
+    assert (status, json.loads(out)["result"]["oracle"]["points_by_stabilizers"]) == (EXIT_OK, 6)
+    count = cli.orbit_count
+    monkeypatch.setattr(cli, "orbit_count", lambda gset: count(gset) + 1)
+    status, out, _ = run_cli(capsys, "inertia", "--gset", "s3-natural", "--oracle")
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"].startswith("inertia points, by |G| x orbits and by fixed sets")
+
+
 def _no_action_table(self):
     raise AssertionError("the action table was read")
 

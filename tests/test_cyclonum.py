@@ -798,3 +798,78 @@ def test_unfixed_values_are_ruled_out_before_the_exact_galois_test(monkeypatch):
     assert canonicalize(840, list(value.coeffs)) == value
     assert value * value * value != 0
     assert exact == []
+
+
+BIG = 2**64
+INTS = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-2**80, 2**80),
+                 st.sampled_from([BIG, -BIG, BIG + 1, -BIG - 1]))
+FRACTIONS = st.builds(Fraction, INTS, INTS.filter(bool))
+
+
+def _canonical_rational(x, q):
+    """x is q in the one canonical form: conductor 1, den > 0, no common factor."""
+    return (type(x) is CyclotomicNumber and (x.conductor, x.nums, x.den)
+            == (1, (q.numerator,), q.denominator) and x == CyclotomicNumber.from_rational(q)
+            and math.gcd(x.nums[0], x.den) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(INTS, FRACTIONS), st.one_of(INTS, FRACTIONS), st.data())
+def test_rational_operands_take_the_integer_path_to_the_canonical_form(p, q, data):
+    fp, fq = Fraction(p), Fraction(q)
+    # each operand as itself (int or Fraction) or as a conductor-1 value
+    a = CyclotomicNumber.from_rational(p)
+    b = data.draw(st.sampled_from([q, CyclotomicNumber.from_rational(q)]))
+    for left, right in ((a, b), (b, a)):
+        fl, fr = (fp, fq) if left is a else (fq, fp)
+        assert _canonical_rational(left + right, fl + fr)
+        assert _canonical_rational(left - right, fl - fr)
+        assert _canonical_rational(left * right, fl * fr)
+        assert (left == right) is (right == left) is (fl == fr)
+    assert _canonical_rational(-a, -fp) and bool(a) is bool(fp)
+    if fp:
+        assert _canonical_rational(a.inverse(), 1 / fp)
+    for call in (lambda: True + a, lambda: a * False, lambda: False - a, lambda: a - True):
+        with pytest.raises(TypeError):
+            call()
+    assert a != True and a != False  # noqa: E712
+
+
+def _reference_plus_rational(x, p, q):
+    """(conductor, nums, den) of x + p/q by the list route of `_plus_rational`, for x irrational."""
+    if not p:
+        return x.conductor, x.nums, x.den
+    den = math.lcm(x.den, q)
+    nums = [c * (den // x.den) for c in x.nums]
+    nums[0] += p * (den // q)
+    g = math.gcd(den, *nums)
+    return x.conductor, tuple(c // g for c in nums), den // g
+
+
+def _reference_times_rational(x, p, q):
+    """(conductor, nums, den) of x * p/q by the list route of `_times_rational`."""
+    if not p:
+        return 1, (0,), 1
+    nums, den = [c * p for c in x.nums], x.den * q
+    g = math.gcd(den, *nums)
+    return x.conductor, tuple(c // g for c in nums), den // g
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclotomic_values(), st.one_of(INTS, FRACTIONS), st.data())
+def test_rational_with_irrational_operands_match_the_list_route(x, q, data):
+    assume(x.conductor != 1)
+    f = Fraction(q)
+    p, d = f.numerator, f.denominator
+    r = data.draw(st.sampled_from([q, CyclotomicNumber.from_rational(q)]))
+    minus_x = CyclotomicNumber(x.conductor, tuple(-c for c in x.nums), x.den)
+
+    def form(v):
+        return v.conductor, v.nums, v.den
+
+    assert form(x + r) == form(r + x) == _reference_plus_rational(x, p, d)
+    assert form(x - r) == _reference_plus_rational(x, -p, d)
+    assert form(r - x) == _reference_plus_rational(minus_x, p, d)
+    assert form(x * r) == form(r * x) == _reference_times_rational(x, p, d)
+    assert x != r and r != x
+    assert bool(x) and form(-x) == form(minus_x)
