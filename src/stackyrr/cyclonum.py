@@ -185,8 +185,8 @@ class CyclotomicNumber:
     common to all of them.  ``coeffs`` gives the same coefficients as
     Fractions.  Do not call the class directly; use :func:`canonicalize`,
     :func:`root_of_unity` or ``from_rational``.  Arithmetic operators accept
-    ``int`` (not ``bool``) and ``Fraction`` operands.  A rational value with an
-    ``int`` or another rational value is computed on its integers by `_rational`.
+    ``int`` (not ``bool``) and ``Fraction`` operands; these and conductor-1
+    values go to `_plus_rational` and `_times_rational` as (num, den).
     """
 
     __slots__ = ("conductor", "nums", "den", "_coeffs")
@@ -243,6 +243,8 @@ class CyclotomicNumber:
 
     def _plus_rational(self, p: int, q: int) -> "CyclotomicNumber":
         # Adding a rational never moves the minimal conductor.
+        if self.conductor == 1:
+            return _rational(self.nums[0] * q + p * self.den, self.den * q)
         if not p:
             return self
         den = math.lcm(self.den, q)
@@ -253,6 +255,8 @@ class CyclotomicNumber:
 
     def _times_rational(self, p: int, q: int) -> "CyclotomicNumber":
         # Nor does multiplying by a nonzero one.
+        if self.conductor == 1:
+            return _rational(self.nums[0] * p, self.den * q)
         if not p:
             return ZERO
         if p == q:
@@ -260,19 +264,17 @@ class CyclotomicNumber:
         return _reduced(self.conductor, [c * p for c in self.nums], self.den * q)
 
     def __add__(self, other):
-        if self.conductor == 1:
-            if type(other) is CyclotomicNumber and other.conductor == 1:
-                return _rational(self.nums[0] * other.den + other.nums[0] * self.den,
-                                 self.den * other.den)
-            if type(other) is int:  # not a bool
-                return _rational(self.nums[0] + other * self.den, self.den)
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, CyclotomicNumber):
+            if other.conductor == 1:
+                return self._plus_rational(other.nums[0], other.den)
+            if self.conductor == 1:
+                return other._plus_rational(self.nums[0], self.den)
+        elif type(other) is int:  # not a bool
+            return self._plus_rational(other, 1)
+        elif isinstance(other, Fraction):
+            return self._plus_rational(other.numerator, other.denominator)
+        else:
             return NotImplemented
-        if other.conductor == 1:
-            return self._plus_rational(other.nums[0], other.den)
-        if self.conductor == 1:
-            return other._plus_rational(self.nums[0], self.den)
         n, a, b = self._lift_pair(other)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
@@ -281,39 +283,36 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if self.conductor == 1:
-            if type(other) is CyclotomicNumber and other.conductor == 1:
-                return _rational(self.nums[0] * other.den - other.nums[0] * self.den,
-                                 self.den * other.den)
-            if type(other) is int:  # not a bool
-                return _rational(self.nums[0] - other * self.den, self.den)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + -other
+        if isinstance(other, CyclotomicNumber):
+            if other.conductor == 1:
+                return self._plus_rational(-other.nums[0], other.den)
+            return self + -other
+        if type(other) is int:  # not a bool
+            return self._plus_rational(-other, 1)
+        if isinstance(other, Fraction):
+            return self._plus_rational(-other.numerator, other.denominator)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return -self + other  # NotImplemented from __add__ for a foreign other
+        return (-self).__add__(other)  # NotImplemented, not a TypeError, for a foreign other
 
     def __neg__(self):
         if self.conductor == 1:
             return _rational(-self.nums[0], self.den)
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.nums), self.den)
+        return CyclotomicNumber(self.conductor, tuple(map(operator.neg, self.nums)), self.den)
 
     def __mul__(self, other):
-        if type(other) is int:  # not a bool, and never coerced
+        if isinstance(other, CyclotomicNumber):
+            if other.conductor == 1:
+                return self._times_rational(other.nums[0], other.den)
             if self.conductor == 1:
-                return _rational(self.nums[0] * other, self.den)
+                return other._times_rational(self.nums[0], self.den)
+        elif type(other) is int:  # not a bool
             return self._times_rational(other, 1)
-        if self.conductor == 1 and type(other) is CyclotomicNumber and other.conductor == 1:
-            return _rational(self.nums[0] * other.nums[0], self.den * other.den)
-        other = _coerce(other)
-        if other is NotImplemented:
+        elif isinstance(other, Fraction):
+            return self._times_rational(other.numerator, other.denominator)
+        else:
             return NotImplemented
-        if self.conductor == 1:
-            return other._times_rational(self.nums[0], self.den)
-        if other.conductor == 1:
-            return self._times_rational(other.nums[0], other.den)
         n, a, b = self._lift_pair(other)
         return _canonical(n, _substitute(n, _convolve(a, b), 1), self.den * other.den)
 
@@ -369,12 +368,11 @@ class CyclotomicNumber:
     # -- structure -----------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is int:  # not a bool
-            return self.conductor == 1 and self.den == 1 and self.nums[0] == other
         if not isinstance(other, CyclotomicNumber):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            if type(other) is int or isinstance(other, Fraction):  # not a bool
+                return (self.conductor == 1 and self.nums[0] == other.numerator
+                        and self.den == other.denominator)
+            return NotImplemented
         return (
             self.conductor == other.conductor
             and self.den == other.den

@@ -873,3 +873,15 @@ def test_rational_with_irrational_operands_match_the_list_route(x, q, data):
     assert form(x * r) == form(r * x) == _reference_times_rational(x, p, d)
     assert x != r and r != x
     assert bool(x) and form(-x) == form(minus_x)
+
+
+@pytest.mark.parametrize("value", [CyclotomicNumber.from_rational(Fraction(3, 2)), root_of_unity(3)])
+def test_foreign_operands_are_refused_under_the_operator_written(value):
+    for call, message in ((lambda: 1.5 - value, "-: 'float' and 'CyclotomicNumber'"),
+                          (lambda: value - 1.5, "-: 'CyclotomicNumber' and 'float'"),
+                          (lambda: 1.5 + value, r"\+: 'float' and 'CyclotomicNumber'"),
+                          (lambda: value * 1j, r"\*: 'CyclotomicNumber' and 'complex'")):
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for {message}"):
+            call()
+    assert value.__rsub__(1.5) is NotImplemented and value.__radd__(1.5) is NotImplemented
+    assert value != 1.5 and not value == 1.5  # noqa: SIM201
