@@ -276,8 +276,16 @@ def rep_from_generator_images(group: FiniteGroup, images: dict) -> MatrixRep:
 
 
 def _trace(rows) -> CyclotomicNumber:
-    """Trace of a matrix in sparse rows: its diagonal entries among the nonzeros."""
-    return sum((v for i, row in enumerate(rows) for j, v in row if j == i), ZERO)
+    """Trace of a matrix in sparse rows: diagonal ONEs counted, other diagonal entries added."""
+    ones, total = 0, ZERO
+    for i, row in enumerate(rows):
+        for j, v in row:
+            if j == i:
+                if v is ONE or v == ONE:
+                    ones += 1
+                else:
+                    total = total + v
+    return total + ones
 
 
 def character_of(rep: MatrixRep) -> ClassFunction:

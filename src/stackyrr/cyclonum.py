@@ -340,16 +340,22 @@ class CyclotomicNumber:
         return y * z.inverse()
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, CyclotomicNumber):
+            if other.conductor != 1:
+                return self * other.inverse()
+            p, q = other.nums[0], other.den
+        elif type(other) is int or isinstance(other, Fraction):  # not a bool
+            p, q = other.numerator, other.denominator
+        else:
             return NotImplemented
-        return self * other.inverse()
+        if not p:
+            raise ZeroDivisionError("division by zero cyclotomic number")
+        return self._times_rational(q, p) if p > 0 else self._times_rational(-q, -p)  # den > 0
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        if type(other) is int or isinstance(other, Fraction):  # not a bool
+            return self.inverse()._times_rational(other.numerator, other.denominator)
+        return NotImplemented
 
     def __pow__(self, k: int) -> "CyclotomicNumber":
         if type(k) is not int:  # nor a bool
@@ -462,14 +468,6 @@ def _exponent(k) -> int:
     if type(k) is not int:
         raise ValidationError(f"exponent {k!r} is not an int")
     return k
-
-
-def _coerce(x):
-    if isinstance(x, CyclotomicNumber):
-        return x
-    if type(x) is int or isinstance(x, Fraction):  # not a bool
-        return _rational(x.numerator, x.denominator)
-    return NotImplemented
 
 
 def _rational(num: int, den: int) -> CyclotomicNumber:

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackyrr import chartheory
 from stackyrr.chartheory import (
@@ -31,7 +33,7 @@ from stackyrr.chartheory import (
     structure_bundle,
     trivial_character,
 )
-from stackyrr.cyclonum import ONE, ZERO, CyclotomicNumber, root_of_unity
+from stackyrr.cyclonum import ONE, ZERO, CyclotomicNumber, canonicalize, euler_phi, root_of_unity
 from stackyrr.errors import ConsistencyError, ValidationError
 from stackyrr.groupoidstack import (
     TowerLevel,
@@ -887,3 +889,128 @@ def test_eigencomponent_dim_refuses_a_corrupted_diagonal():
     for zeta in (ONE, -ONE):
         with pytest.raises(ConsistencyError, match="is not a dimension"):
             eigencomponent_dim(rep, h, zeta)
+
+
+# -- exact elimination and traces against the first-nonzero routes -------------------
+
+
+def _first_nonzero_rank(rows):
+    """Forward elimination pivoting on the first nonzero entry, each pivot row scaled to 1."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot_row = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        prow = m[rank] = [x * inv if x else x for x in m[rank]]
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            head = row[col]
+            if head:
+                for j in range(col, ncols):
+                    if prow[j]:
+                        row[j] = row[j] - head * prow[j]
+        rank += 1
+    return rank
+
+
+def _entries(n):
+    """Entries of Q(zeta_n): ints, Fractions and cyclotomic values, zero often."""
+    small = st.integers(-2, 2)
+    rationals = st.one_of(small, st.builds(Fraction, small, st.integers(1, 3)))
+    values = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                      min_size=euler_phi(n), max_size=euler_phi(n))
+    return st.one_of(st.just(0), st.just(ZERO), rationals,
+                     rationals.map(CyclotomicNumber.from_rational),
+                     values.map(lambda coeffs: canonicalize(n, coeffs)))
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 5 x 5, with a row that combines others, zero rows and zero columns."""
+    entry = _entries(draw(st.sampled_from((1, 3, 4, 5, 12))))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        coeffs = [draw(entry) for _ in rows]
+        combined = [sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO) for j in range(ncols)]
+        rows.insert(draw(st.integers(0, nrows)), combined)
+    for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = ZERO
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(), st.randoms(use_true_random=False))
+def test_exact_rank_matches_the_first_nonzero_elimination(rows, rng):
+    copy = [list(row) for row in rows]
+    rank = exact_rank(rows)
+    assert rows == copy  # the input is not modified
+    assert rank == _first_nonzero_rank(rows)
+    assert exact_rank([row[:1] for row in rows]) == _first_nonzero_rank([row[:1] for row in rows])
+    assert exact_rank(rows[:1]) == _first_nonzero_rank(rows[:1])
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert exact_rank(shuffled) == rank
+
+
+def test_exact_rank_on_every_shifted_matrix_of_the_eigen_pool():
+    # rho(h) - zeta for every element h and every r-th root zeta, r the order
+    # of h, on the criterion-1 coset unions of the groups of order <= 8
+    count = 0
+    for base in _criterion_1_grid():
+        if base.group.order > 8:
+            continue
+        rep = permutation_rep(base)
+        for h in range(base.group.order):
+            r = base.group.element_order(h)
+            for k in range(r):
+                zeta = root_of_unity(r, k)
+                shifted = [[v - zeta if i == c else v for c, v in enumerate(row)]
+                           for i, row in enumerate(rep.matrices[h])]
+                rank = exact_rank(shifted)
+                assert rank == _first_nonzero_rank(shifted)
+                assert rank == rep.dim - eigencomponent_dim(rep, h, zeta)
+                count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2, 3], [2, 4]], "row 1 has 2 entries, row 0 has 3"),
+    ([[0, 1], [1, 0, 5]], "row 1 has 3 entries, row 0 has 2"),
+], ids=["short", "long"])
+def test_exact_rank_refuses_ragged_rows(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        exact_rank(rows)
+
+
+def test_exact_rank_of_no_rows_and_of_an_empty_row_is_zero():
+    assert exact_rank([]) == 0 and exact_rank([[]]) == 0
+
+
+def _diagonal_sum(rows):
+    """The trace as every diagonal entry added to ZERO."""
+    return sum((v for i, row in enumerate(rows) for j, v in row if j == i), ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_counts_ones_and_adds_the_rest(data):
+    dim = data.draw(st.integers(0, 6))
+    entry = st.one_of(st.just(ONE), st.just(CyclotomicNumber.from_rational(1)),
+                      _entries(data.draw(st.sampled_from((1, 3, 4, 5, 12)))).map(
+                          lambda v: v if isinstance(v, CyclotomicNumber)
+                          else CyclotomicNumber.from_rational(v)))
+    rows = []
+    for i in range(dim):
+        row = [(j, data.draw(entry)) for j in range(dim) if data.draw(st.booleans())]
+        rows.append(tuple((j, v) for j, v in row if v))
+    assert chartheory._trace(rows) == _diagonal_sum(rows)

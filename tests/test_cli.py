@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stackyrr import cli, groupoidstack, grouptheory, limits
+from stackyrr import chartheory, cli, groupoidstack, grouptheory, limits
 from stackyrr.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -628,6 +628,25 @@ def test_inertia_oracle_counts_points_by_orbit_stabilizer(capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
     assert error["message"].startswith("inertia points, by |G| x orbits and by fixed sets")
+
+
+def test_devissage_oracle_catches_two_inertia_orbits_in_one_cell(capsys, monkeypatch):
+    # natural S3 has two inertia orbits, one per class of its point stabilizer
+    # Z2; sent to the same cell they give two equal rows, so the rank is 1
+    status, out, _ = run_cli(capsys, "devissage", "--gset", "s3-natural", "--oracle")
+    assert (status, json.loads(out)["result"]["rank"]) == (EXIT_OK, 2)
+    cells = chartheory._trace_cells
+
+    def merged(iner):
+        found, counts = cells(iner)
+        return [found[0]] * len(found), counts
+
+    monkeypatch.setattr(chartheory, "_trace_cells", merged)
+    status, out, _ = run_cli(capsys, "devissage", "--gset", "s3-natural", "--oracle")
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"] == ("trace-map rank, inertia orbits and source dimension: "
+                                "routes disagree: 1 vs 2 vs 2")
 
 
 def _no_action_table(self):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from stackyrr import cyclonum, limits
 from stackyrr.cyclonum import (
     CyclotomicNumber,
-    _coerce,
     _convolve,
     _descents,
     _fold_even,
@@ -391,8 +390,10 @@ def test_from_rational_takes_only_ints_and_fractions(q):
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
 def test_arithmetic_does_not_take_a_bool(op):
-    assert _coerce(True) is NotImplemented and _coerce(False) is NotImplemented
     z3 = root_of_unity(3)
+    for value in (z3, ONE):
+        assert value.__truediv__(True) is NotImplemented
+        assert value.__rtruediv__(False) is NotImplemented
     for left, right in ((z3, True), (True, z3), (ONE, True), (False, ONE)):
         with pytest.raises(TypeError):
             op(left, right)
@@ -885,3 +886,34 @@ def test_foreign_operands_are_refused_under_the_operator_written(value):
             call()
     assert value.__rsub__(1.5) is NotImplemented and value.__radd__(1.5) is NotImplemented
     assert value != 1.5 and not value == 1.5  # noqa: SIM201
+
+
+RATIONALS = st.one_of(INTS, FRACTIONS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cyclotomic_values(), RATIONALS.map(CyclotomicNumber.from_rational)),
+       RATIONALS, st.data())
+def test_division_by_a_rational_takes_the_integer_path_in_both_orders(x, q, data):
+    f = Fraction(q)
+    # the rational operand as itself (int or Fraction) or as a conductor-1 value
+    r = data.draw(st.sampled_from([q, CyclotomicNumber.from_rational(q)]))
+    y = CyclotomicNumber.from_rational(q)
+    if f:
+        assert x / r == x * y.inverse()
+        if x.is_rational:
+            assert _canonical_rational(x / r, x.rational_value() / f)
+    else:
+        with pytest.raises(ZeroDivisionError, match="division by zero cyclotomic number"):
+            x / r
+    if x:
+        assert r / x == y * x.inverse()
+        if x.is_rational:
+            assert _canonical_rational(r / x, f / x.rational_value())
+    else:
+        with pytest.raises(ZeroDivisionError, match="division by zero cyclotomic number"):
+            r / x
+    for foreign in (True, False, 1.5, 2j):
+        for call in (lambda: x / foreign, lambda: foreign / x):
+            with pytest.raises(TypeError):
+                call()
