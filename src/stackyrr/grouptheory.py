@@ -222,7 +222,7 @@ def group_from_permutations(generators) -> FiniteGroup:
     gens = [tuple(g) for g in generators]
     degree = len(gens[0]) if gens else 1
     for g in gens:
-        if len(g) != degree or sorted(g) != list(range(degree)):
+        if len(g) != degree or not all(map(_is_index, g)) or sorted(g) != list(range(degree)):
             raise ValidationError(f"generator {g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
     elements = [identity]
@@ -312,19 +312,22 @@ def trivial_group() -> FiniteGroup:
 # -- subgroups --------------------------------------------------------------
 
 
-def _close(mul, reached: list, seen: set, gens: list, s: int, inside=None) -> None:
+def _close(mul, reached: list, seen: set, gens: list, s: int, inside=None, cap=None) -> bool:
     """Add generator ``s`` to ``gens`` and extend ``reached`` to the new closure.
 
     ``reached`` (``seen`` is its set) must be closed under right
     multiplication by ``gens``.  Then it is enough to multiply the old
     elements by ``s`` and each new element by every generator, so a whole
     closure costs O(|closure| * #gens).  A product outside ``inside``, when
-    given, raises ``ValidationError``.
+    given, raises ``ValidationError``.  Returns ``True`` when the closure is
+    complete, or ``False`` as soon as ``reached`` holds more than ``cap``
+    elements.
     """
     gens.append(s)
     old = len(reached)
+    cap = len(mul) if cap is None else cap
     i = 0
-    while i < len(reached):
+    while i < len(reached) <= cap:
         a = reached[i]
         row = mul[a]
         for t in (gens if i >= old else (s,)):
@@ -337,6 +340,7 @@ def _close(mul, reached: list, seen: set, gens: list, s: int, inside=None) -> No
                 seen.add(b)
                 reached.append(b)
         i += 1
+    return len(reached) <= cap
 
 
 def _span(mul, inside: set, gens=None) -> tuple[int, ...]:
@@ -492,13 +496,16 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
     enumerated once, as its orbit under conjugation by the spanning-tree
     generators, whose rows are the only conjugation rows read.  Each class
     is a dict from a member's sorted elements to generators of that member
-    (the extended ones, conjugated along the orbit).
+    (the extended ones, conjugated along the orbit).  Once G itself is
+    known, a closure is stopped past |G|/2 elements and skipped as known:
+    by Lagrange a subgroup with more than |G|/2 elements is G.
     """
     mul, inv = parent.mul, parent.inv
     moves = [parent.conj_row(s) for s in parent.spanning_tree()[0]]
     zuppos, zuppo_of = _zuppos(parent)
     classes = [{(0,): ()}]
     known = {(0,)}
+    cap = None
     for cls in classes:  # grows while it is walked
         rep = min(cls)
         in_rep = set(rep)
@@ -511,7 +518,8 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
                 continue
             done.update([zuppo_of[mul[mul[g][z]][inv[g]]] for g in normalizer])
             reached, seen, gens = list(rep), set(in_rep), list(cls[rep])
-            _close(mul, reached, seen, gens, z)
+            if not _close(mul, reached, seen, gens, z, cap=cap):
+                continue  # G, already known
             elems = tuple(sorted(reached))
             if elems in known:
                 continue
@@ -525,6 +533,8 @@ def _subgroup_classes(parent: FiniteGroup) -> list[dict]:
                         queue.append(image)
             known.update(orbit)
             classes.append(orbit)
+            if len(elems) == parent.order:
+                cap = parent.order // 2
     return classes
 
 
@@ -658,6 +668,9 @@ def centralizer(group: FiniteGroup, elems) -> Subgroup:
     elems = list(elems)
     if not elems:
         raise ValidationError("centralizer needs at least one element")
+    for x in elems:
+        if not _is_index(x) or not 0 <= x < group.order:
+            raise ValidationError(f"centralizer element {x!r} is not an index in 0..{group.order - 1}")
     mul = group.mul
     members = [
         g

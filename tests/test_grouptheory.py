@@ -296,6 +296,47 @@ def test_centralizer_is_validated_subgroup():
         assert d4.order % sub.order == 0
 
 
+# Entries that are not element indices: a bool, a float, a string, None, a nested list, a
+# negative or an out-of-range integer.  Each must be refused with a ValidationError naming it,
+# never read as an index (True as 1, -1 as the last element) or left to a TypeError.
+def _not_an_index(size):
+    return st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                     st.lists(st.integers(0, 3), max_size=2), st.integers(max_value=-1),
+                     st.integers(min_value=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_inputs_that_are_not_indices_are_refused(data):
+    s3 = symmetric(3)
+    elems = data.draw(st.lists(st.integers(0, 5), max_size=3))
+    bad = data.draw(_not_an_index(6))
+    elems.insert(data.draw(st.integers(0, len(elems))), bad)
+    with pytest.raises(ValidationError, match=re.escape(f"centralizer element {bad!r} is not an index")):
+        centralizer(s3, elems)
+    degree = data.draw(st.integers(1, 5))
+    perm = list(data.draw(st.permutations(range(degree))))
+    bad = data.draw(_not_an_index(degree))
+    perm[data.draw(st.integers(0, degree - 1))] = bad
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=2))
+    gens.insert(data.draw(st.integers(0, len(gens))), perm)
+    message = f"generator {tuple(perm)!r} is not a permutation of 0..{degree - 1}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        group_from_permutations(gens)
+
+
+@pytest.mark.parametrize("elems", [[-1], [True], [1.0], [99]])
+def test_centralizer_refuses_negative_bool_float_and_out_of_range_entries(elems):
+    with pytest.raises(ValidationError, match=re.escape(repr(elems[0]))):
+        centralizer(symmetric(3), elems)
+
+
+@pytest.mark.parametrize("gens", [[[True, False]], [[1.0, 0]]])
+def test_permutations_of_bools_and_floats_are_refused(gens):
+    with pytest.raises(ValidationError, match="is not a permutation of 0..1"):
+        group_from_permutations(gens)
+
+
 def test_subgroup_validation():
     s3 = symmetric(3)
     transposition = next(g for g in range(6) if s3.element_order(g) == 2)
@@ -789,6 +830,49 @@ def test_lattice_subgroups_carry_generators_that_close_to_them():
         for h in all_subgroups(g):
             assert _closure(g, h.generators) == h.elements, name
             assert 2 ** len(h.generators) <= h.order
+
+
+def _uncapped_close(mul, reached, seen, gens, s):
+    """`grouptheory._close` as it was before it took a cap."""
+    gens.append(s)
+    old = len(reached)
+    i = 0
+    while i < len(reached):
+        row = mul[reached[i]]
+        for t in (gens if i >= old else (s,)):
+            if row[t] not in seen:
+                seen.add(row[t])
+                reached.append(row[t])
+        i += 1
+
+
+@lru_cache(maxsize=None)
+def _close_groups():
+    return list(_catalog()) + [("S4", symmetric(4)), ("S5", symmetric(5))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_capped_closure_stops_exactly_when_the_closure_passes_its_cap(data):
+    name, g = data.draw(st.sampled_from(_close_groups()))
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=4))
+    reached, seen, taken = [0], {0}, []
+    expected, expected_seen, expected_gens = [0], {0}, []
+    for k, s in enumerate(gens):
+        before = (list(reached), set(seen), list(taken))  # kept for the last generator
+        assert grouptheory._close(g.mul, reached, seen, taken, s) is True
+        _uncapped_close(g.mul, expected, expected_seen, expected_gens, s)
+        assert reached == expected and seen == expected_seen and taken == gens[:k + 1], name
+    assert set(reached) == set(_closure(g, gens)), name
+    full = len(reached)
+    cap = data.draw(st.integers(0, g.order) | st.integers(-1, 1).map(full.__add__))
+    reached, seen, taken = before
+    completed = grouptheory._close(g.mul, reached, seen, taken, gens[-1], cap=cap)
+    assert completed == (full <= cap), (name, gens, cap)
+    if completed:
+        assert reached == expected, (name, gens, cap)
+    else:
+        assert cap < len(reached) <= full, (name, gens, cap)
 
 
 # -- subgroup validation ----------------------------------------------------
