@@ -80,10 +80,12 @@ class FiniteGSet:
         return self._act
 
     def stabilizer_elements(self, x: int) -> list[int]:
-        dec = orbits(self)
-        t, mul = dec.transporter[x], self.group.mul  # x = t.rep: Stab(x) = t Stab(rep) t^-1
-        left, t_inv = mul[t], self.group.inv[t]
-        return sorted(mul[left[h]][t_inv] for h in dec.stabilizers[dec.orbit_of[x]])
+        dec, group = orbits(self), self.group
+        t, stab = dec.transporter[x], dec.stabilizers[dec.orbit_of[x]]  # x = t.rep
+        if not t:  # x is its orbit's representative, whose stabilizer is kept sorted
+            return list(stab)
+        mul, left, t_inv = group.mul, group.mul[t], group.inv[t]  # Stab(x) = t Stab(rep) t^-1
+        return sorted(mul[left[h]][t_inv] for h in stab)
 
     def stabilizer(self, x: int) -> Subgroup:
         """Stab(x) as a `Subgroup`: an orbit representative's is validated once
@@ -188,7 +190,8 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
     children of p = (q, h) are the children of q that commute with h: the
     AND of their mask with h's commute mask, for each h lowest first.  Both
     lists come out sorted, so the points are in lexicographic order.  A
-    column finds each image through an index holding one entry per child.
+    column finds child (p, h) at slot p·|G| + h of a list of every slot on a
+    dense level (at most four slots a child), else of a dict of the children.
     """
     group = below.group
     n = group.order
@@ -210,7 +213,12 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
         if len(last) > cap:
             raise ResourceLimitError(f"iterated fixed-point set exceeds Limits.points = {cap}")
     parent = list(_per_child(range(below.size), offsets))
-    index = dict(zip([p * n + h for p, h in zip(parent, last)], count()))  # (p, h) at p*|G| + h
+    if below.size * n <= 4 * len(last):  # dense: 8 bytes a slot cost less than a dict entry a child
+        index = [None] * (below.size * n)  # an unfilled slot is no point, so a fault reads as one
+        for i, (p, h) in enumerate(zip(parent, last)):
+            index[p * n + h] = i  # (p, h) at slot p*|G| + h
+    else:
+        index = dict(zip([p * n + h for p, h in zip(parent, last)], count()))
     cols = []
     for s, below_col in zip(group.spanning_tree()[0], below.cols):
         conj_s, image_at = group.conj_row(s), [q * n for q in below_col]

@@ -219,7 +219,7 @@ def group_from_permutations(generators) -> FiniteGroup:
     b^-1 = gens[i]^-1 * a^-1.
     """
     cap = limits.current().group_order
-    gens = [tuple(g) for g in generators]
+    gens = [_as_tuple(g, "each generator") for g in _as_tuple(generators, "generators")]
     degree = len(gens[0]) if gens else 1
     for g in gens:
         if len(g) != degree or not all(map(_is_index, g)) or sorted(g) != list(range(degree)):
@@ -368,6 +368,13 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _as_tuple(values, what: str) -> tuple:
+    try:  # an argument that is not iterable is malformed input, refused by name
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {values!r}") from None
+
+
 class Subgroup:
     """A validated subgroup: its sorted element set and generators for it.
 
@@ -450,7 +457,7 @@ class Subgroup:
 
 def subgroup(parent: FiniteGroup, elements) -> Subgroup:
     """The subgroup with these elements, in any order, with greedy generators."""
-    elements = tuple(elements)
+    elements = _as_tuple(elements, "subgroup elements")
     try:
         elements = tuple(sorted(elements))
     except TypeError:
@@ -665,7 +672,7 @@ def _action_orbits(group: FiniteGroup, size: int, cols, *, check=False) -> Orbit
 
 def centralizer(group: FiniteGroup, elems) -> Subgroup:
     """The subgroup commuting with every listed element."""
-    elems = list(elems)
+    elems = _as_tuple(elems, "centralizer elements")
     if not elems:
         raise ValidationError("centralizer needs at least one element")
     for x in elems:

@@ -575,6 +575,26 @@ def test_euler_oracle_exits_4_when_the_flattening_finds_a_difference(monkeypatch
     assert "not equivariant: witness" in error["message"]
 
 
+def test_euler_oracle_exits_4_when_a_depth_2_column_is_corrupt(capsys, monkeypatch):
+    argv = ("euler", "--gset", "s3-natural", "--max-m", "3", "--oracle")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    build = groupoidstack._level_above
+
+    def corrupt(below, depth, cap):
+        level = build(below, depth, cap)
+        if depth == 2:  # two entries of the first generator's column swapped
+            col = list(level.cols[0])
+            col[0], col[1] = col[1], col[0]
+            level.cols = (tuple(col), *level.cols[1:])
+        return level
+
+    monkeypatch.setattr(groupoidstack, "_level_above", corrupt)
+    status, out, _ = run_cli(capsys, *argv)
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"] == "Euler ladder at m=1: chi_phy, chi_top, chi_orb: routes disagree: 4 vs 3 vs 4"
+
+
 def test_classes_oracle_counts_centralizers_on_the_table(capsys, monkeypatch):
     # with every conjugation row the identity, the sweep finds 24 one-element
     # classes of S4, each with centralizer S4, and the table's counts differ

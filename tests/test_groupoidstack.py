@@ -4,6 +4,7 @@ import gc
 import re
 import weakref
 from functools import lru_cache
+from itertools import combinations, count, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from stackyrr.groupoidstack import (
     trivial_gset,
 )
 from stackyrr.grouptheory import (
-    FiniteGroup, _stabilizer_masks, conjugacy_classes, subgroup_conjugacy_reps,
+    FiniteGroup, _set_bits, _stabilizer_masks, conjugacy_classes, subgroup_conjugacy_reps,
 )
 from stackyrr.serialize import group_from_json, gset_from_json
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
@@ -922,3 +923,80 @@ def test_inertia_of_a_tower_level_reads_no_commute_masks(data):
 
 def _no_commute_masks(self):
     raise AssertionError("the commute masks were read")
+
+
+# -- the index a level is written through ------------------------------------
+
+
+def _dict_index_level(below, depth):
+    """(offsets, last, cols) of the level above ``below``, every column written
+    through a dict of the children and every stabilizer row conjugated from
+    its orbit's representative (the identity for the representative itself):
+    the build used before dense levels were indexed by a list of slots,
+    kept as the reference both index kinds must match."""
+    group = below.group
+    n, mul, inv = group.order, group.mul, group.inv
+    offsets, last = [0], []
+    if depth == 1:
+        dec = orbits(below)
+        rows = (sorted(mul[mul[t][h]][inv[t]] for h in dec.stabilizers[dec.orbit_of[x]])
+                for x, t in enumerate(dec.transporter))
+    else:
+        starts, siblings, masks = below.offsets, below.last, group.commute_masks()
+        sibling_rows = (siblings[a:b] for a, b in zip(starts, starts[1:]))
+        rows = (_set_bits(mask & masks[h]) for row in sibling_rows
+                for mask in [sum(1 << h for h in row)] for h in row)
+    for children in rows:
+        last.extend(children)
+        offsets.append(len(last))
+    parent = list(groupoidstack._per_child(range(below.size), offsets))
+    index = dict(zip([p * n + h for p, h in zip(parent, last)], count()))
+    cols = []
+    for s, below_col in zip(group.spanning_tree()[0], below.cols):
+        conj_s, image_at = group.conj_row(s), [q * n for q in below_col]
+        cols.append(tuple(index[image_at[p] + conj_s[h]] for p, h in zip(parent, last)))
+    return offsets, last, tuple(cols)
+
+
+def _s5_action(kind):
+    """S5 on its 2-subsets or its ordered pairs, from its two generators."""
+    s5 = symmetric(5)
+    points = list(combinations(range(5), 2) if kind == "2-subsets" else permutations(range(5), 2))
+    image = ((lambda p, x: tuple(sorted(p[i] for i in x))) if kind == "2-subsets"
+             else (lambda p, x: tuple(p[i] for i in x)))
+    where = {x: i for i, x in enumerate(points)}
+    return gset_from_generator_action(
+        s5, [[where[image(s5.perms[s], x)] for x in points] for s in s5.spanning_tree()[0]])
+
+
+@lru_cache(maxsize=None)
+def _sparse_s5_levels():
+    """Levels 0 and 1 of the towers on S5's 2-subsets and ordered pairs."""
+    return tuple(level for kind in ("2-subsets", "ordered-pairs")
+                 for x in [_s5_action(kind)] for level in (x, iterated_inertia(x, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_levels_equal_the_dict_index_build_on_both_sides_of_the_density_rule(data):
+    kind = data.draw(st.sampled_from(["catalog", "s4-natural", "s5-sparse"]))
+    if kind == "catalog":  # mostly dense: few slots p*|G| + h are not children
+        below = iterated_inertia(_coset_union(data), data.draw(st.integers(0, 2)))
+    elif kind == "s4-natural":
+        below = natural_gset(symmetric(4))
+    else:
+        below = data.draw(st.sampled_from(_sparse_s5_levels()))
+    depth = getattr(below, "depth", 0) + 1
+
+    def arrays():
+        return below.size, below.cols, list(getattr(below, "offsets", ())), list(getattr(below, "last", ()))
+
+    before = arrays()
+    level = groupoidstack._level_above(below, depth, limits.current().points)
+    assert (level.offsets, list(level.last), level.cols) == _dict_index_level(below, depth)
+    assert arrays() == before  # the level below is left as it was
+    slots_per_child = below.size * below.group.order / level.size
+    if kind == "s4-natural":
+        assert slots_per_child == 4  # exactly at the rule: the list of slots
+    elif kind == "s5-sparse":
+        assert slots_per_child > 4  # the dict of children

@@ -323,6 +323,14 @@ def test_group_inputs_that_are_not_indices_are_refused(data):
     message = f"generator {tuple(perm)!r} is not a permutation of 0..{degree - 1}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         group_from_permutations(gens)
+    # an argument that is not iterable at all is refused by name, not with a TypeError
+    scalar = data.draw(st.one_of(st.just(5), st.integers(), st.booleans(), st.floats(), st.none()))
+    for call, name in ((lambda: group_from_permutations(scalar), "generators"),
+                       (lambda: group_from_permutations([*gens[:1], scalar]), "each generator"),
+                       (lambda: centralizer(s3, scalar), "centralizer elements"),
+                       (lambda: subgroup(s3, scalar), "subgroup elements")):
+        with pytest.raises(ValidationError, match=re.escape(f"{name} must be iterable, got {scalar!r}")):
+            call()
 
 
 @pytest.mark.parametrize("elems", [[-1], [True], [1.0], [99]])

@@ -7,7 +7,7 @@ import pytest
 from stackyrr import chartheory, errors, eulerlab, orbicurve
 from stackyrr.chartheory import structure_bundle
 from stackyrr.errors import ConsistencyError, agree
-from stackyrr.groupoidstack import natural_gset
+from stackyrr.groupoidstack import iterated_inertia, natural_gset
 from stackyrr.orbicurve import OrbifoldCurve
 from stackyrr.smallgroups import symmetric
 
@@ -61,3 +61,16 @@ def test_library_oracles_catch_a_route_off_by_one(monkeypatch, module, route, qu
     monkeypatch.setattr(module, route, lambda *args: off_by_one(real(*args)))
     with pytest.raises(ConsistencyError, match=f"^{quantity}"):
         call()
+
+
+def test_the_ladder_catches_two_swapped_entries_of_a_tower_column():
+    x = natural_gset(symmetric(3))
+    level = iterated_inertia(x, 2)  # held, so ladder_check(x, 1) reuses it as I^2
+    assert eulerlab.ladder_check(x, 1)
+    col = list(level.cols[0])
+    col[0], col[1] = col[1], col[0]
+    level.cols = (tuple(col), *level.cols[1:])
+    assert iterated_inertia(x, 2) is level
+    # the swap joins two orbits of I^2, so chi_top reads 3 against 4
+    with pytest.raises(ConsistencyError, match=r"^Euler ladder at m=1: .*: routes disagree: 4 vs 3 vs 4$"):
+        eulerlab.ladder_check(x, 1)
