@@ -14,9 +14,9 @@ Writing I^m for the m-th iterated inertia, these satisfy the exact ladder
 and chi_orb(I^m) = (number of commuting m-tuples with a common fixed
 point)/|H| gives a generating series worth tabulating.  Every quantity here
 is computed by at least two genuinely different routes (the count over
-extension masks of `grouptheory.commuting_tuple_counts`, per point, vs.
-the centralizer recursion, per orbit; direct construction vs. repeated
-inertia) and the routes are required to agree exactly.
+extension masks of `grouptheory.commuting_tuple_counts` vs. the
+centralizer recursion, each once per distinct stabilizer; direct
+construction vs. repeated inertia) and the routes are required to agree exactly.
 
 Weighted variants: a constructible integer (or nonzero rational) weight on
 a stratified base produces weighted Euler characteristics (sums) and Euler
@@ -34,7 +34,7 @@ from .errors import ResourceLimitError, ValidationError, agree, check_depth
 from .groupoidstack import (
     MAX_DEPTH, FiniteGSet, TowerLevel, inertia, iterated_inertia, orbit_count, orbits,
 )
-from .grouptheory import _commuting_recursive, _stabilizer_masks, commuting_tuple_counts
+from .grouptheory import _as_tuple, _commuting_recursive, commuting_tuple_counts
 from .orbicurve import OrbifoldCurve
 
 
@@ -75,9 +75,12 @@ def euler_series(gset: FiniteGSet, m_max: int) -> list[Fraction]:
 def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
     """[N_0..N_m_max], each N_m counted two ways; exact agreement is mandatory.
 
-    Recursive route: per orbit, |orbit| times the centralizer recursion on
-    the stabilizer, which returns N_0..N_m_max at once.  Direct route:
-    :func:`commuting_tuple_counts` over the points' stabilizer masks.  The
+    Conjugate points have conjugate stabilizers, which hold equally many
+    commuting tuples, so both routes run once per distinct representative
+    stabilizer, weighted by the points of the orbits it represents.
+    Recursive route: the centralizer recursion on the stabilizer, which
+    returns N_0..N_m_max at once.  Direct route:
+    :func:`commuting_tuple_counts` over the stabilizers' masks.  The
     recursive count comes first and counts never fall as m grows, so a
     series over ``Limits.tuples`` raises before any term is worked out.  A
     nontrivial stabilizer holds a cyclic subgroup of order >= 2, so N_m >=
@@ -90,14 +93,18 @@ def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
     if m_max > MAX_DEPTH:
         raise ResourceLimitError(f"m_max {m_max} exceeds MAX_DEPTH = {MAX_DEPTH}")
-    memo = {}  # keyed on element sets of one group, so shared by the orbits
-    recursive = [0] * (m_max + 1)
+    points = Counter()  # distinct stabilizer -> the points with a stabilizer conjugate to it
     for members, stab in zip(dec.orbits, dec.stabilizers):
+        points[stab] += len(members)
+    memo = {}  # keyed on element sets of one group, so shared by the stabilizers
+    recursive = [0] * (m_max + 1)
+    for stab, w in points.items():
         for m, n in enumerate(_commuting_recursive(group, stab, m_max, memo)):
-            recursive[m] += len(members) * n
+            recursive[m] += w * n
     if m_max and recursive[m_max] > cap:
         raise ResourceLimitError(f"tuple enumeration exceeds Limits.tuples = {cap}")
-    direct = commuting_tuple_counts(group, Counter(_stabilizer_masks(group, dec)), m_max)
+    masks = {sum(1 << h for h in stab): w for stab, w in points.items()}
+    direct = commuting_tuple_counts(group, masks, m_max)
     for m in range(1, m_max + 1):
         agree(f"commuting {m}-tuples, by enumeration and by recursion", direct[m], recursive[m])
     return direct
@@ -177,8 +184,9 @@ class GSetStrata:
 
     def __init__(self, gset: FiniteGSet, blocks: tuple[tuple[int, ...], ...], weights: tuple):
         self.gset = gset
-        self.blocks = tuple(tuple(sorted(b)) for b in blocks)
-        self.weights = tuple(Fraction(w) for w in weights)
+        blocks, weights = _as_tuple(blocks, "blocks"), _as_tuple(weights, "weights")
+        self.blocks = tuple(tuple(sorted(_as_tuple(b, f"block {i}"))) for i, b in enumerate(blocks))
+        self.weights = tuple(_exact(w, f"weight of block {i}") for i, w in enumerate(weights))
         if len(self.blocks) != len(self.weights):
             raise ValidationError("one weight per block required")
         flat = sorted(p for b in self.blocks for p in b)
@@ -190,52 +198,41 @@ class GSetStrata:
             for o in {dec.orbit_of[p] for p in block}:
                 for p in dec.orbits[o]:
                     if p not in block_set:
-                        raise ValidationError(
-                            f"block {i} cuts orbit {o}: weight would not be "
-                            f"constant on the quotient (point {p})"
-                        )
+                        raise ValidationError(f"block {i} cuts orbit {o}: weight would not "
+                                              f"be constant on the quotient (point {p})")
 
     @staticmethod
     def from_point_weights(gset: FiniteGSet, point_weights) -> "GSetStrata":
         """Group points by weight; weights must be orbit-constant."""
+        point_weights = [_exact(w, f"weight of point {p}")
+                         for p, w in enumerate(_as_tuple(point_weights, "point weights"))]
         if len(point_weights) != gset.size:
             raise ValidationError("need one weight per point")
         dec = orbits(gset)
         for o, members in enumerate(dec.orbits):
-            vals = {Fraction(point_weights[p]) for p in members}
+            vals = {point_weights[p] for p in members}
             if len(vals) != 1:
-                raise ValidationError(
-                    f"weights not constant on orbit {o}: {sorted(vals)}"
-                )
+                raise ValidationError(f"weights not constant on orbit {o}: {sorted(vals)}")
         by_weight: dict[Fraction, list[int]] = {}
         for p, w in enumerate(point_weights):
-            by_weight.setdefault(Fraction(w), []).append(p)
+            by_weight.setdefault(w, []).append(p)
         items = sorted(by_weight.items())
-        return GSetStrata(
-            gset,
-            tuple(tuple(ps) for _, ps in items),
-            tuple(w for w, _ in items),
-        )
+        return GSetStrata(gset, [ps for _, ps in items], [w for w, _ in items])
 
     def refine(self) -> "GSetStrata":
         """Split every block into its orbits (same weights): a refinement."""
         dec = orbits(self.gset)
-        blocks = []
-        weights = []
-        for block, w in zip(self.blocks, self.weights):
-            for o in sorted({dec.orbit_of[p] for p in block}):
-                blocks.append(dec.orbits[o])
-                weights.append(w)
-        return GSetStrata(self.gset, tuple(blocks), tuple(weights))
+        parts = [(dec.orbits[o], w) for block, w in zip(self.blocks, self.weights)
+                 for o in sorted({dec.orbit_of[p] for p in block})]
+        return GSetStrata(self.gset, [b for b, _ in parts], [w for _, w in parts])
 
     def _block_chis(self):
         dec = orbits(self.gset)
         out = []
         for block in self.blocks:
             os = sorted({dec.orbit_of[p] for p in block})
-            top = len(os)
             orb = sum((Fraction(1, dec.stabilizer_orders[o]) for o in os), Fraction(0))
-            out.append((top, orb))
+            out.append((len(os), orb))
         return out
 
 
@@ -250,19 +247,19 @@ class CurveStrata:
 
     def __init__(self, curve: OrbifoldCurve, open_weight: Fraction, point_weights: tuple):
         self.curve = curve
-        self.open_weight = Fraction(open_weight)
-        for l, _ in point_weights:
+        self.open_weight = _exact(open_weight, "open weight")
+        pairs = _pairs(point_weights, "point weights")
+        for l, _ in pairs:
             if not isinstance(l, str):
                 raise ValidationError(f"point label must be a string, got {l!r}")
-        self.point_weights = tuple(sorted((l, Fraction(w)) for l, w in point_weights))
+        self.point_weights = tuple(sorted((l, _exact(w, f"weight of point {l!r}"))
+                                          for l, w in pairs))
         labels = [l for l, _ in self.point_weights]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate point labels in stratification")
         for label, _ in curve.stacky_points:
             if label not in set(labels):
-                raise ValidationError(
-                    f"stacky point {label!r} must be its own stratum"
-                )
+                raise ValidationError(f"stacky point {label!r} must be its own stratum")
 
     def refine(self, extra_label: str) -> "CurveStrata":
         """Carve one more ordinary point out of the open stratum.
@@ -272,22 +269,14 @@ class CurveStrata:
         """
         if any(l == extra_label for l, _ in self.point_weights):
             raise ValidationError(f"{extra_label!r} is already a stratum")
-        return CurveStrata(
-            self.curve,
-            self.open_weight,
-            self.point_weights + ((extra_label, self.open_weight),),
-        )
+        return CurveStrata(self.curve, self.open_weight,
+                           self.point_weights + ((extra_label, self.open_weight),))
 
     def _strata(self):
         """(weight, chi_top, chi_orb) per stratum, open complement last."""
-        s = len(self.point_weights)
-        out = []
-        for label, w in self.point_weights:
-            r = self.curve.order_at(label)
-            out.append((w, 1, Fraction(1, r)))
-        open_chi = 2 - 2 * self.curve.genus - s
-        out.append((self.open_weight, open_chi, Fraction(open_chi)))
-        return out
+        out = [(w, 1, Fraction(1, self.curve.order_at(label))) for label, w in self.point_weights]
+        open_chi = 2 - 2 * self.curve.genus - len(out)
+        return out + [(self.open_weight, open_chi, Fraction(open_chi))]
 
 
 def weighted_chi(strata, variant: str = "top"):
@@ -310,11 +299,23 @@ def _strata_parts(strata):
     if isinstance(strata, CurveStrata):
         return strata._strata()
     if isinstance(strata, GSetStrata):
-        return [
-            (w, t, o)
-            for w, (t, o) in zip(strata.weights, strata._block_chis())
-        ]
+        return [(w, t, o) for w, (t, o) in zip(strata.weights, strata._block_chis())]
     raise ValidationError(f"unknown strata object {strata!r}")
+
+
+def _exact(value, what: str) -> Fraction:
+    """An int (not a bool) or a Fraction, as a Fraction; anything else is refused by name."""
+    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValidationError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _pairs(values, what: str) -> list[tuple]:
+    """``values`` as a list of 2-tuples, or a ValidationError naming them."""
+    pairs = [_as_tuple(pair, f"each of the {what}") for pair in _as_tuple(values, what)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValidationError(f"{what} must be pairs, got {values!r}")
+    return pairs
 
 
 class FormalProduct:
@@ -332,8 +333,8 @@ class FormalProduct:
     @staticmethod
     def from_pairs(pairs) -> "FormalProduct":
         acc: dict[Fraction, Fraction] = {}
-        for base, exp in pairs:
-            base, exp = Fraction(base), Fraction(exp)
+        for i, (base, exp) in enumerate(_pairs(pairs, "factors")):
+            base, exp = _exact(base, f"base of factor {i}"), _exact(exp, f"exponent of factor {i}")
             if base == 0:
                 raise ValidationError("zero base in a formal product")
             if base == 1:

@@ -15,9 +15,9 @@ orbit table of any action, `OrbitDecomposition`, is swept by `_action_orbits`:
 the conjugacy classes are its orbits for conjugation (the centralizers are
 its stabilizers); they, the inertia tower and the subgroup lattice read only
 the generators' rows (normalizers are tested on the table itself).  The
-commute masks are the class table's `_stabilizer_masks`, while the brute
-commuting count builds its own from the table, row against column, and
-tests a tuple's last entry against their AND.
+commute masks are read off the class table, one centralizer per class,
+while the brute commuting count builds its own from the table, row
+against column, and tests a tuple's last entry against their AND.
 """
 
 from __future__ import annotations
@@ -65,9 +65,27 @@ class FiniteGroup:
         return row
 
     def commute_masks(self) -> tuple[int, ...]:
-        """Per element g, a bitmask with bit h set when g*h == h*g."""
+        """Per element g, a bitmask with bit h set when g*h == h*g, read off the classes.
+
+        g = t r t^-1 for r its class representative and t its transporter, so
+        C(g) = t C(r) t^-1: its bits t c t^-1 for c in C(r) are gathered as
+        (t (t c)^-1)^-1, and a central g gets every bit.  So the masks cost
+        |C(g)| steps per element, |G| per class, and not the |G|^2
+        comparisons of `_commute_masks`.
+        """
         if self._commutes is None:
-            self._commutes = _stabilizer_masks(self, conjugacy_classes(self))
+            table, mul, inv, n = conjugacy_classes(self), self.mul, self.inv, self.order
+            masks = []
+            for t, o in zip(table.transporter, table.orbit_of):
+                cent = table.stabilizers[o]
+                if len(cent) == n:
+                    masks.append((1 << n) - 1)
+                    continue
+                row, bits = mul[t], bytearray(n // 8 + 1)
+                for p in _gather(_gather(_gather(_gather(cent)(row))(inv))(row))(inv):
+                    bits[p >> 3] |= 1 << (p & 7)
+                masks.append(int.from_bytes(bits, "little"))
+            self._commutes = tuple(masks)
         return self._commutes
 
     def spanning_tree(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -168,30 +186,6 @@ def _commute_masks(mul) -> tuple[int, ...]:
     """Bit b of entry a is set when a*b == b*a: row a == column a, read in binary."""
     return tuple(int(bytes(map(eq, row, col)).translate(_BITS)[::-1], 2)
                  for row, col in zip(mul, zip(*mul)))
-
-
-def _stabilizer_masks(group: FiniteGroup, table: OrbitDecomposition) -> tuple[int, ...]:
-    """Per point y of an orbit table's action, the mask of Stab(y) = t Stab(r) t^-1.
-
-    r is the representative of y's orbit and t its transporter; the bits
-    t c t^-1 for c in Stab(r) are gathered as (t (t c)^-1)^-1, and a point
-    the whole group fixes gets every bit.  So the masks cost |Stab(y)|
-    steps per point, |G| per orbit, and for conjugation (the commute masks)
-    not the |G|^2 comparisons of `_commute_masks`.
-    """
-    mul, inv, n = group.mul, group.inv, group.order
-    full = (1 << n) - 1
-    masks = []
-    for t, o in zip(table.transporter, table.orbit_of):
-        stab = table.stabilizers[o]
-        if len(stab) == n:
-            masks.append(full)
-            continue
-        row, bits = mul[t], bytearray(n // 8 + 1)
-        for p in _gather(_gather(_gather(_gather(stab)(row))(inv))(row))(inv):
-            bits[p >> 3] |= 1 << (p & 7)
-        masks.append(int.from_bytes(bits, "little"))
-    return tuple(masks)
 
 
 # -- construction -----------------------------------------------------------

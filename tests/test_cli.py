@@ -595,6 +595,18 @@ def test_euler_oracle_exits_4_when_a_depth_2_column_is_corrupt(capsys, monkeypat
     assert error["message"] == "Euler ladder at m=1: chi_phy, chi_top, chi_orb: routes disagree: 4 vs 3 vs 4"
 
 
+def test_series_exits_4_without_oracle_when_the_commute_masks_drop_the_identity(capsys, monkeypatch):
+    # the series always checks its two tuple counts, so no --oracle is needed
+    real = grouptheory.FiniteGroup.commute_masks
+    monkeypatch.setattr(grouptheory.FiniteGroup, "commute_masks", lambda self: tuple(
+        mask & ~1 if g else mask for g, mask in enumerate(real(self))))
+    status, out, _ = run_cli(capsys, "series", "--gset", "s3-natural")
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"] == ("commuting 2-tuples, by enumeration and by recursion: "
+                                "routes disagree: 9 vs 12")
+
+
 def test_classes_oracle_counts_centralizers_on_the_table(capsys, monkeypatch):
     # with every conjugation row the identity, the sweep finds 24 one-element
     # classes of S4, each with centralizer S4, and the table's counts differ

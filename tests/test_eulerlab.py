@@ -112,6 +112,27 @@ def test_three_tuple_counts_agree_on_random_coset_unions(data):
     assert direct == brute == euler_series(x, 5)[m] * g.order
 
 
+def test_the_series_recurs_once_per_distinct_stabilizer(monkeypatch):
+    real, calls = eulerlab._commuting_recursive, []
+
+    def counted(group, elems, m, memo):
+        calls.append(elems)
+        return real(group, elems, m, memo)
+
+    monkeypatch.setattr(eulerlab, "_commuting_recursive", counted)
+    # a thousand fixed points share one stabilizer, the whole group
+    assert euler_series(trivial_gset(symmetric(4), 1000), 4)[4] == 84000
+    assert calls == [tuple(range(24))]
+    # two copies of each coset space of D4: eight orbits, four stabilizers
+    g, classes = next((g, subgroup_conjugacy_reps(g)) for name, g in group_catalog(8)
+                      if name.startswith("D"))
+    x = disjoint_union(*(coset_gset(g, sub) for sub in classes[:4] * 2))
+    calls.clear()
+    euler_series(x, 3)
+    assert sorted(calls) == sorted(sub.elements for sub in classes[:4])
+    assert len(groupoidstack.orbits(x).orbits) == 8
+
+
 def test_chi_m_tuple_cap():
     pt = trivial_gset(symmetric(3), 1)
     with limits.using(tuples=100), pytest.raises(ResourceLimitError, match=r"Limits\.tuples"):
@@ -407,6 +428,48 @@ def test_determinant_refinement_invariance_randomized():
             a = euler_determinant(strata, variant)
             b = euler_determinant(strata.refine(), variant)
             assert a.factors == b.factors
+
+
+_NOT_EXACT = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3), st.decimals(),
+                       st.complex_numbers(), st.lists(st.integers(), max_size=2))
+_NOT_ITERABLE = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_strata_and_products_refuse_what_is_not_an_int_or_a_fraction(data):
+    x, curve = natural_gset(symmetric(3)), OrbifoldCurve(0, (("p2", 2), ("p3", 3)))
+    bad, odd = data.draw(_NOT_EXACT), data.draw(_NOT_ITERABLE)
+    weight_calls = [
+        lambda: GSetStrata.from_point_weights(x, [bad] * 3),
+        lambda: GSetStrata(x, [(0, 1, 2)], [bad]),
+        lambda: CurveStrata(curve, bad, (("p2", 1), ("p3", 1))),
+        lambda: CurveStrata(curve, 1, (("p2", 1), ("p3", bad))),
+        lambda: FormalProduct.from_pairs([(2, 1), (bad, 1)]),
+        lambda: FormalProduct.from_pairs([(2, bad)]),
+    ]
+    with pytest.raises(ValidationError, match=r" must be an int or a Fraction, got "):
+        data.draw(st.sampled_from(weight_calls))()
+    argument_calls = [
+        lambda: GSetStrata.from_point_weights(x, odd),
+        lambda: GSetStrata(x, odd, [1]),
+        lambda: GSetStrata(x, [(0, 1, 2)], odd),
+        lambda: GSetStrata(x, [odd], [1]),
+        lambda: CurveStrata(curve, 1, odd),
+        lambda: CurveStrata(curve, 1, [odd]),
+        lambda: FormalProduct.from_pairs(odd),
+        lambda: FormalProduct.from_pairs([odd]),
+    ]
+    with pytest.raises(ValidationError, match=r" must be iterable, got "):
+        data.draw(st.sampled_from(argument_calls))()
+
+
+def test_strata_weights_keep_their_exact_values():
+    x, curve = natural_gset(symmetric(3)), OrbifoldCurve(0, (("p", 2),))
+    assert GSetStrata.from_point_weights(x, [Fraction(1, 3)] * 3).weights == (Fraction(1, 3),)
+    assert CurveStrata(curve, -2, (("p", Fraction(1, 2)),)).point_weights == (("p", Fraction(1, 2)),)
+    with pytest.raises(ValidationError, match=r"^factors must be pairs, got \[\(2,\)\]$"):
+        FormalProduct.from_pairs([(2,)])
 
 
 def test_formal_product_algebra():

@@ -3,6 +3,7 @@
 import gc
 import re
 import weakref
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, count, permutations
 
@@ -35,7 +36,7 @@ from stackyrr.groupoidstack import (
     trivial_gset,
 )
 from stackyrr.grouptheory import (
-    FiniteGroup, _set_bits, _stabilizer_masks, conjugacy_classes, subgroup_conjugacy_reps,
+    FiniteGroup, _set_bits, commuting_tuple_counts, conjugacy_classes, subgroup_conjugacy_reps,
 )
 from stackyrr.serialize import group_from_json, gset_from_json
 from stackyrr.smallgroups import cyclic, dihedral, group_catalog, symmetric
@@ -870,11 +871,15 @@ def test_stabilizers_match_the_action_rows_on_coset_unions_their_towers_and_iner
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_stabilizer_masks_are_the_masks_of_the_stabilizer_elements(data):
+def test_series_counts_equal_the_per_point_mask_count(data):
+    # the reference counts from one stabilizer mask per point; the series
+    # counts once per distinct representative stabilizer, weighted by points
     levels = _coset_union_and_its_tower(data)
-    for x in levels + [inertia(level) for level in levels]:
-        masks = _stabilizer_masks(x.group, orbits(x))
-        assert masks == tuple(sum(1 << h for h in x.stabilizer_elements(p)) for p in range(x.size))
+    with limits.using(tuples=10**30):
+        for x in levels + [inertia(level) for level in levels]:
+            masks = Counter(sum(1 << h for h in x.stabilizer_elements(p)) for p in range(x.size))
+            expected = commuting_tuple_counts(x.group, masks, 3)
+            assert [chi * x.group.order for chi in euler_series(x, 3)] == expected
 
 
 def test_many_equal_orbits_have_the_reference_stabilizer_and_are_refused_by_burnside():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stackyrr import chartheory, errors, eulerlab, orbicurve
+from stackyrr import chartheory, errors, eulerlab, grouptheory, orbicurve
 from stackyrr.chartheory import structure_bundle
 from stackyrr.errors import ConsistencyError, agree
 from stackyrr.groupoidstack import iterated_inertia, natural_gset
@@ -74,3 +74,13 @@ def test_the_ladder_catches_two_swapped_entries_of_a_tower_column():
     # the swap joins two orbits of I^2, so chi_top reads 3 against 4
     with pytest.raises(ConsistencyError, match=r"^Euler ladder at m=1: .*: routes disagree: 4 vs 3 vs 4$"):
         eulerlab.ladder_check(x, 1)
+
+
+def test_the_series_catches_commute_masks_without_the_identity(monkeypatch):
+    real = grouptheory.FiniteGroup.commute_masks
+    monkeypatch.setattr(grouptheory.FiniteGroup, "commute_masks", lambda self: tuple(
+        mask & ~1 if g else mask for g, mask in enumerate(real(self))))
+    # the mask route then loses every pair (g, 1) with g != 1: 9 pairs, not 12
+    with pytest.raises(ConsistencyError, match=r"^commuting 2-tuples, by enumeration and by "
+                                               r"recursion: routes disagree: 9 vs 12$"):
+        eulerlab.euler_series(natural_gset(symmetric(3)), 3)
