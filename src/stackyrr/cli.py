@@ -139,7 +139,6 @@ def _cmd_classes(spec: JobSpec) -> dict:
                         for r in table.representatives)
         agree("centralizer orders, by the class sweep and counted row against column",
               table.stabilizer_orders, counted)
-        agree("group order, by the class equation", group.order, sum(group.order // z for z in counted))
         result["oracle"] = {
             "class_size_times_centralizer_is_order": True,
             "classes_partition_group": True,
@@ -318,7 +317,7 @@ def _cmd_report(spec: JobSpec) -> dict:
     if spec.inputs.get("gset") is not None:
         gset = gset_from_json(spec.inputs["gset"])
         table = conjugacy_classes(gset.group)
-        iner = iterated_inertia(gset, 1)  # held, so the ladder's rung 0 reuses it
+        iner = iterated_inertia(gset, 1)  # held, so the ladder's rung 0 and the trace map read it
         rep = euler_report(gset, spec.m_max)
         summary = devissage_summary(gset)
         if spec.oracle:

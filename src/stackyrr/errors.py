@@ -1,9 +1,11 @@
 """Exception types shared by all modules, the one way to declare an oracle,
-and the one check on a depth argument.
+and the one check on a depth argument and on an exact scalar.
 
 The CLI maps these onto exit statuses: validation problems exit with 2,
 resource-cap breaches with 3, and cross-check disagreements with 4.
 """
+
+from fractions import Fraction
 
 
 class ValidationError(ValueError):
@@ -63,3 +65,10 @@ def check_depth(m, what: str) -> int:
     if m < 0:
         raise ValidationError(f"{what} must be >= 0, got {m}")
     return m
+
+
+def check_exact(value, what: str) -> Fraction:
+    """An int (not a bool) or a Fraction, as a Fraction; anything else is refused by name."""
+    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValidationError(f"{what} must be an int or a Fraction, got {value!r}")

@@ -12,11 +12,11 @@ Writing I^m for the m-th iterated inertia, these satisfy the exact ladder
     chi_phy(I^m) = chi_top(I^(m+1)) = chi_orb(I^(m+2)),
 
 and chi_orb(I^m) = (number of commuting m-tuples with a common fixed
-point)/|H| gives a generating series worth tabulating.  Every quantity here
-is computed by at least two genuinely different routes (the count over
-extension masks of `grouptheory.commuting_tuple_counts` vs. the
+point)/|H| gives a generating series worth tabulating.  Every quantity but
+chi_orb = |X|/|H| is computed by two genuinely different routes (the count
+over extension masks of `grouptheory.commuting_tuple_counts` vs. the
 centralizer recursion, each once per distinct stabilizer; direct
-construction vs. repeated inertia) and the routes are required to agree exactly.
+construction vs. repeated inertia above I^1), which must agree exactly.
 
 Weighted variants: a constructible integer (or nonzero rational) weight on
 a stratified base produces weighted Euler characteristics (sums) and Euler
@@ -30,11 +30,11 @@ from collections import Counter
 from fractions import Fraction
 
 from . import limits
-from .errors import ResourceLimitError, ValidationError, agree, check_depth
+from .errors import ResourceLimitError, ValidationError, agree, check_depth, check_exact
 from .groupoidstack import (
     MAX_DEPTH, FiniteGSet, TowerLevel, inertia, iterated_inertia, orbit_count, orbits,
 )
-from .grouptheory import _as_tuple, _commuting_recursive, commuting_tuple_counts
+from .grouptheory import _as_tuple, _commuting_recursive, _index, _pairs, commuting_tuple_counts
 from .orbicurve import OrbifoldCurve
 
 
@@ -46,11 +46,8 @@ def chi_top_gset(gset: FiniteGSet) -> int:
 
 
 def chi_orb_gset(gset: FiniteGSet) -> Fraction:
-    """Sum over orbits of 1/|stabilizer|; asserted equal to |X|/|G|."""
-    dec = orbits(gset)
-    total = sum((Fraction(1, s) for s in dec.stabilizer_orders), Fraction(0))
-    return agree("chi_orb, by orbits and as |X|/|G|", total,
-                 Fraction(gset.size, gset.group.order))
+    """Sum over orbits of 1/|stabilizer|: |X|/|G|, as the sweep checks |orbit|·|stab| = |G|."""
+    return Fraction(gset.size, gset.group.order)
 
 
 def chi_phy_gset(gset: FiniteGSet) -> int:
@@ -113,10 +110,10 @@ def _tuple_counts(gset: FiniteGSet, m_max: int) -> list[int]:
 def ladder_check(gset: FiniteGSet, m: int) -> bool:
     """Verify chi_phy(I^m) = chi_top(I^(m+1)) = chi_m(X, m+2), exactly.
 
-    The three quantities are computed from three different objects: the
-    inertia of the directly built I^m, the directly built I^(m+1), and the
-    commuting-tuple count.  Any mismatch raises; the return value is True
-    so the call reads as an assertion.
+    The three quantities are read from the inertia of I^m (built from I^m's
+    stabilizers; at m = 0 that is I^1 itself), the directly built I^(m+1),
+    and the commuting-tuple count.  Any mismatch raises; the return value is
+    True so the call reads as an assertion.
     """
     check_depth(m, "m")
     level = iterated_inertia(gset, m + 1)
@@ -185,8 +182,9 @@ class GSetStrata:
     def __init__(self, gset: FiniteGSet, blocks: tuple[tuple[int, ...], ...], weights: tuple):
         self.gset = gset
         blocks, weights = _as_tuple(blocks, "blocks"), _as_tuple(weights, "weights")
-        self.blocks = tuple(tuple(sorted(_as_tuple(b, f"block {i}"))) for i, b in enumerate(blocks))
-        self.weights = tuple(_exact(w, f"weight of block {i}") for i, w in enumerate(weights))
+        self.blocks = tuple(tuple(sorted(_index(p, gset.size, f"block {i} point") for p in points))
+                            for i, b in enumerate(blocks) for points in [_as_tuple(b, f"block {i}")])
+        self.weights = tuple(check_exact(w, f"weight of block {i}") for i, w in enumerate(weights))
         if len(self.blocks) != len(self.weights):
             raise ValidationError("one weight per block required")
         flat = sorted(p for b in self.blocks for p in b)
@@ -204,7 +202,7 @@ class GSetStrata:
     @staticmethod
     def from_point_weights(gset: FiniteGSet, point_weights) -> "GSetStrata":
         """Group points by weight; weights must be orbit-constant."""
-        point_weights = [_exact(w, f"weight of point {p}")
+        point_weights = [check_exact(w, f"weight of point {p}")
                          for p, w in enumerate(_as_tuple(point_weights, "point weights"))]
         if len(point_weights) != gset.size:
             raise ValidationError("need one weight per point")
@@ -227,13 +225,10 @@ class GSetStrata:
         return GSetStrata(self.gset, [b for b, _ in parts], [w for _, w in parts])
 
     def _block_chis(self):
-        dec = orbits(self.gset)
-        out = []
-        for block in self.blocks:
-            os = sorted({dec.orbit_of[p] for p in block})
-            orb = sum((Fraction(1, dec.stabilizer_orders[o]) for o in os), Fraction(0))
-            out.append((len(os), orb))
-        return out
+        """(orbit count, chi_orb) per block: a union of orbits, so chi_orb = |block|/|G|."""
+        dec, order = orbits(self.gset), self.gset.group.order
+        return [(len({dec.orbit_of[p] for p in block}), Fraction(len(block), order))
+                for block in self.blocks]
 
 
 class CurveStrata:
@@ -247,12 +242,12 @@ class CurveStrata:
 
     def __init__(self, curve: OrbifoldCurve, open_weight: Fraction, point_weights: tuple):
         self.curve = curve
-        self.open_weight = _exact(open_weight, "open weight")
+        self.open_weight = check_exact(open_weight, "open weight")
         pairs = _pairs(point_weights, "point weights")
         for l, _ in pairs:
             if not isinstance(l, str):
                 raise ValidationError(f"point label must be a string, got {l!r}")
-        self.point_weights = tuple(sorted((l, _exact(w, f"weight of point {l!r}"))
+        self.point_weights = tuple(sorted((l, check_exact(w, f"weight of point {l!r}"))
                                           for l, w in pairs))
         labels = [l for l, _ in self.point_weights]
         if len(set(labels)) != len(labels):
@@ -303,21 +298,6 @@ def _strata_parts(strata):
     raise ValidationError(f"unknown strata object {strata!r}")
 
 
-def _exact(value, what: str) -> Fraction:
-    """An int (not a bool) or a Fraction, as a Fraction; anything else is refused by name."""
-    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValidationError(f"{what} must be an int or a Fraction, got {value!r}")
-
-
-def _pairs(values, what: str) -> list[tuple]:
-    """``values`` as a list of 2-tuples, or a ValidationError naming them."""
-    pairs = [_as_tuple(pair, f"each of the {what}") for pair in _as_tuple(values, what)]
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValidationError(f"{what} must be pairs, got {values!r}")
-    return pairs
-
-
 class FormalProduct:
     """An element of Q* tensor Q: factors base^exponent with bases deduplicated.
 
@@ -333,8 +313,8 @@ class FormalProduct:
     @staticmethod
     def from_pairs(pairs) -> "FormalProduct":
         acc: dict[Fraction, Fraction] = {}
-        for i, (base, exp) in enumerate(_pairs(pairs, "factors")):
-            base, exp = _exact(base, f"base of factor {i}"), _exact(exp, f"exponent of factor {i}")
+        for i, pair in enumerate(_pairs(pairs, "factors")):
+            base, exp = map(check_exact, pair, (f"base of factor {i}", f"exponent of factor {i}"))
             if base == 0:
                 raise ValidationError("zero base in a formal product")
             if base == 1:

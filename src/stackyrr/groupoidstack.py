@@ -21,10 +21,10 @@ commuting and all fixing x.  `iterated_inertia` builds that as a tower of
 level below in compressed rows, sorted, plus one column per generator.
 Each level holds its level below strongly and the one above only weakly,
 so a tower lives exactly as long as its top level is referenced.
-``inertia(B)`` is a fresh level 1 of the tower on B, built from the
-stabilizers of the orbit sweep, never the one the tower keeps, and
-`flattening_bijection` checks that it really is, equivariantly, the level
-above B by comparing the two levels' arrays.
+``inertia(B)`` is level 1 of the tower on B.  On a tower level I^m that
+is a depth-1 level built from I^m's stabilizers, while I^(m+1) ANDs commute
+masks, and `flattening_bijection` checks that the two are, equivariantly,
+the same level above I^m by comparing their arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from itertools import chain, count, repeat
 
 from . import limits
 from .errors import ResourceLimitError, ValidationError, check_depth
-from .grouptheory import FiniteGroup, OrbitDecomposition, Subgroup, _action_orbits, _set_bits, subgroup
+from .grouptheory import (
+    FiniteGroup, OrbitDecomposition, Subgroup, _action_orbits, _index, _set_bits, subgroup,
+)
 
 # The longest series (m_max) and tallest tower any operation climbs.  A free
 # action keeps |X| points at every level, so no count-based cap bounds it.
@@ -81,7 +83,8 @@ class FiniteGSet:
 
     def stabilizer_elements(self, x: int) -> list[int]:
         dec, group = orbits(self), self.group
-        t, stab = dec.transporter[x], dec.stabilizers[dec.orbit_of[x]]  # x = t.rep
+        t = dec.transporter[_index(x, self.size, "point")]  # x = t.rep
+        stab = dec.stabilizers[dec.orbit_of[x]]
         if not t:  # x is its orbit's representative, whose stabilizer is kept sorted
             return list(stab)
         mul, left, t_inv = group.mul, group.mul[t], group.inv[t]  # Stab(x) = t Stab(rep) t^-1
@@ -91,7 +94,7 @@ class FiniteGSet:
         """Stab(x) as a `Subgroup`: an orbit representative's is validated once
         and kept with the orbits, any other point's is a fresh conjugate."""
         dec = orbits(self)
-        o = dec.orbit_of[x]
+        o = dec.orbit_of[_index(x, self.size, "point")]
         if x != dec.representatives[o]:
             return subgroup(self.group, self.stabilizer_elements(x))
         if o not in dec._subgroups:
@@ -229,11 +232,10 @@ def _level_above(below: FiniteGSet, depth: int, cap: int) -> TowerLevel:
 def inertia(gset: FiniteGSet) -> TowerLevel:
     """Fixed-point pairs (x, h) under g.(x, h) = (g.x, g h g^-1).
 
-    A fresh level 1 of the tower on ``gset``, never the one
-    :func:`iterated_inertia` keeps, so the two can be checked against each
-    other; its labels are the pairs.  Held to ``Limits.points``.
+    Level 1 of the tower on ``gset``, shared with :func:`iterated_inertia`
+    while it is held; its labels are the pairs.  Held to ``Limits.points``.
     """
-    return _level_above(gset, 1, limits.current().points)
+    return iterated_inertia(gset, 1)
 
 
 def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
@@ -272,12 +274,12 @@ def iterated_inertia(gset: FiniteGSet, m: int) -> FiniteGSet:
 def flattening_bijection(nested: TowerLevel, flat: TowerLevel) -> "EquivariantMap":
     """The relabeling inertia(I^m) -> I^(m+1), checked for equivariance.
 
-    ``nested`` is the inertia of a G-set B (a tower level or the base
-    itself), a depth-1 level, and ``flat`` must be a tower level built
-    directly on B.  Both list the children h of each point x of B in one
-    sorted row, so the map is the identity exactly when their ``offsets``,
-    ``last`` and generator columns are equal; otherwise `ValidationError`
-    carries the difference `_flattening_mismatch` names.
+    ``nested`` is the inertia of a G-set B (a tower level, or the base
+    itself, whose inertia is ``flat``), a depth-1 level, and ``flat`` must
+    be a tower level built directly on B.  Both list the children h of each
+    point x of B in one sorted row, so the map is the identity exactly when
+    their ``offsets``, ``last`` and generator columns are equal; otherwise
+    `ValidationError` carries the difference `_flattening_mismatch` names.
     """
     mismatch = _flattening_mismatch(nested, flat)
     if mismatch is not None:
@@ -406,10 +408,9 @@ def coset_gset(group: FiniteGroup, sub: Subgroup) -> FiniteGSet:
 
 
 def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
+    if not gsets or any(x.group is not gsets[0].group for x in gsets):
+        raise ValidationError("disjoint union needs one or more G-sets over a common group")
     group = gsets[0].group
-    for x in gsets[1:]:
-        if x.group is not group:
-            raise ValidationError("disjoint union needs a common group")
     cols = [[] for _ in group.spanning_tree()[0]]
     offset = 0
     for x in gsets:

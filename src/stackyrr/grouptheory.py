@@ -362,11 +362,26 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _index(x, n: int, what: str) -> int:
+    """``x`` if it is an int in 0..n-1; else a `ValidationError` naming it."""
+    if _is_index(x) and 0 <= x < n:
+        return x
+    raise ValidationError(f"{what} {x!r} is not an index in 0..{n - 1}")
+
+
 def _as_tuple(values, what: str) -> tuple:
     try:  # an argument that is not iterable is malformed input, refused by name
         return tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be iterable, got {values!r}") from None
+
+
+def _pairs(values, what: str) -> list[tuple]:
+    """``values`` as a list of 2-tuples, or a ValidationError naming them."""
+    pairs = [_as_tuple(pair, f"each of the {what}") for pair in _as_tuple(values, what)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValidationError(f"{what} must be pairs, got {values!r}")
+    return pairs
 
 
 class Subgroup:
@@ -394,10 +409,7 @@ class Subgroup:
             raise ValidationError(f"subgroup elements must be a tuple, got {elems!r}")
         n = parent.order
         for e in elems:
-            if not _is_index(e):
-                raise ValidationError(f"subgroup element {e!r} is not an integer")
-            if not 0 <= e < n:
-                raise ValidationError(f"subgroup element {e} is out of range 0..{n - 1}")
+            _index(e, n, "subgroup element")
         for a, b in zip(elems, elems[1:]):
             if b <= a:
                 what = "repeated" if a == b else "out of order"
@@ -670,8 +682,7 @@ def centralizer(group: FiniteGroup, elems) -> Subgroup:
     if not elems:
         raise ValidationError("centralizer needs at least one element")
     for x in elems:
-        if not _is_index(x) or not 0 <= x < group.order:
-            raise ValidationError(f"centralizer element {x!r} is not an index in 0..{group.order - 1}")
+        _index(x, group.order, "centralizer element")
     mul = group.mul
     members = [
         g

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError, agree, check_depth
+from .errors import ConsistencyError, ValidationError, agree, check_depth, check_exact
+from .grouptheory import _is_index, _pairs
 
 ANCHOR_LABEL = "@coarse"
 
@@ -33,18 +34,17 @@ class OrbifoldCurve:
 
     def __init__(self, genus: int, stacky_points: tuple[tuple[str, int], ...] = ()):
         self.genus = check_depth(genus, "genus")
-        self.stacky_points = tuple((l, r) for l, r in stacky_points)
-        labels = [l for l, _ in self.stacky_points]
-        for l in labels:
+        self.stacky_points = tuple(_pairs(stacky_points, "stacky points"))
+        for l, r in self.stacky_points:
             if not isinstance(l, str):
                 raise ValidationError(f"stacky label must be a string, got {l!r}")
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate stacky labels in {labels}")
-        for l, r in self.stacky_points:
-            if isinstance(r, bool) or not isinstance(r, int):
+            if not _is_index(r):
                 raise ValidationError(f"stacky order at {l!r} must be an integer, got {r!r}")
             if r < 2:
                 raise ValidationError(f"stacky order at {l!r} must be >= 2, got {r}")
+        labels = [l for l, _ in self.stacky_points]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"duplicate stacky labels in {labels}")
 
     def order_at(self, label: str) -> int:
         for l, r in self.stacky_points:
@@ -73,10 +73,10 @@ class FracDivisor:
         self.curve = curve
         cleaned = []
         seen = set()
-        for label, coeff in support:
+        for label, coeff in _pairs(support, "divisor terms"):
             if not isinstance(label, str):
                 raise ValidationError(f"divisor label must be a string, got {label!r}")
-            coeff = Fraction(coeff)
+            coeff = check_exact(coeff, f"coefficient at {label!r}")
             if label in seen:
                 raise ValidationError(f"label {label!r} listed twice")
             seen.add(label)
@@ -115,9 +115,8 @@ class FracDivisor:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "FracDivisor":
-        return FracDivisor(
-            self.curve, tuple((l, Fraction(scalar) * c) for l, c in self.support)
-        )
+        scalar = check_exact(scalar, "divisor scalar")
+        return FracDivisor(self.curve, tuple((l, scalar * c) for l, c in self.support))
 
     __mul__ = __rmul__
 

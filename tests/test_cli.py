@@ -607,6 +607,20 @@ def test_series_exits_4_without_oracle_when_the_commute_masks_drop_the_identity(
                                 "routes disagree: 9 vs 12")
 
 
+def test_series_oracle_catches_brute_masks_without_the_identity(capsys, monkeypatch):
+    # the brute route's own masks, built from the table, lose every pair
+    # (g, 1) with g != 1; the series and its library check read other masks
+    real = grouptheory._commute_masks
+    monkeypatch.setattr(grouptheory, "_commute_masks", lambda mul: tuple(
+        mask & ~1 if g else mask for g, mask in enumerate(real(mul))))
+    assert run_cli(capsys, "series", "--gset", "s3-natural")[0] == EXIT_OK
+    status, out, _ = run_cli(capsys, "series", "--gset", "s3-natural", "--oracle")
+    error = json.loads(out)["error"]
+    assert (status, error["kind"]) == (EXIT_ORACLE, "oracle-disagreement")
+    assert error["message"] == ("commuting tuple counts, by the series and by brute force: "
+                                "routes disagree: [3, 6, 12, 24] vs [3, 6, 9, 12]")
+
+
 def test_classes_oracle_counts_centralizers_on_the_table(capsys, monkeypatch):
     # with every conjugation row the identity, the sweep finds 24 one-element
     # classes of S4, each with centralizer S4, and the table's counts differ
@@ -703,20 +717,26 @@ def test_report_oracle_checks_the_divisor_and_the_trace_map(capsys, monkeypatch)
     assert "trace-map rank" in json.loads(out)["error"]["message"]
 
 
-def test_report_builds_the_base_inertia_three_times(capsys, monkeypatch):
-    # the tower's level 1 (held, so rung 0 reuses it), the nested route of
-    # rung 0 and the trace map's own: three independent routes
-    built = []
-    real = groupoidstack._level_above
+def test_report_builds_the_base_inertia_once(capsys, monkeypatch):
+    # the tower's level 1, held by the report, is rung 0's chi_phy and
+    # chi_top and the level the trace map reads: one build serves all three
+    built, traced = [], []
+    real, cells = groupoidstack._level_above, chartheory._trace_cells
 
     def level_above(below, depth, cap):
+        level = real(below, depth, cap)
         if depth == 1 and below.size == 3:
-            built.append(below)
-        return real(below, depth, cap)
+            built.append(level)
+        return level
+
+    def trace_cells(iner):
+        traced.append(iner)
+        return cells(iner)
 
     monkeypatch.setattr(groupoidstack, "_level_above", level_above)
+    monkeypatch.setattr(chartheory, "_trace_cells", trace_cells)
     status, out, _ = run_cli(capsys, "report", "--gset", "s3-natural", "--curve", "p237",
                              "--divisor", "canonical")
     assert status == EXIT_OK
     assert json.loads(out)["result"]["gset"]["inertia"] == {"points": 6, "orbits": 2}
-    assert len(built) == 3 and len({id(b) for b in built}) == 1
+    assert len(built) == 1 and traced == built

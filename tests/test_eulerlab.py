@@ -1,6 +1,8 @@
 """Euler ladder, generating series, weighted sums and determinants."""
 
+import operator
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackyrr import eulerlab, groupoidstack, limits
+from stackyrr import eulerlab, groupoidstack, grouptheory, limits
 from stackyrr.errors import ResourceLimitError, ValidationError
 from stackyrr.eulerlab import (
     CurveStrata,
@@ -30,6 +32,7 @@ from stackyrr.groupoidstack import (
     disjoint_union,
     iterated_inertia,
     natural_gset,
+    orbits,
     trivial_gset,
 )
 from stackyrr.grouptheory import (
@@ -110,6 +113,58 @@ def test_three_tuple_counts_agree_on_random_coset_unions(data):
     brute = sum(g.order // sub.order * count_commuting_tuples(sub.as_group()[0], m, "brute")
                 for sub in subs)
     assert direct == brute == euler_series(x, 5)[m] * g.order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chi_orb_is_the_orbit_sum_of_inverse_stabilizer_orders(data):
+    # the sum chi_orb_gset and GSetStrata used to add up, kept as their reference
+    g, classes = data.draw(st.sampled_from(_catalog_with_classes()))
+    subs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    x = iterated_inertia(disjoint_union(*(coset_gset(g, sub) for sub in subs)),
+                         data.draw(st.integers(0, 2)))
+    dec = orbits(x)
+    inverse_orders = [Fraction(1, s) for s in dec.stabilizer_orders]
+    assert chi_orb_gset(x) == sum(inverse_orders)
+    per_orbit = data.draw(st.lists(st.integers(-3, 6), min_size=dec.count, max_size=dec.count))
+    strata = GSetStrata.from_point_weights(x, [per_orbit[o] for o in dec.orbit_of])
+    expected = [sum(inverse_orders[o] for o in {dec.orbit_of[p] for p in block})
+                for block in strata.blocks]
+    assert [orb for _, orb in strata._block_chis()] == expected
+    assert weighted_chi(strata, "orb") == sum(map(operator.mul, strata.weights, expected))
+
+
+def test_chi_orb_runs_no_orbit_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit sweep ran")
+
+    # `orbits` reads the name groupoidstack imported, so both are patched
+    monkeypatch.setattr(grouptheory, "_action_orbits", refuse)
+    monkeypatch.setattr(groupoidstack, "_action_orbits", refuse)
+    x = natural_gset(symmetric(4))  # built unvalidated: it holds no orbits yet
+    assert chi_orb_gset(x) == chi_m(x, 0) == Fraction(1, 6) and x._orbits is None
+
+
+_NOT_A_POINT = st.one_of(st.text(max_size=2), st.floats(), st.booleans(),
+                         st.integers(max_value=-1), st.integers(min_value=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_point_index_that_is_not_an_int_in_range_is_refused(data):
+    # -1 read point 2's stabilizer, True was point 1, and the rest raised
+    # TypeError or IndexError
+    x, bad = natural_gset(symmetric(3)), data.draw(_NOT_A_POINT)
+    calls = [
+        lambda: x.stabilizer(bad),
+        lambda: x.stabilizer_elements(bad),
+        lambda: GSetStrata(x, [(0, 1, bad)], [1]),
+        lambda: GSetStrata(x, [(0, 2), (bad, 1)], [1, 2]),
+    ]
+    with pytest.raises(ValidationError, match=rf"{re.escape(repr(bad))} is not an index in 0\.\.2$"):
+        data.draw(st.sampled_from(calls))()
+    with pytest.raises(ValidationError, match="^disjoint union needs one or more G-sets"):
+        disjoint_union()
 
 
 def test_the_series_recurs_once_per_distinct_stabilizer(monkeypatch):
@@ -308,8 +363,9 @@ def test_euler_report_counts_once_and_climbs_one_tower(monkeypatch, m_max, depth
     x = natural_gset(symmetric(3))
     rep = euler_report(x, m_max)
     assert counted == [depth]
-    # per rung m: level m+1 of the tower, then the inertia of level m
-    assert built == [d for m in range(max(1, m_max - 1)) for d in (m + 1, 1)]
+    # rung 0: level 1, which is also the inertia of the base; per rung m >= 1:
+    # level m+1 of the tower, then the inertia of level m
+    assert built == [1] + [d for m in range(1, max(1, m_max - 1)) for d in (m + 1, 1)]
     monkeypatch.undo()
     assert rep.series == tuple(euler_series(x, m_max))
     assert (rep.chi_top, rep.chi_orb, rep.chi_phy) == (

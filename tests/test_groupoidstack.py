@@ -739,14 +739,33 @@ def test_tower_levels_keep_no_label_index():
     assert "_label_index" not in TowerLevel.__slots__
 
 
-def test_inertia_is_a_fresh_level_one_of_the_tower():
+def test_inertia_is_level_one_of_the_tower(monkeypatch):
     x = natural_gset(symmetric(3))
-    level1 = iterated_inertia(x, 1)
-    nested = inertia(x)
-    assert isinstance(nested, TowerLevel) and nested.depth == 1 and nested.below is x
-    assert nested is not level1 and nested is not inertia(x)
-    assert (nested.labels, nested.cols) == (level1.labels, level1.cols)
-    assert iterated_inertia(x, 1) is level1
+    level1 = inertia(x)
+    assert isinstance(level1, TowerLevel) and level1.depth == 1 and level1.below is x
+    assert iterated_inertia(x, 1) is level1 and inertia(x) is level1
+    labels, cols = level1.labels, level1.cols
+    released = weakref.ref(level1)
+    del level1
+    gc.collect()
+    assert released() is None
+    rebuilt = inertia(x)  # a new level once the old one is released
+    assert (rebuilt.labels, rebuilt.cols) == (labels, cols)
+    with limits.using(points=5), pytest.raises(ResourceLimitError, match=r"Limits\.points = 5$"):
+        inertia(x)  # the cap in force refuses a reused level
+    assert inertia(x) is rebuilt
+    # over I^1, inertia is a depth-1 level whose rows come from I^1's
+    # stabilizers, a different build from I^2's commute masks
+    built, real = [], groupoidstack._level_above
+
+    def level_above(below, depth, cap):
+        built.append((below, depth))
+        return real(below, depth, cap)
+
+    monkeypatch.setattr(groupoidstack, "_level_above", level_above)
+    nested = inertia(rebuilt)
+    assert built == [(rebuilt, 1)] and nested.depth == 1 and nested.below is rebuilt
+    assert nested is not iterated_inertia(x, 2) and built[1:] == [(rebuilt, 2)]
 
 
 @lru_cache(maxsize=None)

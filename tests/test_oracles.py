@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stackyrr import chartheory, errors, eulerlab, grouptheory, orbicurve
-from stackyrr.chartheory import structure_bundle
+from stackyrr.chartheory import ClassFunction, VirtualEqBundle, structure_bundle
 from stackyrr.errors import ConsistencyError, agree
 from stackyrr.groupoidstack import iterated_inertia, natural_gset
 from stackyrr.orbicurve import OrbifoldCurve
@@ -23,14 +23,12 @@ P23 = OrbifoldCurve(0, (("p2", 2), ("p3", 3)))
 
 
 @pytest.mark.parametrize("module, quantity, call", [
-    (eulerlab, "chi_orb", lambda: eulerlab.chi_orb_gset(S3_NATURAL)),
     (eulerlab, "commuting 2-tuples", lambda: eulerlab.chi_m(S3_NATURAL, 2)),
     (eulerlab, "Euler ladder at m=0", lambda: eulerlab.ladder_check(S3_NATURAL, 0)),
     (orbicurve, "coarse chi_top", lambda: orbicurve.chi_top_via_inertia(P23)),
     (chartheory, "pushforward to a point",
      lambda: chartheory.pushforward_to_point(structure_bundle(S3_NATURAL))),
-], ids=["chi_orb_gset", "chi_m", "ladder_check", "chi_top_via_inertia",
-        "pushforward_to_point"])
+], ids=["chi_m", "ladder_check", "chi_top_via_inertia", "pushforward_to_point"])
 def test_library_oracles_raise_when_a_route_disagrees(monkeypatch, module, quantity, call):
     call()  # the routes agree
 
@@ -74,6 +72,28 @@ def test_the_ladder_catches_two_swapped_entries_of_a_tower_column():
     # the swap joins two orbits of I^2, so chi_top reads 3 against 4
     with pytest.raises(ConsistencyError, match=r"^Euler ladder at m=1: .*: routes disagree: 4 vs 3 vs 4$"):
         eulerlab.ladder_check(x, 1)
+
+
+def test_the_pushforward_catches_two_inertia_orbits_in_one_cell(monkeypatch):
+    # the sign character of Stab(0) = Z2 has no invariants, and its trace is
+    # 1 on the identity's inertia orbit and -1 on the transposition's; sent
+    # to the identity's cell, the inertia side reads 1.  The structure
+    # bundle cannot show this fault: every cell's value is 1.
+    stab = S3_NATURAL.stabilizer(0).as_group()[0]
+    bundle = VirtualEqBundle(S3_NATURAL, (ClassFunction(stab, (1, -1)),))
+    assert chartheory.pushforward_to_point(bundle) == 0
+    cells = chartheory._trace_cells
+
+    def merged(iner):
+        found, counts = cells(iner)
+        return [found[0]] * len(found), counts
+
+    monkeypatch.setattr(chartheory, "_trace_cells", merged)
+    assert chartheory.pushforward_to_point(structure_bundle(S3_NATURAL)) == 1
+    with pytest.raises(ConsistencyError, match=r"^pushforward to a point, source and inertia sides: "
+                                               r"routes disagree: CyclotomicNumber\(0\) vs "
+                                               r"CyclotomicNumber\(1\)$"):
+        chartheory.pushforward_to_point(bundle)
 
 
 def test_the_series_catches_commute_masks_without_the_identity(monkeypatch):

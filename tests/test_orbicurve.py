@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackyrr.errors import ValidationError
 from stackyrr.orbicurve import (
@@ -70,6 +72,36 @@ def test_divisor_denominators_checked():
         FracDivisor.from_pairs(c, [("elsewhere", Fraction(1, 2))])
     ok = FracDivisor.from_pairs(c, [("p2", Fraction(1, 2)), ("x", 3)])
     assert degree(ok) == Fraction(7, 2)
+
+
+_NOT_EXACT = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3), st.decimals(),
+                       st.complex_numbers(), st.sampled_from(["1/2", "2", "x"]))
+_NOT_POINT_PAIRS = st.one_of(
+    st.integers(), st.none(), st.floats(),
+    st.lists(st.one_of(st.integers(), st.none(), st.tuples(st.text(max_size=2)),
+                       st.tuples(st.text(max_size=2), st.integers(2, 9), st.integers())),
+             min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divisors_take_only_exact_scalars_and_curves_only_point_pairs(data):
+    # a float, a bool or a string was coerced to a Fraction; a scalar 0.5
+    # was refused by the denominator check, for the wrong reason
+    c, bad = curve_23(), data.draw(_NOT_EXACT)
+    d = FracDivisor.from_pairs(c, [("p2", Fraction(1, 2))])
+    calls = [
+        lambda: FracDivisor.from_pairs(c, [("p2", bad)]),
+        lambda: FracDivisor.from_pairs(c, [("x", 1), ("p3", bad)]),
+        lambda: bad * d,
+        lambda: d * bad,
+    ]
+    with pytest.raises(ValidationError, match=r" must be an int or a Fraction, got "):
+        data.draw(st.sampled_from(calls))()
+    with pytest.raises(ValidationError, match=r"stacky points must be (pairs|iterable), got "):
+        OrbifoldCurve(0, data.draw(_NOT_POINT_PAIRS))
+    assert (2 * d).support == (d * Fraction(2)).support == (("p2", Fraction(1)),)
 
 
 def test_multiplicity_examples():

@@ -115,6 +115,20 @@ def test_one_builder_for_fixed_point_sets():
     assert built == [] and classes == []
 
 
+def test_only_the_tower_builds_a_level():
+    # `inertia(B)` is the tower's level 1 on B, so no second build of it can
+    # be compared with the first
+    tree = ast.parse((SRC / "groupoidstack.py").read_text())
+    callers = sorted({
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_level_above"
+    })
+    assert callers == ["iterated_inertia"]
+
+
 def test_cli_builds_its_job_spec_in_main_only():
     # `main` fills one JobSpec from the parsed arguments; no second builder
     tree = ast.parse((SRC / "cli.py").read_text())
